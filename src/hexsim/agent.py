@@ -83,6 +83,8 @@ def failure_cause(exc: Exception) -> str:
         return "locked_out"
     if isinstance(exc, SchemaViolation):
         return "schema_violation"
+    if isinstance(exc, CodecError):
+        return "codec"
     if isinstance(exc, (UnknownId, UnknownSlice, UnknownDrb, UnknownUe)):
         return "unknown_id"
     if isinstance(exc, OverSubscription):
@@ -157,13 +159,23 @@ class HaRepository:
         return self.ric_contexts.get(peer_id) or self.smo_contexts.get(peer_id)
 
     def lock_holder(self, resource: str, exclude: str = "") -> Optional[str]:
+        """The peer whose lock covers ``resource``, an ancestor or a descendant
+        of it, matched on whole ``/``-separated path segments."""
         for peer in self.peers():
             if peer.peer_id == exclude:
                 continue
             for lock in peer.locks:
-                if resource.startswith(lock) or lock.startswith(resource):
+                if _paths_overlap(resource, lock):
                     return peer.peer_id
         return None
+
+
+def _paths_overlap(a: str, b: str) -> bool:
+    """True if one path equals the other or is an ancestor of it. A trailing
+    "/" is ignored, so "slice/" covers every slice; "slice/1" and "slice/10"
+    do not overlap."""
+    a, b = a.rstrip("/"), b.rstrip("/")
+    return a == b or a.startswith(b + "/") or b.startswith(a + "/")
 
 
 @dataclass
@@ -220,6 +232,7 @@ class _Link:
     peer_id: str
     kind: str
     send: Callable[[bytes], None]
+    order: int  # attach order; selects the manager shard
     reader: FrameReader = field(default_factory=FrameReader)
     pending_setup_corr: Optional[int] = None
 
@@ -229,6 +242,7 @@ class _Pending:
     link_id: str
     frame: E2LiteFrame
     record: MessageRecord
+    seq: int = 0  # arrival order across every queue, assigned under Agent._cv
 
 
 class Agent:
@@ -251,14 +265,27 @@ class Agent:
         self.metrics = PipelineMetrics()
         self.failures_by_cause: dict[str, int] = {}
         self._links: dict[str, _Link] = {}
+        self._link_order = itertools.count()
         self._queues: dict[tuple[str, int], deque] = {}
-        self._cv = threading.Condition()
+        self._queued = 0  # messages in _queues; guarded by _cv, like the queues
+        self._arrivals = itertools.count()
+        # _cv's lock; pump enters it directly, skipping Condition's Python-level
+        # __enter__ on every tick
+        self._queue_lock = threading.RLock()
+        self._cv = threading.Condition(self._queue_lock)
         self._corr = itertools.count(0x40000000)
         self._sub_ids = itertools.count(1)
         self._frame_slot: Optional[_Pending] = None
         self._next_frame_ns: Optional[int] = None
         self._sub_by_reg: dict[int, Subscription] = {}
         self._state = threading.RLock()
+        self._handlers = {
+            int(MsgType.SETUP_RESPONSE): self._on_setup_response,
+            int(MsgType.SUBSCRIPTION_REQUEST): self._on_subscription,
+            int(MsgType.CONTROL_REQUEST): self._on_control,
+            int(MsgType.QUERY_REQUEST): self._on_query,
+            int(MsgType.EDIT_CONFIG): self._on_edit_config,
+        }
         self.pml.set_lockout_window(self.config.lockout_window_ms)
 
     # -- configuration manager -------------------------------------------------
@@ -332,7 +359,8 @@ class Agent:
         setup request listing the available functions."""
         if kind not in (RIC, SMO):
             raise AgentError(f"unknown peer kind {kind!r}")
-        link = _Link(link_id=link_id, peer_id=peer_id, kind=kind, send=send)
+        link = _Link(link_id=link_id, peer_id=peer_id, kind=kind, send=send,
+                     order=next(self._link_order))
         with self._state:
             self._links[link_id] = link
             ctx = PeerContext(peer_id=peer_id, kind=kind, link_id=link_id, endpoint=endpoint)
@@ -385,13 +413,13 @@ class Agent:
                                             {"cause": "codec", "detail": str(exc)}))
             return 0
         for frame in frames:
-            self._dispatch(link_id, frame)
+            self._dispatch(link, frame)
         return len(frames)
 
-    def _dispatch(self, link_id: str, frame: E2LiteFrame) -> None:
+    def _dispatch(self, link: _Link, frame: E2LiteFrame) -> None:
         now = self.clock.now_ns()
         record = MessageRecord(receive_ns=now)
-        msg = _Pending(link_id=link_id, frame=frame, record=record)
+        msg = _Pending(link_id=link.link_id, frame=frame, record=record)
         try:
             msg_type = MsgType(frame.msg_type)
             manager = _ROUTE.get(msg_type)
@@ -416,14 +444,15 @@ class Agent:
         if self.config.serialized:
             manager_key = (_CONTROL, 0)  # one queue, one worker: fully serialized
         else:
-            shard = hash(msg.link_id) % max(1, self.config.manager_instances)
-            manager_key = (manager, shard)
+            manager_key = (manager, link.order % max(1, self.config.manager_instances))
         with self._cv:
             q = self._queues.setdefault(manager_key, deque())
             if len(q) >= self.config.queue_depth:
                 overflow = True
             else:
+                msg.seq = next(self._arrivals)
                 q.append(msg)
+                self._queued += 1
                 overflow = False
             self._cv.notify_all()
         if overflow:
@@ -435,25 +464,39 @@ class Agent:
     def pump(self, now_ns: Optional[int] = None) -> int:
         """Process everything queued plus the frame gate; returns messages handled.
 
-        Single-threaded driver entry point. Telemetry emission is a separate
-        step (:meth:`emit_telemetry`) so drivers can order it after the tick
+        Single-threaded driver entry point. Messages run in arrival order
+        across all manager queues. Telemetry emission is a separate step
+        (:meth:`emit_telemetry`) so drivers can order it after the tick
         boundary that publishes new state.
+
+        Every queued message is counted, so a zero count means the queues are
+        empty: the call then returns without scanning them, and without
+        reading the clock unless the frame gate is on (the gate's slot is not
+        a manager queue).
         """
-        now = self.clock.now_ns() if now_ns is None else now_ns
         processed = 0
         while True:
-            msg = None
-            with self._cv:
-                for key in sorted(self._queues):
-                    if self._queues[key]:
-                        msg = self._queues[key].popleft()
-                        break
-            if msg is None:
-                break
+            with self._queue_lock:
+                if not self._queued:
+                    break
+                msg = self._pop_oldest(self._queues)
             self.process_message(msg)
             processed += 1
-        processed += self.pump_frame_gate(now)
+        if self.config.frame_gated:
+            processed += self.pump_frame_gate(self.clock.now_ns() if now_ns is None else now_ns)
         return processed
+
+    def _pop_oldest(self, keys: Iterable[tuple[str, int]]) -> Optional[_Pending]:
+        """Pop the earliest-arrived head among the given queues; hold ``_cv``."""
+        oldest = None
+        for key in keys:
+            q = self._queues.get(key)
+            if q and (oldest is None or q[0].seq < oldest[0].seq):
+                oldest = q
+        if oldest is None:
+            return None
+        self._queued -= 1
+        return oldest.popleft()
 
     def pump_frame_gate(self, now_ns: int) -> int:
         """Execute the gated pending control if a frame boundary passed."""
@@ -477,13 +520,7 @@ class Agent:
     def process_message(self, msg: _Pending) -> None:
         msg.record.dispatch_ns = self.clock.now_ns()
         frame = msg.frame
-        handler = {
-            int(MsgType.SETUP_RESPONSE): self._on_setup_response,
-            int(MsgType.SUBSCRIPTION_REQUEST): self._on_subscription,
-            int(MsgType.CONTROL_REQUEST): self._on_control,
-            int(MsgType.QUERY_REQUEST): self._on_query,
-            int(MsgType.EDIT_CONFIG): self._on_edit_config,
-        }.get(frame.msg_type)
+        handler = self._handlers.get(frame.msg_type)
         if handler is None:
             self._fail(msg, "unknown_type", f"no handler for {frame.msg_type}")
             return
@@ -769,13 +806,8 @@ class Agent:
     def wait_message(self, keys: Iterable[tuple[str, int]], timeout: float = 0.1):
         keyset = list(keys)
         with self._cv:
-            for key in keyset:
-                q = self._queues.get(key)
-                if q:
-                    return q.popleft()
-            self._cv.wait(timeout)
-            for key in keyset:
-                q = self._queues.get(key)
-                if q:
-                    return q.popleft()
-        return None
+            msg = self._pop_oldest(keyset)
+            if msg is None:
+                self._cv.wait(timeout)
+                msg = self._pop_oldest(keyset)
+        return msg

@@ -19,6 +19,10 @@ class DuplicateDrb(SliceModelError):
     pass
 
 
+class DuplicateUe(SliceModelError):
+    pass
+
+
 class UnknownSlice(SliceModelError):
     pass
 
@@ -128,14 +132,6 @@ class NotActivated(AgentError):
 
 
 class ResourceLockedByOther(AgentError):
-    pass
-
-
-class SetupRejected(AgentError):
-    pass
-
-
-class Unreachable(AgentError):
     pass
 
 

@@ -20,6 +20,7 @@ one reference assignment.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,7 +53,6 @@ DEFAULT_LOCKOUT_WINDOW_MS = 100.0
 class PluginManifest:
     plugin_id: str
     provided_api_ids: tuple[str, ...]
-    provided_parameter_paths: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,11 @@ class Pml:
         self._reg_ids = itertools.count(1)
         self._registrations: dict[int, TelemetryRegistration] = {}
         self._lock = threading.RLock()
+        # fast-path state, all guarded by _lock
+        self._pending = 0  # calls queued since the last drain
+        self._next_periodic_ns: Optional[float] = None  # earliest deadline; None: rescan
+        self._regs_version = 0  # bumped whenever the registration set changes
+        self._records_seen: Optional[tuple] = None  # (registry, epoch, regs_version)
 
     # -- registration ---------------------------------------------------------
 
@@ -196,15 +201,23 @@ class Pml:
                 completion._resolve(error=exc)
                 return completion
             self._queues[api_id].append(completion)
+            self._pending += 1
             return completion
 
     def pending(self) -> int:
         with self._lock:
-            return sum(len(q) for q in self._queues.values())
+            return self._pending
 
     def drain(self) -> int:
-        """Execute every queued call, FIFO per API. Returns the number executed."""
+        """Execute every queued call, FIFO per API. Returns the number executed.
+
+        Only :meth:`invoke` queues calls and it counts each one, so with a zero
+        count every queue is empty and this returns 0 without touching them.
+        """
         with self._lock:
+            if not self._pending:
+                return 0
+            self._pending = 0
             batches = [(api, list(q)) for api, q in self._queues.items() if q]
             for api, _ in batches:
                 self._queues[api].clear()
@@ -246,16 +259,32 @@ class Pml:
         )
         with self._lock:
             self._registrations[reg.reg_id] = reg
+            self._registrations_changed()
         return reg
 
     def drop_registration(self, reg_id: int) -> None:
         with self._lock:
-            self._registrations.pop(reg_id, None)
+            if self._registrations.pop(reg_id, None) is not None:
+                self._registrations_changed()
+
+    def _registrations_changed(self) -> None:
+        """Invalidate both telemetry fast paths; the caller holds ``_lock``."""
+        self._next_periodic_ns = None
+        self._regs_version += 1
 
     def due_periodic(self, now_ns: int) -> list[TelemetryRegistration]:
-        """Periodic registrations whose period elapsed; advances their deadlines."""
-        due = []
+        """Periodic registrations whose period elapsed; advances their deadlines.
+
+        Deadlines move only here and in :meth:`add_registration`, so the
+        earliest one is remembered from the last scan: before it, nothing can
+        be due and the scan is skipped. Adding or dropping a registration
+        forgets it.
+        """
         with self._lock:
+            if self._next_periodic_ns is not None and now_ns < self._next_periodic_ns:
+                return []
+            due = []
+            earliest = None
             for reg in self._registrations.values():
                 if reg.trigger.get("kind") != "periodic":
                     continue
@@ -264,15 +293,31 @@ class Pml:
                     due.append(reg)
                     while reg.next_due_ns <= now_ns:
                         reg.next_due_ns += period_ns
+                if earliest is None or reg.next_due_ns < earliest:
+                    earliest = reg.next_due_ns
+            # with no periodic registration, nothing is due until one is added
+            self._next_periodic_ns = earliest if earliest is not None else math.inf
         return due
 
     def new_change_records(
         self, registry: SliceRegistry
     ) -> list[tuple[TelemetryRegistration, ContextChangeRecord]]:
-        """Per event-triggered registration, the change records it has not seen."""
-        fired = []
+        """Per event-triggered registration, the change records it has not seen.
+
+        Records become visible only when :meth:`SliceRegistry.publish` raises
+        the watermark, which starts a new epoch. So the answer can differ from
+        the last call's only if the published epoch or the registration set
+        changed since; otherwise every cursor is already at the watermark and
+        the scan is skipped.
+        """
+        epoch = registry.published.epoch
         with self._lock:
+            seen = (registry, epoch, self._regs_version)
+            if seen == self._records_seen:
+                return []
+            self._records_seen = seen
             regs = [r for r in self._registrations.values() if r.trigger.get("kind") == "event"]
+        fired = []
         for reg in regs:
             targets = reg.slice_ids or tuple(registry.slice_ids())
             for sid in targets:
@@ -337,12 +382,7 @@ class FsApi:
         self.pml = pml
         self.registry = registry
         self.algorithms = algorithms
-        manifest = PluginManifest(
-            plugin_id=FS_PLUGIN_ID,
-            provided_api_ids=FS_API_IDS,
-            provided_parameter_paths=("slice/*/rrc", "slice/*/scheduler", "slice/*/hu_assoc",
-                                      "drb/*/priority"),
-        )
+        manifest = PluginManifest(plugin_id=FS_PLUGIN_ID, provided_api_ids=FS_API_IDS)
         pml.register_plugin(
             manifest,
             {

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import fssf
-from .slice_model import SliceRegistry, SliceState
+from .slice_model import BearerStats, SliceRegistry, SliceState
 
 RTT_CAP_MS = 2000.0
 STATS_WINDOW_MS = 100.0
@@ -73,6 +73,15 @@ class TrafficProfile:
                 cell.set_offered(drb, self.rate_at(drb, t_s))
 
 
+class _BearerRow(NamedTuple):
+    """Per-epoch constants of one scheduled bearer, in scheduler input order."""
+
+    drb_id: int
+    bits_per_rb: float  # the owning UE's bits per RB per tick
+    rb_capacity: float  # bytes one RB carries per tick, after BLER
+    stats: BearerStats  # the live object, aliased by the published bearer
+
+
 @dataclass
 class WindowMetrics:
     ttis: int
@@ -107,8 +116,7 @@ class Cell:
         self._struct_epoch = -1
         self._slices_in: tuple[fssf.SliceInput, ...] = ()
         self._ue_rate: dict[int, float] = {}
-        self._drb_bler: dict[int, float] = {}
-        self._drb_capacity: dict[int, float] = {}
+        self._bearer_rows: tuple[_BearerRow, ...] = ()
         self._decision_cache: dict = {}
         self._cacheable = False
         # window accumulators (reset by end_window)
@@ -143,9 +151,8 @@ class Cell:
     def _rebuild_structure(self) -> None:
         snap = self.registry.published
         slices = []
+        rows = []
         self._ue_rate = {}
-        self._drb_bler = {}
-        self._drb_capacity = {}
         per_rb_bits = self.cfg.per_rb_bits_per_tti
         for uid, ue in snap.ues.items():
             self._ue_rate[uid] = per_rb_bits * self.link.mcs_rate_fraction(ue.mcs)
@@ -165,10 +172,9 @@ class Cell:
                 b = snap.bearers[drb]
                 drbs.append(fssf.DrbInput(drb, b.ue_id, b.bearer_priority))
                 bler = snap.ues[b.ue_id].bler if b.ue_id in snap.ues else 0.0
-                self._drb_bler[drb] = bler
-                self._drb_capacity[drb] = (
-                    self._ue_rate.get(b.ue_id, per_rb_bits) / 8.0 * (1.0 - bler)
-                )
+                bits_per_rb = self._ue_rate.get(b.ue_id, per_rb_bits)
+                rows.append(_BearerRow(drb, bits_per_rb, bits_per_rb / 8.0 * (1.0 - bler),
+                                       b.stats))
             slices.append(
                 fssf.SliceInput(
                     slice_id=s.slice_id,
@@ -181,6 +187,7 @@ class Cell:
                 )
             )
         self._slices_in = tuple(slices)
+        self._bearer_rows = tuple(rows)
         self._cacheable = all(
             self.algorithms.get(s.fd_scheduler).stateless for s in slices
         )
@@ -193,20 +200,19 @@ class Cell:
         if snap.epoch != self._struct_epoch:
             self._rebuild_structure()
         tti_s = self.cfg.tti_ms / 1000.0
+        buffers = self.buffers
         for drb, rate in self.offered.items():
             if rate:
-                self.buffers[drb] += rate * 1e6 * tti_s / 8.0
+                buffers[drb] += rate * 1e6 * tti_s / 8.0
 
         demands: dict[int, int] = {}
         total_rb = self.cfg.total_rb
-        owner_rate = self._ue_rate
-        for s in self._slices_in:
-            for d in s.drbs:
-                buf = self.buffers.get(d.drb_id, 0.0)
-                if buf > 0.0:
-                    bits_per_rb = owner_rate.get(d.ue_id, self.cfg.per_rb_bits_per_tti)
-                    need = math.ceil(buf * 8.0 / bits_per_rb)
-                    demands[d.drb_id] = need if need < total_rb else total_rb
+        rows = self._bearer_rows
+        for drb, bits_per_rb, _, _ in rows:
+            buf = buffers.get(drb, 0.0)
+            if buf > 0.0:
+                need = math.ceil(buf * 8.0 / bits_per_rb)
+                demands[drb] = need if need < total_rb else total_rb
 
         decision = None
         key = None
@@ -227,36 +233,33 @@ class Cell:
                     self._decision_cache.clear()
                 self._decision_cache[key] = decision
 
-        allocated = 0
-        served_by_drb = {}
-        for drb, n_rb in decision.per_drb_rb.items():
-            allocated += n_rb
-            capacity = n_rb * self._drb_capacity.get(drb, 0.0)
-            buf = self.buffers.get(drb, 0.0)
-            served = capacity if capacity < buf else buf
-            if drb in self.buffers:
-                self.buffers[drb] = buf - served
-            served_by_drb[drb] = served
-
+        # the scheduler grants RBs only to bearers with demand, so every
+        # granted drb has a row
+        per_drb_rb = decision.per_drb_rb
         alpha = self.cfg.tti_ms / STATS_WINDOW_MS
-        for s in self._slices_in:
-            for d in s.drbs:
-                drb = d.drb_id
-                served = served_by_drb.get(drb, 0.0)
-                stats = self.registry.get_bearer(drb).stats
-                inst_mbps = served * 8.0 / tti_s / 1e6
-                stats.throughput_mbps += alpha * (inst_mbps - stats.throughput_mbps)
-                stats.buffer_occupancy_bytes = self.buffers.get(drb, 0.0)
-                stats.packet_delay_ms = self._rtt_from(
-                    stats.buffer_occupancy_bytes, stats.throughput_mbps
-                )
-                self._win_served[drb] = self._win_served.get(drb, 0.0) + served
-                if drb in decision.per_drb_rb:
-                    self._win_alloc_drb[drb] = (
-                        self._win_alloc_drb.get(drb, 0) + decision.per_drb_rb[drb]
-                    )
+        win_served = self._win_served
+        win_alloc_drb = self._win_alloc_drb
+        for drb, _, rb_capacity, stats in rows:
+            buf = buffers.get(drb, 0.0)
+            n_rb = per_drb_rb.get(drb)
+            if n_rb is None:
+                served = 0.0
+            else:
+                capacity = n_rb * rb_capacity
+                served = capacity if capacity < buf else buf
+                buf -= served
+                if drb in buffers:
+                    buffers[drb] = buf
+                win_alloc_drb[drb] = win_alloc_drb.get(drb, 0) + n_rb
+            inst_mbps = served * 8.0 / tti_s / 1e6
+            throughput = stats.throughput_mbps
+            throughput += alpha * (inst_mbps - throughput)
+            stats.throughput_mbps = throughput
+            stats.buffer_occupancy_bytes = buf
+            stats.packet_delay_ms = self._rtt_from(buf, throughput)
+            win_served[drb] = win_served.get(drb, 0.0) + served
 
-        self._win_alloc += allocated
+        self._win_alloc += sum(per_drb_rb.values())
         self._win_ttis += 1
         self.tti_index += 1
         self.last_decision = decision

@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 from .errors import (
     DuplicateDrb,
     DuplicateSliceId,
+    DuplicateUe,
     InvalidResourceConfig,
     OverSubscription,
     UnknownDrb,
@@ -340,7 +341,7 @@ class SliceRegistry:
     def add_ue(self, ue: UEContext) -> UEContext:
         ue.validate()
         if ue.ue_id in self._ues:
-            raise DuplicateSliceId(f"ue {ue.ue_id} already exists")
+            raise DuplicateUe(f"ue {ue.ue_id} already exists")
         self._ues[ue.ue_id] = ue
         self._dirty = True
         return ue

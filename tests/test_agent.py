@@ -1,14 +1,27 @@
 """Agent pipeline: catalog, setup/locks, dispatch, managers, telemetry, alarms."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hexsim
 from hexsim import e2lite
-from hexsim.agent import RIC, SMO, Agent, AgentConfig
+from hexsim.agent import RIC, SMO, Agent, AgentConfig, HaRepository, PeerContext, failure_cause
 from hexsim.clocks import VirtualClock
 from hexsim.e2lite import E2LiteFrame, MsgType
-from hexsim.errors import MalformedConfig
+from hexsim.errors import (
+    BadJson,
+    BadMagic,
+    MalformedConfig,
+    SchemaViolation,
+    ShortFrame,
+    UnknownFunction,
+)
 from hexsim.pml import FsApi, Pml
 from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc
 from hexsim.slice_model import (
@@ -24,6 +37,54 @@ T = ChangeTrigger("test", "unit")
 
 def _raise_on_send(data: bytes) -> None:
     raise OSError("link down")
+
+
+# Runs in a fresh interpreter so that PYTHONHASHSEED takes effect. Prints, for
+# each sending order, every controller's (result, failure cause).
+_CONTENTION_SCRIPT = """
+import json
+from hexsim.agent import RIC, Agent
+from hexsim.clocks import VirtualClock
+from hexsim.pml import FsApi, Pml
+from hexsim.ric_harness import SimulatedPeer, connect_inproc
+from hexsim.slice_model import SliceRegistry, SliceState
+
+DOC = {"functions": [{"function_id": 1, "name": "fs", "kind": "ran",
+                      "required_pml_plugins": ["fs"], "resources": []}]}
+
+
+def contend(order):
+    clock = VirtualClock()
+    registry = SliceRegistry(106)
+    pml = Pml(clock=clock)
+    agent = Agent(registry, pml, FsApi(pml, registry), clock=clock)
+    agent.load_configuration(DOC)
+    for sid in (1, 2, 3):
+        registry.create_slice(sid, SliceState.SHARED)
+    peers = {}
+    for name in ("ric-a", "ric-b"):
+        peers[name] = SimulatedPeer(name, RIC)
+        connect_inproc(agent, peers[name], "link-" + name)
+    agent.pump(clock.now_ns())
+    # uncontended writes, always a then b, so that each link's queue exists
+    # before the contended round
+    for sid, name in ((2, "ric-a"), (3, "ric-b")):
+        peers[name].control_slice(1, {"slice_id": sid, "shared_priority": 2})
+    agent.pump(clock.now_ns())
+    pml.tti_boundary(registry)
+    corrs = {name: peers[name].control_slice(1, {"slice_id": 1, "shared_priority": 2 + i})
+             for i, name in enumerate(order)}
+    agent.pump(clock.now_ns())
+    pml.tti_boundary(registry)
+    results = {}
+    for name, corr in corrs.items():
+        kind, payload = peers[name].control_results[corr]
+        results[name] = [kind, payload.get("cause")]
+    return results
+
+
+print(json.dumps([contend(["ric-a", "ric-b"]), contend(["ric-b", "ric-a"])]))
+"""
 
 
 class Stack:
@@ -111,6 +172,19 @@ class TestSetupAndLocks:
         assert stack.agent.activation("ric-b") == set()
         assert "resource_locked" in stack.agent.repository.ric_contexts["ric-b"].refused[1]
 
+    def test_lock_scopes_match_on_whole_path_segments(self):
+        repo = HaRepository()
+        holder = PeerContext(peer_id="ric-a", kind=RIC, link_id="link-a", locks={"slice/1"})
+        repo.ric_contexts["ric-a"] = holder
+        for resource in ("slice/10", "slice/19", "slice/100", "slice/1x", "slice/2"):
+            assert repo.lock_holder(resource) is None, resource
+        for resource in ("slice/1", "slice/1/", "slice/1/rrc", "slice", "slice/"):
+            assert repo.lock_holder(resource) == "ric-a", resource
+        assert repo.lock_holder("slice/1/rrc", exclude="ric-a") is None
+        holder.locks = {"slice/"}  # the bundled function's scope: every slice
+        assert repo.lock_holder("slice/10") == "ric-a"
+        assert repo.lock_holder("drb/10") is None
+
     def test_disconnect_releases_locks_for_the_next_ric(self):
         stack = Stack()
         stack.attach("ric-a")
@@ -153,8 +227,32 @@ class TestDispatch:
         assert any(f.payload.get("cause") == "codec"
                    for f in ric.responses.values()) or ric.responses == {}
         # the reader keeps the bytes buffered; a failure frame was emitted iff
-        # the header was undecodable
-        assert stack.agent.failures_by_cause.get("error:BadMagic", 0) >= 1
+        # the header was undecodable; the count uses the same cause as the frame
+        assert stack.agent.failures_by_cause == {"codec": 1}
+
+    def test_every_codec_error_maps_to_the_codec_cause(self):
+        for exc in (BadMagic("x"), ShortFrame("x"), BadJson("x"), UnknownFunction("x")):
+            assert failure_cause(exc) == "codec", type(exc).__name__
+        assert failure_cause(SchemaViolation("x")) == "schema_violation"
+
+    def test_contended_write_goes_to_the_first_arrival_under_any_hash_seed(self):
+        """Two controllers write one parameter path in the same tick; the
+        lockout lets exactly one through. Whoever arrived first must win,
+        whatever PYTHONHASHSEED says."""
+        src = str(Path(hexsim.__file__).resolve().parent.parent)
+        outcomes = []
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", _CONTENTION_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outcomes.append(json.loads(done.stdout))
+        first_wins = [
+            {"ric-a": ["ack", None], "ric-b": ["failure", "locked_out"]},
+            {"ric-b": ["ack", None], "ric-a": ["failure", "locked_out"]},
+        ]
+        assert outcomes == [first_wins] * 6
 
     def test_per_ric_control_order_is_preserved(self):
         stack = Stack()

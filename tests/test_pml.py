@@ -339,6 +339,93 @@ class TestTelemetryAndReports:
         assert pml.new_change_records(registry) == []
 
 
+class TestIdleFastPaths:
+    """Each fast path must give the answer the full scan would."""
+
+    def test_pending_follows_invoke_drain_and_lockout(self):
+        registry, pml, fs, _ = make_stack()
+        seed_slice(registry, 1, SliceState.SHARED)
+        assert pml.pending() == 0
+        assert pml.drain() == 0
+        fs.fs_control_request("ric-a", {"slices": [{"slice_id": 1, "shared_priority": 2}]})
+        fs.fs_statistics_request("ric-b", {"slice_ids": [1]})
+        assert pml.pending() == 2
+        rejected = fs.fs_control_request("ric-b",
+                                         {"slices": [{"slice_id": 1, "shared_priority": 3}]})
+        assert isinstance(rejected.error, LockedOut)
+        assert pml.pending() == 2  # a rejected call is never queued
+        assert pml.drain() == 2
+        assert pml.pending() == 0
+        assert pml.drain() == 0
+        fs.fs_statistics_request("ric-b", {"slice_ids": [1]})
+        assert pml.pending() == 1
+        assert pml.drain() == 1
+
+    def test_due_periodic_matches_a_full_scan_under_churn(self):
+        registry, pml, _, clock = make_stack()
+        seed_slice(registry, 1)
+        model: dict[int, list[int]] = {}  # reg_id -> [period_ns, next_due_ns]
+
+        def add(period_ms):
+            reg = pml.add_registration("ric", [1], [], {"kind": "periodic",
+                                                         "period_ms": period_ms})
+            model[reg.reg_id] = [period_ms * 1_000_000, clock.now_ns() + period_ms * 1_000_000]
+            return reg.reg_id
+
+        seven = add(7)
+        pml.add_registration("ric", [1], [], {"kind": "event"})  # never periodic-due
+        three = None
+        seen, expected = [], []
+        for tick in range(100):
+            if tick == 22:
+                # due at 25 ms, before the 7 ms registration's next deadline (28 ms)
+                three = add(3)
+            if tick == 60:
+                pml.drop_registration(seven)
+                del model[seven]
+            now = clock.now_ns()
+            due = []
+            for reg_id, entry in model.items():
+                if now >= entry[1]:
+                    due.append(reg_id)
+                    while entry[1] <= now:
+                        entry[1] += entry[0]
+            expected.append(due)
+            seen.append([r.reg_id for r in pml.due_periodic(now)])
+            clock.advance_ms(1)
+        assert seen == expected
+        assert sum(three in d for d in seen) == (99 - 22) // 3
+        assert sum(seven in d for d in seen) == 60 // 7
+
+    def test_new_event_registration_catches_up_and_empty_epochs_fire_nothing(self):
+        registry, pml, _, _ = make_stack()
+        seed_slice(registry, 1)  # the creation record
+        first = pml.add_registration("ric", [1], [], {"kind": "event"})
+        assert [rec.seq for _, rec in pml.new_change_records(registry)] == [1]
+        n = 4
+        for k in range(n - 1):
+            registry.update_slice(1, T, hu_associations={f"hu{k}"})
+        registry.publish()
+        assert len(pml.new_change_records(registry)) == n - 1
+        # same epoch, but a new registration: it has seen nothing yet
+        late = pml.add_registration("ric", [1], [], {"kind": "event"})
+        fired = pml.new_change_records(registry)
+        assert [(reg.reg_id, rec.seq) for reg, rec in fired] == [
+            (late.reg_id, seq) for seq in range(1, n + 1)
+        ]
+        assert pml.new_change_records(registry) == []
+        registry.add_ue(UEContext(ue_id=7))  # a new epoch without a change record
+        before = registry.published.epoch
+        assert registry.publish().epoch == before + 1
+        assert pml.new_change_records(registry) == []
+        registry.update_slice(1, T, fd_scheduler="round_robin")
+        assert pml.new_change_records(registry) == []  # not published yet
+        registry.publish()
+        fired = pml.new_change_records(registry)
+        assert sorted(reg.reg_id for reg, _ in fired) == [first.reg_id, late.reg_id]
+        assert {rec.seq for _, rec in fired} == {n + 1}
+
+
 class TestNonBlockingBoundary:
     def test_tick_latency_unaffected_by_pending_invokes(self):
         """p95 of the scheduling computation with 1000 queued calls (and a

@@ -196,3 +196,26 @@ class TestDeterminismAndProfiles:
         })
         w = run_seconds(cell, reg, 2)[-1]
         assert w.utilization == pytest.approx(1.0, abs=0.001)
+
+
+class TestBearerTable:
+    def test_stats_reach_the_live_bearers_after_a_churn_epoch(self):
+        cell, reg = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 20.0), (12, 2, 20.0)])})
+        run_seconds(cell, reg, 1)
+        old_11 = reg.get_bearer(11).stats
+        frozen = (old_11.throughput_mbps, old_11.buffer_occupancy_bytes)
+        assert frozen[0] > 0.0
+        # drb 11 leaves and comes back as a new bearer (fresh stats); drb 13 joins
+        reg.remove_drb(1, 11, T)
+        cell.detach_bearer(11)
+        reg.add_ue(UEContext(ue_id=3))
+        for drb, ue in ((11, 1), (13, 3)):
+            reg.add_drb(1, Bearer(drb_id=drb, ue_id=ue, slice_id=1), T)
+            cell.attach_bearer(drb, 20.0)
+        run_seconds(cell, reg, 1)
+        assert (old_11.throughput_mbps, old_11.buffer_occupancy_bytes) == frozen
+        for drb in (11, 12, 13):
+            live = reg.get_bearer(drb).stats
+            assert reg.published.bearers[drb].stats is live
+            assert live.throughput_mbps == pytest.approx(20.0, rel=0.05), drb
+            assert live.packet_delay_ms == cell.rtt(drb)

@@ -7,6 +7,7 @@ import pytest
 from hexsim.errors import (
     DuplicateDrb,
     DuplicateSliceId,
+    DuplicateUe,
     InvalidResourceConfig,
     OverSubscription,
     UnknownDrb,
@@ -82,6 +83,13 @@ class TestCreateSlice:
         reg.create_slice(1)
         with pytest.raises(DuplicateSliceId):
             reg.create_slice(1)
+
+    def test_duplicate_ue_rejected_as_a_ue_error(self):
+        reg = make_registry()
+        reg.add_ue(UEContext(ue_id=1))
+        with pytest.raises(DuplicateUe) as info:
+            reg.add_ue(UEContext(ue_id=1))
+        assert not isinstance(info.value, DuplicateSliceId)
 
     def test_rrc_state_mismatch_rejected(self):
         reg = make_registry()
