@@ -11,26 +11,18 @@ preserved in both because one peer's messages of a type land in one queue.
 Controller peers get a separate repository context each. Activating a
 function locks its governed resources to that peer; other peers' control on
 an overlapping resource fails until the holder detaches.
-
-Two degradation flags exist for benchmarking against this pipeline:
-``serialized`` funnels every message through one worker that blocks for the
-action's execution cost before touching the next message, and ``frame_gated``
-replaces the control queue with a single overwrite slot executed at most once
-per radio frame. Both exist to quantify what the default decoupled pipeline
-buys; neither is used in normal operation.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from . import e2lite
-from .clocks import MonotonicClock, ms_to_ns
+from .clocks import MonotonicClock
 from .errors import (
     AgentError,
     BadPeriod,
@@ -55,7 +47,6 @@ from .slice_model import SliceRegistry
 
 DEFAULT_QUEUE_DEPTH = 1024
 DEFAULT_MANAGER_INSTANCES = 2
-DEFAULT_FRAME_MS = 10.0
 DEFAULT_UTILIZATION_ALARM = 0.90
 
 RIC = "ric"
@@ -220,10 +211,6 @@ class AgentConfig:
     manager_instances: int = DEFAULT_MANAGER_INSTANCES
     lockout_window_ms: float = 100.0
     utilization_alarm_threshold: float = DEFAULT_UTILIZATION_ALARM
-    serialized: bool = False
-    serialized_exec_cost_us: float = 100.0
-    frame_gated: bool = False
-    frame_ms: float = DEFAULT_FRAME_MS
 
 
 @dataclass
@@ -275,8 +262,6 @@ class Agent:
         self._cv = threading.Condition(self._queue_lock)
         self._corr = itertools.count(0x40000000)
         self._sub_ids = itertools.count(1)
-        self._frame_slot: Optional[_Pending] = None
-        self._next_frame_ns: Optional[int] = None
         self._sub_by_reg: dict[int, Subscription] = {}
         self._state = threading.RLock()
         self._handlers = {
@@ -417,14 +402,9 @@ class Agent:
         return len(frames)
 
     def _dispatch(self, link: _Link, frame: E2LiteFrame) -> None:
-        now = self.clock.now_ns()
-        record = MessageRecord(receive_ns=now)
+        record = MessageRecord(receive_ns=self.clock.now_ns())
         msg = _Pending(link_id=link.link_id, frame=frame, record=record)
-        try:
-            msg_type = MsgType(frame.msg_type)
-            manager = _ROUTE.get(msg_type)
-        except ValueError:
-            manager = None
+        manager = _ROUTE.get(frame.msg_type)  # IntEnum keys match raw ints
         if frame.msg_type == MsgType.CONTROL_REQUEST:
             with self.metrics.lock:
                 self.metrics.received += 1
@@ -432,28 +412,13 @@ class Agent:
             cause = "unknown_type" if frame.msg_type not in _KNOWN_TYPES else "invalid_direction"
             self._fail(msg, cause, f"message type {frame.msg_type} not accepted inbound")
             return
-        if manager == _CONTROL and self.config.frame_gated:
-            with self._cv:
-                if self._frame_slot is not None:
-                    self._fail(self._frame_slot, "overwritten", "pending control overwritten")
-                self._frame_slot = msg
-                if self._next_frame_ns is None:
-                    frame_ns = ms_to_ns(self.config.frame_ms)
-                    self._next_frame_ns = (now // frame_ns + 1) * frame_ns
-            return
-        if self.config.serialized:
-            manager_key = (_CONTROL, 0)  # one queue, one worker: fully serialized
-        else:
-            manager_key = (manager, link.order % max(1, self.config.manager_instances))
         with self._cv:
-            q = self._queues.setdefault(manager_key, deque())
-            if len(q) >= self.config.queue_depth:
-                overflow = True
-            else:
+            q = self._queues.setdefault((manager, link.order % self._shards()), deque())
+            overflow = len(q) >= self.config.queue_depth
+            if not overflow:
                 msg.seq = next(self._arrivals)
                 q.append(msg)
                 self._queued += 1
-                overflow = False
             self._cv.notify_all()
         if overflow:
             self._fail(msg, "overloaded", "manager queue full")
@@ -461,8 +426,8 @@ class Agent:
 
     # -- pump (deterministic drive) ---------------------------------------------------
 
-    def pump(self, now_ns: Optional[int] = None) -> int:
-        """Process everything queued plus the frame gate; returns messages handled.
+    def pump(self) -> int:
+        """Process everything queued; returns the number of messages handled.
 
         Single-threaded driver entry point. Messages run in arrival order
         across all manager queues. Telemetry emission is a separate step
@@ -470,9 +435,7 @@ class Agent:
         boundary that publishes new state.
 
         Every queued message is counted, so a zero count means the queues are
-        empty: the call then returns without scanning them, and without
-        reading the clock unless the frame gate is on (the gate's slot is not
-        a manager queue).
+        empty and the call returns without scanning them.
         """
         processed = 0
         while True:
@@ -482,8 +445,6 @@ class Agent:
                 msg = self._pop_oldest(self._queues)
             self.process_message(msg)
             processed += 1
-        if self.config.frame_gated:
-            processed += self.pump_frame_gate(self.clock.now_ns() if now_ns is None else now_ns)
         return processed
 
     def _pop_oldest(self, keys: Iterable[tuple[str, int]]) -> Optional[_Pending]:
@@ -497,23 +458,6 @@ class Agent:
             return None
         self._queued -= 1
         return oldest.popleft()
-
-    def pump_frame_gate(self, now_ns: int) -> int:
-        """Execute the gated pending control if a frame boundary passed."""
-        if not self.config.frame_gated:
-            return 0
-        with self._cv:
-            if self._next_frame_ns is None or now_ns < self._next_frame_ns:
-                return 0
-            msg = self._frame_slot
-            self._frame_slot = None
-            frame_ns = ms_to_ns(self.config.frame_ms)
-            while self._next_frame_ns <= now_ns:
-                self._next_frame_ns += frame_ns
-        if msg is None:
-            return 0
-        self.process_message(msg)
-        return 1
 
     # -- manager bodies ------------------------------------------------------------
 
@@ -579,12 +523,6 @@ class Agent:
             self.metrics.records.append(msg.record)
         completion = self.fs.fs_control_request(link.peer_id, params)
         completion.add_done_callback(lambda c: self._control_done(msg, c))
-        if self.config.serialized and self.config.serialized_exec_cost_us > 0:
-            # reference mode: this worker owns the execution to completion;
-            # a spin wait models the blocking action with low jitter
-            end = time.perf_counter_ns() + int(self.config.serialized_exec_cost_us * 1000)
-            while time.perf_counter_ns() < end:
-                pass
 
     def _control_done(self, msg: _Pending, completion: Completion) -> None:
         if completion.error is None:
@@ -802,7 +740,20 @@ class Agent:
         with self._state:
             self.failures_by_cause[cause] = self.failures_by_cause.get(cause, 0) + 1
 
-    # threaded-server support: blocking pop for worker loops
+    # -- threaded-server support ----------------------------------------------------
+
+    def _shards(self) -> int:
+        return max(1, self.config.manager_instances)
+
+    def worker_keys(self) -> list[list[tuple[str, int]]]:
+        """Queue keys per server worker: one list per control shard, then one
+        list holding every shard of the other managers."""
+        shards = range(self._shards())
+        keys = [[(_CONTROL, i)] for i in shards]
+        keys.append([(mgr, i) for mgr in (_SUBSCRIPTION, _QUERY, _INTERFACE, _BROKER)
+                     for i in shards])
+        return keys
+
     def wait_message(self, keys: Iterable[tuple[str, int]], timeout: float = 0.1):
         keyset = list(keys)
         with self._cv:

@@ -226,9 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--config", default=None, help="benchmark config JSON")
     p.add_argument("--serialized", action="store_true",
-                   help="reference mode: one worker executes each action to completion")
+                   help="reference mode: each action blocks its worker until it completes")
     p.add_argument("--frame-gated", action="store_true", dest="frame_gated",
-                   help="reference mode: single overwrite slot, one execution per frame")
+                   help="reference mode (reliability only): one-message queues, "
+                        "one execution per frame")
     p.add_argument("--quick", action="store_true", help="reduced sweep for smoke runs")
     p.set_defaults(func=_cmd_bench_agent)
 

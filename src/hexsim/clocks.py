@@ -25,15 +25,6 @@ class VirtualClock:
         self._now += int(ms * 1_000_000)
         return self._now
 
-    def set_ns(self, ns: int) -> None:
-        if ns < self._now:
-            raise ValueError("virtual clock cannot move backwards")
-        self._now = ns
-
 
 def ms_to_ns(ms: float) -> int:
     return int(ms * 1_000_000)
-
-
-def ns_to_ms(ns: int) -> float:
-    return ns / 1_000_000

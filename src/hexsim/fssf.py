@@ -310,9 +310,6 @@ class AlgorithmRegistry:
     def known(self, name: str) -> bool:
         return name in self._algos
 
-    def names(self) -> list[str]:
-        return sorted(self._algos)
-
 
 DEFAULT_REGISTRY = AlgorithmRegistry()
 

@@ -2,7 +2,8 @@
 
 Call handling contract:
 
-* each API has its own FIFO queue; calls on one API complete in arrival order;
+* accepted calls wait in one FIFO and complete in arrival order, across all
+  APIs (so calls on one API do too);
 * a call that writes a parameter path recently written by a *different*
   caller is rejected immediately (``LockedOut``); the rejected caller owns any
   retry. Same-caller rewrites are always allowed, and reads never lock;
@@ -127,20 +128,19 @@ class LockoutRegistry:
 
 
 class Pml:
-    """API dispatcher: per-API FIFO queues, lockout, boundary-published writes."""
+    """API dispatcher: one arrival-ordered FIFO, lockout, boundary-published writes."""
 
     def __init__(self, clock=None, lockout_window_ms: float = DEFAULT_LOCKOUT_WINDOW_MS):
         self.clock = clock or MonotonicClock()
         self.lockout = LockoutRegistry(lockout_window_ms)
         self._plugins: dict[str, PluginManifest] = {}
         self._handlers: dict[str, Callable[[ApiCall], object]] = {}
-        self._queues: dict[str, deque] = {}
+        self._queue: deque[Completion] = deque()  # accepted calls; guarded by _lock
         self._call_ids = itertools.count(1)
         self._reg_ids = itertools.count(1)
         self._registrations: dict[int, TelemetryRegistration] = {}
         self._lock = threading.RLock()
         # fast-path state, all guarded by _lock
-        self._pending = 0  # calls queued since the last drain
         self._next_periodic_ns: Optional[float] = None  # earliest deadline; None: rescan
         self._regs_version = 0  # bumped whenever the registration set changes
         self._records_seen: Optional[tuple] = None  # (registry, epoch, regs_version)
@@ -159,7 +159,6 @@ class Pml:
             self._plugins[manifest.plugin_id] = manifest
             for api_id in manifest.provided_api_ids:
                 self._handlers[api_id] = handlers[api_id]
-                self._queues[api_id] = deque()
             return manifest
 
     def plugin_ids(self) -> set[str]:
@@ -200,37 +199,31 @@ class Pml:
             except LockedOut as exc:
                 completion._resolve(error=exc)
                 return completion
-            self._queues[api_id].append(completion)
-            self._pending += 1
+            self._queue.append(completion)
             return completion
 
     def pending(self) -> int:
         with self._lock:
-            return self._pending
+            return len(self._queue)
 
     def drain(self) -> int:
-        """Execute every queued call, FIFO per API. Returns the number executed.
+        """Execute every queued call in arrival order. Returns the number executed.
 
-        Only :meth:`invoke` queues calls and it counts each one, so with a zero
-        count every queue is empty and this returns 0 without touching them.
+        Calls on different APIs interleave as they arrived; each runs the
+        handler of its own ``api_id``. With nothing queued this returns 0 at
+        once. Calls invoked while the batch runs wait for the next drain.
         """
         with self._lock:
-            if not self._pending:
+            if not self._queue:
                 return 0
-            self._pending = 0
-            batches = [(api, list(q)) for api, q in self._queues.items() if q]
-            for api, _ in batches:
-                self._queues[api].clear()
-        executed = 0
-        for api, batch in batches:
-            handler = self._handlers[api]
-            for completion in batch:
-                try:
-                    completion._resolve(result=handler(completion.call))
-                except Exception as exc:  # handler errors propagate via the completion
-                    completion._resolve(error=exc)
-                executed += 1
-        return executed
+            batch, self._queue = self._queue, deque()
+        for completion in batch:
+            handler = self._handlers[completion.call.api_id]
+            try:
+                completion._resolve(result=handler(completion.call))
+            except Exception as exc:  # handler errors propagate via the completion
+                completion._resolve(error=exc)
+        return len(batch)
 
     def tti_boundary(self, registry: SliceRegistry) -> RegistrySnapshot:
         """Drain queued calls and publish their effects as one new epoch."""

@@ -36,10 +36,6 @@ class CellConfig:
     def per_rb_bits_per_tti(self) -> float:
         return self.per_rb_rate_mbps * 1e6 * (self.tti_ms / 1000.0)
 
-    @property
-    def max_throughput_mbps(self) -> float:
-        return self.per_rb_rate_mbps * self.total_rb
-
 
 @dataclass
 class LinkState:
@@ -124,7 +120,6 @@ class Cell:
         self._win_alloc = 0
         self._win_served: dict[int, float] = {}
         self._win_alloc_drb: dict[int, int] = {}
-        self.last_decision: Optional[fssf.ScheduleDecision] = None
 
     # -- bearer bookkeeping ------------------------------------------------------
 
@@ -262,7 +257,6 @@ class Cell:
         self._win_alloc += sum(per_drb_rb.values())
         self._win_ttis += 1
         self.tti_index += 1
-        self.last_decision = decision
         return decision
 
     # -- derived metrics ------------------------------------------------------------

@@ -28,7 +28,7 @@ from .agent import RIC, Agent, AgentConfig
 from .clocks import VirtualClock
 from .errors import ScenarioError
 from .e2lite import E2LiteFrame, FrameReader, MsgType
-from .pml import FsApi, Pml
+from .pml import Completion, FsApi, Pml
 from .radio_sim import Cell, CellConfig
 from .slice_model import (
     Bearer,
@@ -64,6 +64,11 @@ class SimulatedPeer:
         self._send: Optional[Callable[[bytes], None]] = None
         self._outbox: list[bytes] = []
         self._lock = threading.Lock()
+        # A threaded agent sends on one link from its workers and its ticker,
+        # and a FrameReader fed from two threads decodes frames twice or loses
+        # them. Re-entrant, because on a codec error or an unknown type the
+        # agent answers synchronously into this peer on the same thread.
+        self._feed_lock = threading.RLock()
 
     # transport wiring -----------------------------------------------------------
 
@@ -74,8 +79,9 @@ class SimulatedPeer:
         self._outbox.clear()
 
     def on_bytes(self, data: bytes) -> None:
-        for frame in self.reader.feed(data):
-            self.on_frame(frame)
+        with self._feed_lock:
+            for frame in self.reader.feed(data):
+                self.on_frame(frame)
 
     def on_frame(self, frame: E2LiteFrame) -> None:
         t = frame.msg_type
@@ -443,13 +449,13 @@ class ScenarioRunner:
                 bler=u.get("bler", 0.0),
             ))
         # let the setup exchange and the two standing subscriptions settle
-        self.agent.pump(self.clock.now_ns())
+        self.agent.pump()
         slice_ids = [s["slice_id"] for s in self.script.slices]
         ue_ids = [u["ue_id"] for u in self.script.ues]
         self.ric.subscribe(e2lite.FS_RAN_FUNCTION_ID, "slice_context", slice_ids=slice_ids)
         if ue_ids:
             self.ric.subscribe(e2lite.FS_RAN_FUNCTION_ID, "ue_context", ue_ids=ue_ids)
-        self.agent.pump(self.clock.now_ns())
+        self.agent.pump()
         self.pml.tti_boundary(self.registry)
 
     def run(self) -> MetricsTable:
@@ -462,7 +468,7 @@ class ScenarioRunner:
             while next_event < len(events) and int(round(events[next_event].t * 1000)) <= ms:
                 self._apply_event(events[next_event])
                 next_event += 1
-            self.agent.pump(now)
+            self.agent.pump()
             self.pml.tti_boundary(self.registry)
             self.agent.emit_telemetry(now)
             self.cell.step_tti()
@@ -470,7 +476,7 @@ class ScenarioRunner:
             if (ms + 1) % 1000 == 0:
                 self._close_window((ms + 1) // 1000 - 1)
         # flush any pending completions so every control saw exactly one response
-        self.agent.pump(self.clock.now_ns())
+        self.agent.pump()
         self.pml.tti_boundary(self.registry)
         return self.metrics
 
@@ -577,13 +583,42 @@ class ReliabilityStats:
         return self.executed / self.received if self.received else 1.0
 
 
+class _SerializedFsApi(FsApi):
+    """Control API of the serialized reference pipeline: after queuing a
+    control, the calling worker blocks for the action's execution cost, so the
+    next message on its queue waits for the whole action."""
+
+    def __init__(self, pml: Pml, registry: SliceRegistry, exec_cost_us: float):
+        super().__init__(pml, registry)
+        self.exec_cost_ns = int(exec_cost_us * 1000)
+
+    def fs_control_request(self, caller_id: str, params: Mapping) -> Completion:
+        completion = super().fs_control_request(caller_id, params)
+        # a spin wait models the blocking action with low jitter
+        end = time.perf_counter_ns() + self.exec_cost_ns
+        while time.perf_counter_ns() < end:
+            pass
+        return completion
+
+
 def _bench_agent(n_functions: int, cfg: BenchmarkConfig,
                  clock=None) -> tuple[Agent, SimulatedPeer]:
     """Agent with ``n_functions`` activated function instances, all exercising
-    one slice: the instance count scales control streams, not cell state."""
+    one slice: the instance count scales control streams, not cell state.
+
+    The agent always runs its one queue discipline; the two reference
+    pipelines are built around it. ``cfg.serialized`` makes every control
+    block its worker for ``cfg.exec_cost_us`` (the bench has one link, so all
+    its controls share one queue and one worker). ``cfg.frame_gated`` bounds
+    every queue at one message, so a driver that pumps once per radio frame
+    runs at most one control per frame and fails the rest as overloaded.
+    """
     registry = SliceRegistry(106)
     pml = Pml(clock=clock)
-    fs = FsApi(pml, registry)
+    if cfg.serialized:
+        fs = _SerializedFsApi(pml, registry, cfg.exec_cost_us)
+    else:
+        fs = FsApi(pml, registry)
     registry.create_slice(slice_id=1)
     doc = {
         "functions": [
@@ -598,11 +633,7 @@ def _bench_agent(n_functions: int, cfg: BenchmarkConfig,
             for i in range(1, n_functions + 1)
         ]
     }
-    agent_cfg = AgentConfig(
-        serialized=cfg.serialized,
-        serialized_exec_cost_us=cfg.exec_cost_us,
-        frame_gated=cfg.frame_gated,
-    )
+    agent_cfg = AgentConfig(queue_depth=1) if cfg.frame_gated else AgentConfig()
     agent = Agent(registry, pml, fs, agent_cfg, clock=clock)
     agent.load_configuration(doc)
     ric = SimulatedPeer("ric-bench", RIC)
@@ -611,7 +642,13 @@ def _bench_agent(n_functions: int, cfg: BenchmarkConfig,
 
 
 def benchmark_delay(cfg: BenchmarkConfig) -> dict[int, DelayStats]:
-    """Wall-clock receive-to-action-invoke latency per function-instance count."""
+    """Wall-clock receive-to-action-invoke latency per function-instance count.
+
+    The frame gate is defined only by the virtual-time driver of
+    :func:`benchmark_reliability`, so ``cfg.frame_gated`` is rejected here.
+    """
+    if cfg.frame_gated:
+        raise ScenarioError("the frame-gated reference applies to the reliability benchmark only")
     results: dict[int, DelayStats] = {}
     for n in cfg.instances:
         agent, ric = _bench_agent(n, cfg)
@@ -680,16 +717,17 @@ def benchmark_reliability(cfg: BenchmarkConfig,
                           burst_period_ms: float = 100.0) -> dict[int, ReliabilityStats]:
     """Executed/received ratio per offered control rate, on virtual time.
 
-    Controls are sent in report-driven bursts (one batch per 100 ms), which is
-    what starves a single-slot frame-gated pipeline while leaving a queued
-    pipeline untouched.
+    Controls are sent in report-driven bursts (one batch per 100 ms), and the
+    agent is pumped once per 10 ms radio frame. Bursts starve the frame-gated
+    reference, whose queues hold one message, while leaving the default
+    queued pipeline untouched.
     """
     results: dict[int, ReliabilityStats] = {}
     burst_every = int(burst_period_ms)
     for rate in cfg.rates:
         clock = VirtualClock()
         agent, ric = _bench_agent(1, cfg, clock=clock)
-        agent.pump(clock.now_ns())  # complete setup
+        agent.pump()  # complete setup
         burst = max(1, int(round(rate * burst_period_ms / 1000.0)))
         step_ms = 10.0
         steps = int(cfg.duration_s * 1000 / step_ms)
@@ -699,12 +737,12 @@ def benchmark_reliability(cfg: BenchmarkConfig,
                 for _ in range(burst):
                     ric.control_slice(e2lite.FS_RAN_FUNCTION_ID,
                                       {"slice_id": 1, "shared_priority": 1})
-            agent.pump(clock.now_ns())
+            agent.pump()
             agent.pml.tti_boundary(agent.registry)
             agent.emit_telemetry(clock.now_ns())
             clock.advance_ms(step_ms)
-        for _ in range(4):  # flush the gate and pending completions
-            agent.pump(clock.now_ns())
+        for _ in range(4):  # flush pending completions
+            agent.pump()
             agent.pml.tti_boundary(agent.registry)
             clock.advance_ms(step_ms)
         m = agent.metrics

@@ -518,12 +518,6 @@ class SliceRegistry:
             raise UnknownDrb(f"drb {drb_id}")
         return bearer
 
-    def get_ue(self, ue_id: int) -> UEContext:
-        ue = self._ues.get(ue_id)
-        if ue is None:
-            raise UnknownUe(f"ue {ue_id}")
-        return ue
-
     def slice_ids(self) -> list[int]:
         return sorted(self._slices)
 

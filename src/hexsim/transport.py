@@ -15,7 +15,7 @@ import socket
 import threading
 from typing import Callable, Optional
 
-from .agent import _CONTROL, _BROKER, _INTERFACE, _QUERY, _SUBSCRIPTION, RIC, Agent
+from .agent import RIC, Agent
 
 
 class InProcessDuplex:
@@ -48,18 +48,7 @@ class ThreadedAgentServer:
         self._stop = threading.Event()
 
     def start(self) -> "ThreadedAgentServer":
-        cfg = self.agent.config
-        if cfg.serialized:
-            worker_keys = [[(_CONTROL, 0)]]
-        else:
-            worker_keys = [[(_CONTROL, i)] for i in range(cfg.manager_instances)]
-        misc = [
-            (mgr, i)
-            for mgr in (_SUBSCRIPTION, _QUERY, _INTERFACE, _BROKER)
-            for i in range(cfg.manager_instances)
-        ]
-        worker_keys.append(misc)
-        for n, keys in enumerate(worker_keys):
+        for n, keys in enumerate(self.agent.worker_keys()):
             t = threading.Thread(target=self._worker, args=(keys,), name=f"agent-worker-{n}",
                                  daemon=True)
             t.start()
@@ -85,7 +74,6 @@ class ThreadedAgentServer:
         while not self._stop.is_set():
             now = self.agent.clock.now_ns()
             self.agent.pml.tti_boundary(self.agent.registry)
-            self.agent.pump_frame_gate(now)
             self.agent.emit_telemetry(now)
             self._stop.wait(self.tick_ms / 1000.0)
         # final drain so every accepted call resolves before shutdown

@@ -15,12 +15,13 @@ import pytest
 from hexsim import e2lite, fssf, reference
 from hexsim.cli import bundled_scenario_path
 from hexsim.composition_sim import run_scaling_experiment
-from hexsim.errors import CodecError, LockedOut
+from hexsim.errors import CodecError, LockedOut, ScenarioError
 from hexsim.pml import FsApi, Pml, PluginManifest
 from hexsim.clocks import VirtualClock
 from hexsim.ric_harness import (
     BenchmarkConfig,
     ScenarioScript,
+    _bench_agent,
     benchmark_delay,
     benchmark_reliability,
     run_scenario,
@@ -172,6 +173,20 @@ class TestCriterion4DelayShape:
             f"(x{ratio:.2f}); serialized slope={slope:.1f} us/instance R2={r2:.3f}",
         )
 
+    def test_serialized_reference_blocks_each_control_for_its_exec_cost(self):
+        cost_us = 2000.0
+        agent, _ = _bench_agent(1, BenchmarkConfig(serialized=True, exec_cost_us=cost_us))
+        for k in range(3):
+            t0 = time.perf_counter_ns()
+            agent.fs.fs_control_request("ric", {"slices": [{"slice_id": 1,
+                                                            "shared_priority": 1}]})
+            assert time.perf_counter_ns() - t0 >= cost_us * 1000
+            assert agent.pml.pending() == k + 1  # queued, not run on the caller
+
+    def test_frame_gated_delay_benchmark_is_rejected(self):
+        with pytest.raises(ScenarioError):
+            benchmark_delay(BenchmarkConfig(mode="delay", instances=(10,), frame_gated=True))
+
 
 class TestCriterion5Reliability:
     def test_default_is_lossless_and_frame_gated_collapses(self):
@@ -190,6 +205,15 @@ class TestCriterion5Reliability:
             f"{sum(s.received for s in default.values())} msgs; "
             f"frame-gated@100/s {gated_ratio:.2f}",
         )
+
+    def test_frame_gated_ledger_is_exact(self):
+        def ledger(frame_gated):
+            stats = benchmark_reliability(BenchmarkConfig(
+                mode="reliability", rates=(20, 100), duration_s=2.0, frame_gated=frame_gated))
+            return {rate: (s.received, s.executed, s.failed) for rate, s in stats.items()}
+
+        assert ledger(True) == {20: (40, 20, 20), 100: (200, 20, 180)}
+        assert ledger(False) == {20: (40, 40, 0), 100: (200, 200, 0)}
 
 
 class TestCriterion6Scaling:

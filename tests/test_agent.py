@@ -65,16 +65,16 @@ def contend(order):
     for name in ("ric-a", "ric-b"):
         peers[name] = SimulatedPeer(name, RIC)
         connect_inproc(agent, peers[name], "link-" + name)
-    agent.pump(clock.now_ns())
+    agent.pump()
     # uncontended writes, always a then b, so that each link's queue exists
     # before the contended round
     for sid, name in ((2, "ric-a"), (3, "ric-b")):
         peers[name].control_slice(1, {"slice_id": sid, "shared_priority": 2})
-    agent.pump(clock.now_ns())
+    agent.pump()
     pml.tti_boundary(registry)
     corrs = {name: peers[name].control_slice(1, {"slice_id": 1, "shared_priority": 2 + i})
              for i, name in enumerate(order)}
-    agent.pump(clock.now_ns())
+    agent.pump()
     pml.tti_boundary(registry)
     results = {}
     for name, corr in corrs.items():
@@ -111,7 +111,7 @@ class Stack:
 
     def settle(self, ms=1):
         for _ in range(ms):
-            self.agent.pump(self.clock.now_ns())
+            self.agent.pump()
             self.pml.tti_boundary(self.registry)
             self.agent.emit_telemetry(self.clock.now_ns())
             self.clock.advance_ms(1)

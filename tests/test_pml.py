@@ -86,6 +86,19 @@ class TestFifoDispatch:
         assert log["a"] == sorted(log["a"])
         assert log["b"] == sorted(log["b"])
 
+    def test_calls_on_different_apis_complete_in_arrival_order(self):
+        registry, pml, fs, _ = make_stack()
+        seed_slice(registry)
+        resolved = []
+        control = fs.fs_control_request("ric", {"slices": [{"slice_id": 1,
+                                                            "shared_priority": 2}]})
+        stats = fs.fs_statistics_request("ric", {"slice_ids": [1]})
+        control.add_done_callback(lambda c: resolved.append("control"))
+        stats.add_done_callback(lambda c: resolved.append("statistics"))
+        assert pml.drain() == 2
+        assert resolved == ["control", "statistics"]
+        assert control.error is None and stats.error is None
+
     def test_fifo_under_thread_interleaving(self):
         _, pml, _, _ = make_stack()
         executed = []

@@ -1,8 +1,13 @@
 """Transports: threaded pipeline wrapper and the TCP endpoint."""
 
+import sys
+import threading
 import time
 
+from hexsim import e2lite
 from hexsim.agent import RIC, Agent, AgentConfig
+from hexsim.e2lite import E2LiteFrame, MsgType
+from hexsim.errors import CodecError
 from hexsim.pml import FsApi, Pml
 from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc, connect_tcp
 from hexsim.slice_model import SliceRegistry, SliceState
@@ -57,6 +62,37 @@ class TestThreadedServer:
             assert wait_for(lambda: len(ric.indications) >= 3, timeout=2.0)
         finally:
             server.stop()
+
+    def test_peer_decodes_each_frame_once_when_two_threads_feed_it(self):
+        """The server's ticker and workers send on one link from different
+        threads; the peer's reassembly must neither repeat nor lose a frame."""
+        per_thread = 4000
+        peer = SimulatedPeer("ric-1", RIC)
+        seen, errors = [], []
+        peer.on_frame = lambda frame: seen.append(frame.correlation_id)
+
+        def feed(frames):
+            try:
+                for data in frames:
+                    peer.on_bytes(data)
+            except CodecError as exc:
+                errors.append(exc)
+
+        streams = [[e2lite.encode(E2LiteFrame(MsgType.QUERY_RESPONSE, corr, {"report": {}}))
+                    for corr in range(1 + k * per_thread, 1 + (k + 1) * per_thread)]
+                   for k in range(2)]
+        threads = [threading.Thread(target=feed, args=(frames,)) for frames in streams]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert sorted(seen) == list(range(1, 2 * per_thread + 1))
 
 
 class TestTcp:
