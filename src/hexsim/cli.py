@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 bad arguments, 3 scenario/runtime error, 4 selftest
 failure. All outputs are CSV files (plus a human-readable summary on stdout)
 so acceptance artifacts diff cleanly; a fixed script, seed, and version yield
-byte-identical CSV.
+byte-identical CSV. The scenario seed (``--seed``, else ``HEXSIM_SEED``, else
+the script's own) is a label written to the CSV header only: no scenario code
+draws random numbers, so it changes no metric row.
 """
 
 from __future__ import annotations
@@ -218,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", required=True,
                    help="path to a scenario JSON, or a bundled name (fig15/fig16/fig17)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the script seed")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the script seed (a CSV-header label only)")
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("bench-agent", help="run the agent message-pipeline benchmarks")

@@ -2,13 +2,15 @@
 
 import copy
 import random
+from fractions import Fraction
 
+import _fssf_v0 as fssf_v0
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexsim import fssf
-from hexsim.errors import InfeasibleSnapshot
+from hexsim.errors import AlgorithmContractViolation, InfeasibleSnapshot
 from hexsim.reference import random_instance, reference_run_tti
 from hexsim.slice_model import SliceState
 
@@ -295,3 +297,156 @@ class TestOracleEquivalence:
                    {d: n for d, n in want.per_drb_rb.items() if n}
             assert got.plan.shared_pool_remaining == want.plan.shared_pool_remaining
             assert got.vrb.per_ue_range == want.vrb.per_ue_range
+
+
+class TestFrozenAlgorithms:
+    """The built-in algorithms against frozen copies of their earlier form.
+
+    The oracle in ``hexsim.reference`` shares the registry's algorithms, so
+    only this comparison notices a change inside one of them.
+    """
+
+    # weight maps whose integer_weights come out large (coprime denominators)
+    LARGE_WEIGHTS = ({1: Fraction(1, 7919), 2: Fraction(3, 7877), 3: Fraction(5, 7907),
+                      4: Fraction(2, 7901), 5: Fraction(7, 7883)},
+                     {bp: Fraction(10**6 + bp, 999_983 * bp) for bp in range(1, 6)})
+
+    @staticmethod
+    def _case(rng):
+        n = rng.randint(0, 9)
+        drbs = [
+            fssf.AlgoDrb(
+                drb, rng.randint(1, 6),
+                rng.choice((0, 0, 1, rng.randint(0, 40), rng.randint(0, 120))),
+                rng.randint(1, 5),
+                rng.choice((0.0, 0.0, 600.0, 900.0, 1226.4, rng.uniform(0.0, 3000.0))),
+            )
+            for drb in rng.sample(range(1, 60), n)  # unsorted on purpose
+        ]
+        history = {}
+        if rng.random() < 0.6:
+            history["rr_start"] = rng.randint(-7, 25)
+        if rng.random() < 0.6:
+            history["pf_ewma"] = {d.drb_id: rng.choice((0.0, rng.uniform(0.0, 4000.0)))
+                                  for d in drbs if rng.random() < 0.8}
+        if rng.random() < 0.2:
+            history["pf_window"] = rng.choice((1, 7, 50.0))
+        return rng.choice((0, 1, rng.randint(0, 60), rng.randint(0, 200))), drbs, history
+
+    def test_builtins_match_frozen_copies_on_20k_cases(self):
+        pairs = [(getattr(fssf, name), getattr(fssf_v0, name)) for name in
+                 ("round_robin", "proportional_fair", "max_throughput", "priority_weighted")]
+        large = [(fssf.make_priority_weighted(m), fssf_v0.make_priority_weighted(m))
+                 for m in self.LARGE_WEIGHTS]
+        rng = random.Random(20_000)
+        for case in range(20_000):
+            budget, drbs, history = self._case(rng)
+            for new, old in pairs + large[case % 4:][:1]:
+                got_h = {k: dict(v) if isinstance(v, dict) else v for k, v in history.items()}
+                want_h = {k: dict(v) if isinstance(v, dict) else v for k, v in history.items()}
+                got = new(budget, drbs, got_h)
+                want = old(budget, drbs, want_h)
+                assert list(got.items()) == list(want.items()), (case, budget, drbs, history)
+                assert got_h == want_h, (case, budget, drbs, history)
+
+    def test_weighted_max_min_matches_frozen_copy_with_large_weights(self):
+        rng = random.Random(7)
+        for _ in range(20_000):
+            n = rng.randint(0, 8)
+            weights = fssf.integer_weights(
+                [Fraction(rng.randint(1, 10**4), rng.choice((1, 3, 7919, 104_729, 10**6 + 3)))
+                 for _ in range(n)])
+            entries = [(key, rng.randint(-2, 60), w)
+                       for key, w in zip(rng.sample(range(100), n), weights)]
+            pool = rng.randint(-1, 150)
+            assert list(fssf.weighted_max_min(pool, entries).items()) == \
+                list(fssf_v0.weighted_max_min(pool, entries).items()), (pool, entries)
+
+    def test_scheduler_on_prepared_builtins_matches_frozen_algorithms(self):
+        """Whole decisions and histories: the registry's prepared built-ins
+        against a registry of frozen copies, which take the AlgoDrb path."""
+        frozen = fssf.AlgorithmRegistry()
+        for name in ("round_robin", "proportional_fair", "max_throughput", "priority_weighted"):
+            frozen.register(name, getattr(fssf_v0, name))
+        rng = random.Random(31)
+        for _ in range(3000):
+            inp, histories = random_instance(rng, max_rb=40, max_slices=4, max_drbs=8)
+            policy = rng.choice(("max_min", "greedy"))
+            got_h, want_h = copy.deepcopy(histories), copy.deepcopy(histories)
+            got = fssf.run_tti(inp, histories=got_h, stage2_policy=policy)
+            want = fssf.run_tti(inp, frozen, want_h, stage2_policy=policy)
+            assert got == want
+            assert got_h == want_h
+
+
+class TestEpochPlan:
+    """The per-epoch plan is a cache: nothing it holds may outlive a change."""
+
+    @staticmethod
+    def _inp(demands=None, slices=None):
+        if slices is None:
+            slices = (
+                slice_input(1, SliceState.DEDICATED, ded=4, drbs=[(11, 1, 1), (12, 2, 2)]),
+                slice_input(2, SliceState.HYBRID, ded=2, prio=2, sp=2, drbs=[(21, 3, 1)]),
+                slice_input(3, SliceState.SHARED, sp=1, sched="round_robin",
+                            drbs=[(31, 4, 1), (32, 5, 3)]),
+            )
+        if demands is None:
+            demands = {11: 5, 12: 5, 21: 9, 31: 4, 32: 4}
+        return tti(20, slices, demands)
+
+    def test_reregistered_name_takes_effect_on_the_next_call(self):
+        registry = fssf.AlgorithmRegistry()
+        inp = self._inp()
+        before = fssf.run_tti(inp, registry)
+        assert (before.per_drb_rb[11], before.per_drb_rb[12]) == (3, 1)  # weights 2:1
+
+        def lowest_first(budget, drbs, history):
+            out, left = {}, budget
+            for d in sorted(drbs, key=lambda d: d.drb_id):
+                out[d.drb_id] = min(d.demand_rb, left)
+                left -= out[d.drb_id]
+            return out
+
+        registry.register("priority_weighted", lowest_first)
+        after = fssf.run_tti(inp, registry)
+        assert (after.per_drb_rb[11], after.per_drb_rb.get(12, 0)) == (4, 0)
+
+    def test_equal_but_distinct_slices_tuple_gives_the_same_decision(self):
+        registry = fssf.AlgorithmRegistry()
+        inp = self._inp()
+        twin = self._inp(slices=tuple(copy.deepcopy(list(inp.slices))))
+        assert twin.slices == inp.slices and twin.slices is not inp.slices
+        first = fssf.run_tti(inp, registry, {})
+        assert fssf.run_tti(twin, registry, {}) == first
+        assert fssf.run_tti(inp, registry, {}) == first
+
+    def test_custom_algorithm_gets_algo_drbs_and_over_grant_raises(self):
+        registry = fssf.AlgorithmRegistry()
+        inp = self._inp()
+        fssf.run_tti(inp, registry)  # warm the plan
+        seen = []
+
+        def greedy(budget, drbs, history):
+            seen.append(list(drbs))
+            return {d.drb_id: d.demand_rb + 1 for d in drbs}
+
+        registry.register("round_robin", greedy)
+        with pytest.raises(AlgorithmContractViolation):
+            fssf.run_tti(inp, registry)
+        assert seen and all(isinstance(d, fssf.AlgoDrb) for d in seen[0])
+        assert [(d.drb_id, d.ue_id, d.demand_rb, d.bearer_priority) for d in seen[0]] == \
+            [(31, 4, 4, 1), (32, 5, 4, 3)]
+
+    def test_validate_still_runs_when_the_plan_is_warm(self):
+        registry = fssf.AlgorithmRegistry()
+        inp = self._inp()
+        fssf.run_tti(inp, registry)
+        slices = inp.slices
+        with pytest.raises(ValueError, match="negative demand"):
+            fssf.run_tti(self._inp({11: -1}, slices), registry)
+        with pytest.raises(ValueError, match="no schedulable UE"):
+            fssf.run_tti(self._inp({99: 3}, slices), registry)  # in no slice
+        no_ue = tti(20, slices, {11: 3}, rates={2: R, 3: R, 4: R, 5: R})
+        with pytest.raises(ValueError, match="no schedulable UE"):
+            fssf.run_tti(no_ue, registry)
