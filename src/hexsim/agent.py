@@ -69,6 +69,14 @@ _ROUTE = {
 
 _KNOWN_TYPES = frozenset(int(t) for t in MsgType)
 
+# the keys edit-config may set: what each value must be, and its check
+_EDIT_CONFIG_RULES = {
+    "lockout_window_ms": ("a number >= 0", lambda v: isinstance(v, (int, float)) and v >= 0),
+    "queue_depth": ("a positive integer", lambda v: isinstance(v, int) and v > 0),
+    "utilization_alarm_threshold": ("a number", lambda v: isinstance(v, (int, float))),
+}
+
+
 def failure_cause(exc: Exception) -> str:
     if isinstance(exc, LockedOut):
         return "locked_out"
@@ -606,20 +614,15 @@ class Agent:
         config = msg.frame.payload.get("config")
         if not isinstance(config, Mapping):
             raise ValidationFailed("missing config object")
-        known = {"lockout_window_ms", "queue_depth", "utilization_alarm_threshold"}
-        unknown = set(config) - known
+        unknown = set(config) - set(_EDIT_CONFIG_RULES)
         if unknown:
             raise ValidationFailed(f"unknown config keys {sorted(unknown)}")
+        # every key is checked before any is committed
+        for key, value in config.items():
+            what, valid = _EDIT_CONFIG_RULES[key]
+            if not valid(value):
+                raise ValidationFailed(f"{key} must be {what}")
         staged = dict(config)
-        if "lockout_window_ms" in staged and not (
-            isinstance(staged["lockout_window_ms"], (int, float))
-            and staged["lockout_window_ms"] >= 0
-        ):
-            raise ValidationFailed("lockout_window_ms must be a number >= 0")
-        if "queue_depth" in staged and not (
-            isinstance(staged["queue_depth"], int) and staged["queue_depth"] > 0
-        ):
-            raise ValidationFailed("queue_depth must be a positive integer")
         # data broker commits, then the config plugin applies via the mediation layer
         with self._state:
             self.repository.ran_state["config"].update(staged)

@@ -82,8 +82,6 @@ class TtiInput:
 
         ``owner`` is the drb -> UE map of ``slices`` when the caller has it.
         """
-        if getattr(self, "_validated", False):
-            return
         ue_ids = self.ue_rate_bits_per_rb
         members = owner if owner is not None else _owner_map(self.slices)
         for drb, demand in self.demands.items():
@@ -91,7 +89,6 @@ class TtiInput:
                 raise ValueError(f"negative demand for drb {drb}")
             if demand > 0 and members.get(drb) not in ue_ids:
                 raise ValueError(f"demanded drb {drb} has no schedulable UE")
-        object.__setattr__(self, "_validated", True)
 
 
 @dataclass(frozen=True)
@@ -378,7 +375,8 @@ def make_priority_weighted(weight_of=None) -> BuiltinAlgorithm:
                             weight_of=lookup)
 
 
-# stateless algorithms keep no history, which lets callers memoize decisions
+# stateless algorithms keep no history, which lets callers memoize decisions;
+# an algorithm without a ``stateless`` attribute counts as stateful
 round_robin = BuiltinAlgorithm("round_robin", _round_robin, stateless=False)
 proportional_fair = BuiltinAlgorithm("proportional_fair", _proportional_fair,
                                      stateless=False, uses_rates=True)
@@ -391,7 +389,8 @@ class AlgorithmRegistry:
     """String-keyed algorithm lookup used by slice configs and control messages.
 
     It also keeps the scheduler's one-entry per-epoch plan for the last slices
-    tuple scheduled with it; :meth:`register` invalidates that plan.
+    tuple scheduled with it; :meth:`register` invalidates that plan and stores
+    the algorithm as given (any callable, a bound method included).
     """
 
     def __init__(self):
@@ -404,8 +403,6 @@ class AlgorithmRegistry:
         self.register("priority_weighted", priority_weighted)
 
     def register(self, name: str, algo: Algorithm) -> None:
-        if not hasattr(algo, "stateless"):
-            algo.stateless = False
         self._algos[name] = algo
         self._generation += 1
 

@@ -7,9 +7,10 @@ carry. Throughput and delay statistics are exponentially smoothed with a
 100 ms time constant and written into the live bearer stats read by reports.
 
 The loop runs on virtual time and is deterministic for a fixed offered-rate
-schedule; a many-second scenario replays in a fraction of wall time. Repeated
-ticks with unchanged demands reuse the previous decision (pure-function
-memoization), which is what keeps long steady-state phases cheap.
+schedule; a many-second scenario replays in a fraction of wall time. Within
+one epoch, when every slice's algorithm is stateless, a tick whose demands
+equal the previous tick's reuses the previous decision, which is what keeps
+long steady-state phases cheap.
 """
 
 from __future__ import annotations
@@ -79,6 +80,19 @@ class _BearerRow(NamedTuple):
 
 
 @dataclass
+class _Epoch:
+    """One published epoch's tick-loop constants and its last-tick memo."""
+
+    number: int
+    slices: tuple[fssf.SliceInput, ...]
+    ue_rate: dict[int, float]
+    rows: tuple[_BearerRow, ...]
+    stateless: bool  # no slice's algorithm keeps history; only then is the memo set
+    last_demands: Optional[dict[int, int]] = None
+    last_decision: Optional[fssf.ScheduleDecision] = None
+
+
+@dataclass
 class WindowMetrics:
     ttis: int
     utilization: float
@@ -109,12 +123,7 @@ class Cell:
         self.buffers: dict[int, float] = {}
         self.offered: dict[int, float] = {}
         self.histories: dict[int, dict] = {}
-        self._struct_epoch = -1
-        self._slices_in: tuple[fssf.SliceInput, ...] = ()
-        self._ue_rate: dict[int, float] = {}
-        self._bearer_rows: tuple[_BearerRow, ...] = ()
-        self._decision_cache: dict = {}
-        self._cacheable = False
+        self._epoch = _Epoch(-1, (), {}, (), False)
         # window accumulators (reset by end_window)
         self._win_ttis = 0
         self._win_alloc = 0
@@ -143,14 +152,13 @@ class Cell:
 
     # -- per-tick machinery --------------------------------------------------------
 
-    def _rebuild_structure(self) -> None:
+    def _rebuild_structure(self) -> _Epoch:
         snap = self.registry.published
         slices = []
         rows = []
-        self._ue_rate = {}
         per_rb_bits = self.cfg.per_rb_bits_per_tti
-        for uid, ue in snap.ues.items():
-            self._ue_rate[uid] = per_rb_bits * self.link.mcs_rate_fraction(ue.mcs)
+        ue_rate = {uid: per_rb_bits * self.link.mcs_rate_fraction(ue.mcs)
+                   for uid, ue in snap.ues.items()}
         for sid in sorted(snap.slices):
             s = snap.slices[sid]
             if s.state is SliceState.IDLE:
@@ -167,7 +175,7 @@ class Cell:
                 b = snap.bearers[drb]
                 drbs.append(fssf.DrbInput(drb, b.ue_id, b.bearer_priority))
                 bler = snap.ues[b.ue_id].bler if b.ue_id in snap.ues else 0.0
-                bits_per_rb = self._ue_rate.get(b.ue_id, per_rb_bits)
+                bits_per_rb = ue_rate.get(b.ue_id, per_rb_bits)
                 rows.append(_BearerRow(drb, bits_per_rb, bits_per_rb / 8.0 * (1.0 - bler),
                                        b.stats))
             slices.append(
@@ -181,19 +189,20 @@ class Cell:
                     drbs=tuple(drbs),
                 )
             )
-        self._slices_in = tuple(slices)
-        self._bearer_rows = tuple(rows)
-        self._cacheable = all(
-            self.algorithms.get(s.fd_scheduler).stateless for s in slices
+        stateless = all(
+            getattr(self.algorithms.get(s.fd_scheduler), "stateless", False) for s in slices
         )
-        self._decision_cache.clear()
-        self._struct_epoch = snap.epoch
+        return _Epoch(snap.epoch, tuple(slices), ue_rate, tuple(rows), stateless)
 
     def step_tti(self) -> fssf.ScheduleDecision:
-        """Advance one tick: arrivals, schedule, drain, stats."""
-        snap = self.registry.published
-        if snap.epoch != self._struct_epoch:
-            self._rebuild_structure()
+        """Advance one tick: arrivals, schedule, drain, stats.
+
+        A decision reused from the previous tick keeps the ``tti_index`` of
+        the tick that computed it.
+        """
+        ep = self._epoch
+        if ep.number != self.registry.published.epoch:
+            ep = self._epoch = self._rebuild_structure()
         tti_s = self.cfg.tti_ms / 1000.0
         buffers = self.buffers
         for drb, rate in self.offered.items():
@@ -202,31 +211,20 @@ class Cell:
 
         demands: dict[int, int] = {}
         total_rb = self.cfg.total_rb
-        rows = self._bearer_rows
+        rows = ep.rows
         for drb, bits_per_rb, _, _ in rows:
             buf = buffers.get(drb, 0.0)
             if buf > 0.0:
                 need = math.ceil(buf * 8.0 / bits_per_rb)
                 demands[drb] = need if need < total_rb else total_rb
 
-        decision = None
-        key = None
-        if self._cacheable:
-            key = tuple(sorted(demands.items()))
-            decision = self._decision_cache.get(key)
-        if decision is None:
-            inp = fssf.TtiInput(
-                tti_index=self.tti_index,
-                total_rb=total_rb,
-                ue_rate_bits_per_rb=self._ue_rate,
-                demands=demands,
-                slices=self._slices_in,
-            )
+        if ep.stateless and demands == ep.last_demands:
+            decision = ep.last_decision
+        else:
+            inp = fssf.TtiInput(self.tti_index, total_rb, ep.ue_rate, demands, ep.slices)
             decision = fssf.run_tti(inp, self.algorithms, self.histories, self.stage2_policy)
-            if key is not None:
-                if len(self._decision_cache) > 512:
-                    self._decision_cache.clear()
-                self._decision_cache[key] = decision
+            if ep.stateless:
+                ep.last_demands, ep.last_decision = demands, decision
 
         # the scheduler grants RBs only to bearers with demand, so every
         # granted drb has a row

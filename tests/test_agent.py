@@ -466,6 +466,18 @@ class TestOamPath:
         assert smo.responses[corr].msg_type == MsgType.CONTROL_FAILURE
         assert "warp_factor" not in stack.agent.repository.ran_state["config"]
 
+    def test_bad_threshold_fails_validation_and_commits_nothing(self):
+        stack = Stack()
+        smo = stack.attach("smo-1", kind=SMO)
+        config_before = dict(stack.agent.repository.ran_state["config"])
+        window_before = stack.pml.lockout.window_ms
+        corr = smo.edit_config({"lockout_window_ms": 5, "utilization_alarm_threshold": "high"})
+        stack.settle()
+        assert smo.responses[corr].msg_type == MsgType.CONTROL_FAILURE
+        assert smo.responses[corr].payload["cause"] == "validation_failed"
+        assert stack.agent.repository.ran_state["config"] == config_before
+        assert stack.pml.lockout.window_ms == window_before
+
     def test_edit_config_from_ric_link_is_rejected(self):
         stack = Stack()
         ric = stack.attach()

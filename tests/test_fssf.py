@@ -450,3 +450,39 @@ class TestEpochPlan:
         no_ue = tti(20, slices, {11: 3}, rates={2: R, 3: R, 4: R, 5: R})
         with pytest.raises(ValueError, match="no schedulable UE"):
             fssf.run_tti(no_ue, registry)
+
+    def test_a_reused_input_is_validated_again_after_its_demands_change(self):
+        registry = fssf.AlgorithmRegistry()
+        inp = self._inp()
+        fssf.run_tti(inp, registry)
+        inp.demands[11] = -4
+        with pytest.raises(ValueError, match="negative demand"):
+            fssf.run_tti(inp, registry)
+
+
+class TestRegister:
+    def test_bound_method_registers_unchanged_and_schedules(self):
+        class LowestFirst:
+            def allocate(self, budget, drbs, history):
+                out, left = {}, budget
+                for d in sorted(drbs, key=lambda d: d.drb_id):
+                    out[d.drb_id] = min(d.demand_rb, left)
+                    left -= out[d.drb_id]
+                return out
+
+        algo = LowestFirst().allocate
+        registry = fssf.AlgorithmRegistry()
+        registry.register("lowest_first", algo)
+        assert registry.get("lowest_first") == algo
+        assert not hasattr(algo, "stateless")
+        s = slice_input(1, SliceState.SHARED, sched="lowest_first",
+                        drbs=[(11, 1, 1), (12, 2, 1)])
+        out = fssf.run_tti(tti(10, [s], {11: 6, 12: 6}), registry)
+        assert out.per_drb_rb == {11: 6, 12: 4}
+
+    def test_builtins_keep_their_stateless_flags(self):
+        registry = fssf.AlgorithmRegistry()
+        flags = {name: registry.get(name).stateless for name in
+                 ("round_robin", "proportional_fair", "max_throughput", "priority_weighted")}
+        assert flags == {"round_robin": False, "proportional_fair": False,
+                         "max_throughput": True, "priority_weighted": True}

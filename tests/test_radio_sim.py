@@ -1,9 +1,11 @@
 """Cell emulation: service rates, RTT model, utilization, determinism."""
 
+import dataclasses
 import random
 
 import pytest
 
+from hexsim import fssf
 from hexsim.radio_sim import RTT_CAP_MS, Cell, CellConfig, LinkState, TrafficProfile
 from hexsim.slice_model import (
     Bearer,
@@ -17,11 +19,11 @@ from hexsim.slice_model import (
 T = ChangeTrigger("test", "unit")
 
 
-def build_cell(slices, total_rb=106, **cfg_kwargs):
+def build_cell(slices, total_rb=106, algorithms=fssf.DEFAULT_REGISTRY, **cfg_kwargs):
     """slices: {slice_id: (state, rrc_kwargs, [(drb, ue, offered_mbps)])}."""
     cfg = CellConfig(total_rb=total_rb, **cfg_kwargs)
     registry = SliceRegistry(total_rb)
-    cell = Cell(cfg, registry)
+    cell = Cell(cfg, registry, algorithms)
     for sid, (state, rrc, bearers) in slices.items():
         registry.create_slice(sid, state, RadioResourceConfig(**rrc))
         for drb, ue, offered in bearers:
@@ -219,3 +221,87 @@ class TestBearerTable:
             assert reg.published.bearers[drb].stats is live
             assert live.throughput_mbps == pytest.approx(20.0, rel=0.05), drb
             assert live.packet_delay_ms == cell.rtt(drb)
+
+
+class TestDecisionMemo:
+    """Within a stateless epoch a tick whose demands equal the previous
+    tick's reuses its decision; every other tick runs the scheduler."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = fssf.run_tti
+
+        def counting(inp, *args):
+            seen.append(inp)
+            return original(inp, *args)
+
+        monkeypatch.setattr(fssf, "run_tti", counting)
+        return seen
+
+    @staticmethod
+    def _cell(algorithms=fssf.DEFAULT_REGISTRY, offered=10.0):
+        # at 10 Mbps the cell clears every buffer each tick, so demands repeat
+        return build_cell({
+            1: (SliceState.DEDICATED, {"dedicated_rb": 20}, [(11, 1, offered)]),
+            2: (SliceState.SHARED, {}, [(21, 2, offered), (22, 3, offered / 2)]),
+        }, algorithms=algorithms)
+
+    @staticmethod
+    def _steps(cell, reg, n):
+        decisions = []
+        for _ in range(n):
+            reg.publish()
+            decisions.append(cell.step_tti())
+        return decisions
+
+    def test_steady_demands_in_a_stateless_epoch_schedule_once(self, calls):
+        cell, reg = self._cell()
+        decisions = self._steps(cell, reg, 50)
+        assert len(calls) == 1
+        last = decisions[-1]
+        assert last is decisions[0] and last.tti_index == 0
+        # the reused decision is what a fresh run on this tick's input gives
+        now =dataclasses.replace(calls[0], tti_index=cell.tti_index - 1)
+        recomputed = fssf.run_tti(now, cell.algorithms, {})
+        assert (recomputed.plan, recomputed.vrb) == (last.plan, last.vrb)
+
+    def test_round_robin_on_any_slice_schedules_every_tick(self, calls):
+        cell, reg = self._cell()
+        reg.update_slice(2, T, fd_scheduler="round_robin")
+        self._steps(cell, reg, 30)
+        assert len(calls) == 30
+
+    def test_custom_algorithm_without_a_stateless_flag_schedules_every_tick(self, calls):
+        def plain(budget, drbs, history):
+            return fssf.priority_weighted(budget, drbs, history)
+
+        algorithms = fssf.AlgorithmRegistry()
+        algorithms.register("priority_weighted", plain)
+        # overload fills the buffers, so demands change until they cap
+        memo_cell, memo_reg = self._cell(offered=80.0)
+        plain_cell, plain_reg = self._cell(algorithms, offered=80.0)
+        memo = self._steps(memo_cell, memo_reg, 200)
+        memo_calls = len(calls)
+        fresh = self._steps(plain_cell, plain_reg, 200)
+        assert len(calls) - memo_calls == 200
+        assert memo_calls < 200
+        assert [(d.plan, d.vrb) for d in memo] == [(d.plan, d.vrb) for d in fresh]
+
+    def test_a_new_epoch_forces_a_fresh_decision(self, calls):
+        cell, reg = self._cell()
+        self._steps(cell, reg, 10)
+        assert len(calls) == 1
+        reg.set_bearer_priority(21, 2, T)
+        self._steps(cell, reg, 10)
+        assert len(calls) == 2
+        assert calls[1].demands == calls[0].demands
+        assert calls[1].slices is not calls[0].slices
+
+    def test_demands_a_b_a_schedule_three_times(self, calls):
+        cell, reg = self._cell()
+        for mbps in (10.0, 20.0, 10.0):
+            cell.set_offered(21, mbps)
+            self._steps(cell, reg, 1)
+        assert len(calls) == 3
+        assert calls[0].demands == calls[2].demands != calls[1].demands
