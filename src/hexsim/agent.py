@@ -76,6 +76,15 @@ _EDIT_CONFIG_RULES = {
     "utilization_alarm_threshold": ("a number", lambda v: isinstance(v, (int, float))),
 }
 
+# the AgentConfig fields a configuration document may set, with the
+# conversion each value must survive; edit-config sets a subset of them
+_CONFIG_SCALARS = {
+    "lockout_window_ms": float,
+    "queue_depth": int,
+    "manager_instances": int,
+    "utilization_alarm_threshold": float,
+}
+
 
 def failure_cause(exc: Exception) -> str:
     if isinstance(exc, LockedOut):
@@ -285,7 +294,12 @@ class Agent:
 
     def load_configuration(self, doc: Mapping) -> dict[int, CatalogEntry]:
         """Parse the function catalog; only functions whose required mediation
-        plugins are present become available."""
+        plugins are present become available.
+
+        The whole document is parsed and checked before anything is
+        committed, so a bad document raises :class:`MalformedConfig` and
+        changes nothing.
+        """
         if not isinstance(doc, Mapping):
             raise MalformedConfig("configuration document must be an object")
         functions = doc.get("functions", [])
@@ -296,10 +310,16 @@ class Agent:
             isinstance(p, str) for p in expected_plugins
         ):
             raise MalformedConfig("plugins must be a list of plugin ids")
+        scalars = {}
+        for key, convert in _CONFIG_SCALARS.items():
+            if key in doc:
+                try:
+                    scalars[key] = convert(doc[key])
+                except (TypeError, ValueError) as exc:
+                    raise MalformedConfig(f"bad {key}: {exc}") from None
+        if scalars.get("lockout_window_ms", 0.0) < 0:
+            raise MalformedConfig("lockout_window_ms must be >= 0")
         registered = self.pml.plugin_ids()
-        self.repository.ran_state["operational"]["plugins"] = {
-            p: (p in registered) for p in expected_plugins
-        }
         catalog: dict[int, CatalogEntry] = {}
         for raw in functions:
             try:
@@ -322,16 +342,12 @@ class Agent:
                 )
             else:
                 catalog[spec.function_id] = CatalogEntry(spec, True)
-        if "lockout_window_ms" in doc:
-            self.config.lockout_window_ms = float(doc["lockout_window_ms"])
-            self.pml.set_lockout_window(self.config.lockout_window_ms)
-        if "queue_depth" in doc:
-            self.config.queue_depth = int(doc["queue_depth"])
-        if "manager_instances" in doc:
-            self.config.manager_instances = int(doc["manager_instances"])
-        if "utilization_alarm_threshold" in doc:
-            self.config.utilization_alarm_threshold = float(doc["utilization_alarm_threshold"])
+        # everything parsed: commit
+        self._apply_config(scalars)
         with self._state:
+            self.repository.ran_state["operational"]["plugins"] = {
+                p: (p in registered) for p in expected_plugins
+            }
             self.repository.catalog = catalog
         return catalog
 
@@ -626,21 +642,19 @@ class Agent:
         # data broker commits, then the config plugin applies via the mediation layer
         with self._state:
             self.repository.ran_state["config"].update(staged)
-        self._apply_oam_config(staged)
+        self._apply_config(staged)
         self._send(
             msg.link_id,
             E2LiteFrame(MsgType.CONFIG_ACK, msg.frame.correlation_id,
                         {"committed": sorted(staged)}),
         )
 
-    def _apply_oam_config(self, staged: Mapping) -> None:
+    def _apply_config(self, staged: Mapping) -> None:
+        """Commit checked AgentConfig values; the Pml takes the lockout window."""
+        for key, value in staged.items():
+            setattr(self.config, key, _CONFIG_SCALARS[key](value))
         if "lockout_window_ms" in staged:
-            self.config.lockout_window_ms = float(staged["lockout_window_ms"])
             self.pml.set_lockout_window(self.config.lockout_window_ms)
-        if "queue_depth" in staged:
-            self.config.queue_depth = int(staged["queue_depth"])
-        if "utilization_alarm_threshold" in staged:
-            self.config.utilization_alarm_threshold = float(staged["utilization_alarm_threshold"])
 
     # -- telemetry / alarms --------------------------------------------------------
 

@@ -10,7 +10,8 @@ Call handling contract:
 * accepted bodies execute at the next tick boundary (:meth:`Pml.tti_boundary`)
   and their effects publish atomically with that boundary's snapshot, so the
   scheduling path never waits on an in-flight call and a reader never sees a
-  half-applied request.
+  half-applied request. Their completions resolve only after that publish, so
+  a caller told "done" already reads the new epoch.
 
 Executing queued work at boundaries rather than on caller threads is what
 makes the no-disruption guarantee a structural property instead of a locking
@@ -210,25 +211,51 @@ class Pml:
         """Execute every queued call in arrival order. Returns the number executed.
 
         Calls on different APIs interleave as they arrived; each runs the
-        handler of its own ``api_id``. With nothing queued this returns 0 at
-        once. Calls invoked while the batch runs wait for the next drain.
+        handler of its own ``api_id``; their completions resolve, in the same
+        order, once the whole batch has run. With nothing queued this returns
+        0 at once. Calls invoked while the batch runs wait for the next drain.
         """
+        return self._complete(self._execute())
+
+    def tti_boundary(self, registry: SliceRegistry) -> RegistrySnapshot:
+        """Drain queued calls and publish their effects as one new epoch.
+
+        The completions resolve only after the publish, so a done-callback
+        (an ack, say) never runs before its effect is visible to readers.
+        """
+        executed = self._execute()
+        snap = registry.publish()
+        if executed:
+            self._complete(executed)
+        return snap
+
+    def _execute(self) -> list[tuple[Completion, object, Optional[Exception]]]:
+        """Run the queued batch's handlers in arrival order, resolving nothing."""
         with self._lock:
             if not self._queue:
-                return 0
+                return []
             batch, self._queue = self._queue, deque()
+        executed = []
         for completion in batch:
             handler = self._handlers[completion.call.api_id]
             try:
-                completion._resolve(result=handler(completion.call))
+                executed.append((completion, handler(completion.call), None))
             except Exception as exc:  # handler errors propagate via the completion
-                completion._resolve(error=exc)
-        return len(batch)
+                executed.append((completion, None, exc))
+        return executed
 
-    def tti_boundary(self, registry: SliceRegistry) -> RegistrySnapshot:
-        """Drain queued calls and publish their effects as one new epoch."""
-        self.drain()
-        return registry.publish()
+    @staticmethod
+    def _complete(executed: list[tuple[Completion, object, Optional[Exception]]]) -> int:
+        """Resolve each executed call in order; a failing done-callback fails its call."""
+        for completion, result, error in executed:
+            if error is not None:
+                completion._resolve(error=error)
+                continue
+            try:
+                completion._resolve(result=result)
+            except Exception as exc:
+                completion._resolve(error=exc)
+        return len(executed)
 
     # -- telemetry registrations -------------------------------------------------
 
@@ -477,9 +504,11 @@ class FsApi:
         )
 
     def _validate_control(self, slice_actions, ue_actions) -> None:
+        # a request without slice actions changes no footprint, and the
+        # registry already keeps the sum within the cell: skip the check
         footprints = {
             sid: self.registry.get_slice(sid).rrc.footprint() for sid in self.registry.slice_ids()
-        }
+        } if slice_actions else {}
         for entry in slice_actions:
             sid = entry.get("slice_id")
             if sid is None or not self.registry.has_slice(sid):

@@ -10,6 +10,12 @@ Bearer statistics are the one exception: they are high-rate telemetry owned by
 the radio simulator, updated in place between publishes, and reports read the
 current values. Configuration fields (state, resource config, scheduler,
 bearer priority) are only visible via the published snapshot.
+
+Publishing is copy-on-write. The write methods record which slice, bearer and
+UE ids they touched; a publish copies only those objects and shares every
+other object (and every map with no touched id) with the previous snapshot,
+so a one-change epoch costs one copy whatever the registry's size. A
+published object is never mutated afterwards, so sharing it is safe.
 """
 
 from __future__ import annotations
@@ -189,9 +195,40 @@ def _rrc_dict(rrc: RadioResourceConfig) -> dict:
     }
 
 
+def _copy_slice(s: SliceContext) -> SliceContext:
+    return replace(s, hu_associations=set(s.hu_associations), bearers=list(s.bearers))
+
+
+def _copy_ue(ue: UEContext) -> UEContext:
+    return replace(ue, bearers=list(ue.bearers))
+
+
+def _copy_on_write(previous: dict, live: dict, dirty: set[int], copy) -> dict:
+    """``previous`` with each dirty id re-copied from ``live`` (or dropped if
+    gone); ``previous`` itself when nothing is dirty. Clears ``dirty``."""
+    if not dirty:
+        return previous
+    out = dict(previous)
+    for key in dirty:
+        obj = live.get(key)
+        if obj is None:
+            out.pop(key, None)
+        else:
+            out[key] = copy(obj)
+    dirty.clear()
+    return out
+
+
 @dataclass(frozen=True)
 class RegistrySnapshot:
-    """Immutable view of slice/bearer/UE configuration published at a TTI boundary."""
+    """Immutable view of slice/bearer/UE configuration published at a TTI boundary.
+
+    Consecutive snapshots share every object, and every map, that no write
+    touched between their publishes; a touched object is a fresh copy, never
+    the live one. Objects are never mutated once published. The one alias is
+    ``Bearer.stats``, which is the live :class:`BearerStats` so reports read
+    current telemetry.
+    """
 
     epoch: int
     total_rb: int
@@ -214,9 +251,11 @@ class SliceRegistry:
         self._records: dict[int, deque[ContextChangeRecord]] = {}
         self._seq: dict[int, int] = {}
         self._change_log_depth = change_log_depth
-        self._epoch = 0
-        self._dirty = True
-        self._published: RegistrySnapshot = self.publish()
+        # ids touched by writes since the last publish; any id here means a new epoch
+        self._dirty_slices: set[int] = set()
+        self._dirty_bearers: set[int] = set()
+        self._dirty_ues: set[int] = set()
+        self._published = RegistrySnapshot(0, total_rb, {}, {}, {}, {})
 
     # -- read side ----------------------------------------------------------
 
@@ -225,25 +264,24 @@ class SliceRegistry:
         return self._published
 
     def publish(self) -> RegistrySnapshot:
-        """Swap in a fresh read snapshot; a no-op (same epoch) if nothing changed."""
-        if not self._dirty and hasattr(self, "_published"):
+        """Swap in a fresh read snapshot; a no-op (same epoch) if nothing changed.
+
+        Only the ids touched since the last publish are copied (or dropped,
+        if removed); everything else is shared with the previous snapshot.
+        """
+        if not (self._dirty_slices or self._dirty_bearers or self._dirty_ues):
             return self._published
-        self._epoch += 1
+        prev = self._published
         snap = RegistrySnapshot(
-            epoch=self._epoch,
+            epoch=prev.epoch + 1,
             total_rb=self.total_rb,
-            slices={
-                sid: replace(s, hu_associations=set(s.hu_associations), bearers=list(s.bearers))
-                for sid, s in self._slices.items()
-            },
-            # config fields are copied; .stats intentionally aliases the live
-            # object so reports see current telemetry
-            bearers={d: replace(b) for d, b in self._bearers.items()},
-            ues={u: replace(ue, bearers=list(ue.bearers)) for u, ue in self._ues.items()},
+            slices=_copy_on_write(prev.slices, self._slices, self._dirty_slices, _copy_slice),
+            # replace() keeps .stats: a bearer copy aliases the live telemetry
+            bearers=_copy_on_write(prev.bearers, self._bearers, self._dirty_bearers, replace),
+            ues=_copy_on_write(prev.ues, self._ues, self._dirty_ues, _copy_ue),
             record_watermark=dict(self._seq),
         )
         self._published = snap
-        self._dirty = False
         return snap
 
     def snapshot(self, slice_ids: Iterable[int] = (), ue_ids: Iterable[int] = ()) -> dict:
@@ -299,7 +337,9 @@ class SliceRegistry:
         if slice_id not in self._records:
             raise UnknownSlice(f"slice {slice_id}")
         watermark = self._published.record_watermark.get(slice_id, 0)
-        return [r for r in self._records[slice_id] if since_seq < r.seq <= watermark]
+        # tuple() copies the deque in one call, so a writer appending on
+        # another thread cannot interrupt the iteration
+        return [r for r in tuple(self._records[slice_id]) if since_seq < r.seq <= watermark]
 
     # -- write side ---------------------------------------------------------
 
@@ -335,7 +375,7 @@ class SliceRegistry:
             trigger,
             [ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, None, _rrc_dict(rrc))],
         )
-        self._dirty = True
+        self._dirty_slices.add(slice_id)
         return ctx
 
     def add_ue(self, ue: UEContext) -> UEContext:
@@ -343,7 +383,7 @@ class SliceRegistry:
         if ue.ue_id in self._ues:
             raise DuplicateUe(f"ue {ue.ue_id} already exists")
         self._ues[ue.ue_id] = ue
-        self._dirty = True
+        self._dirty_ues.add(ue.ue_id)
         return ue
 
     def remove_ue(self, ue_id: int) -> None:
@@ -353,7 +393,7 @@ class SliceRegistry:
         if ue.bearers:
             raise InvalidResourceConfig(f"ue {ue_id} still has bearers")
         del self._ues[ue_id]
-        self._dirty = True
+        self._dirty_ues.add(ue_id)
 
     def add_drb(self, slice_id: int, bearer: Bearer, trigger: ChangeTrigger) -> SliceContext:
         ctx = self._get_slice(slice_id)
@@ -377,7 +417,9 @@ class SliceRegistry:
             )
             ctx.state = new_state
         self._record(slice_id, trigger, outcomes)
-        self._dirty = True
+        self._dirty_slices.add(slice_id)
+        self._dirty_bearers.add(bearer.drb_id)
+        self._dirty_ues.add(bearer.ue_id)
         return ctx
 
     def remove_drb(self, slice_id: int, drb_id: int, trigger: ChangeTrigger) -> SliceContext:
@@ -390,11 +432,13 @@ class SliceRegistry:
         ue = self._ues.get(bearer.ue_id)
         if ue is not None and drb_id in ue.bearers:
             ue.bearers.remove(drb_id)
+            self._dirty_ues.add(ue.ue_id)
         outcomes = [ChangeOutcome(OutcomeKind.BEARER_LIST, before, list(ctx.bearers))]
         if not ctx.bearers:
             outcomes.extend(self._collapse_empty(ctx))
         self._record(slice_id, trigger, outcomes)
-        self._dirty = True
+        self._dirty_slices.add(slice_id)
+        self._dirty_bearers.add(drb_id)
         return ctx
 
     def _collapse_empty(self, ctx: SliceContext) -> list[ChangeOutcome]:
@@ -449,7 +493,7 @@ class SliceRegistry:
         self._record(
             slice_id, trigger, [ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, before, after)]
         )
-        self._dirty = True
+        self._dirty_slices.add(slice_id)
         return ctx
 
     def update_slice(
@@ -475,7 +519,7 @@ class SliceRegistry:
                 ctx.hu_associations = new_assoc
         if outcomes:
             self._record(slice_id, trigger, outcomes)
-            self._dirty = True
+            self._dirty_slices.add(slice_id)
         return ctx
 
     def set_bearer_priority(self, drb_id: int, bearer_priority: int, trigger: ChangeTrigger) -> Bearer:
@@ -497,7 +541,7 @@ class SliceRegistry:
                 )
             ],
         )
-        self._dirty = True
+        self._dirty_bearers.add(drb_id)
         return bearer
 
     # -- helpers --------------------------------------------------------------
@@ -553,3 +597,4 @@ class SliceRegistry:
                 outcomes=tuple(outcomes),
             )
         )
+

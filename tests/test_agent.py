@@ -1,10 +1,12 @@
 """Agent pipeline: catalog, setup/locks, dispatch, managers, telemetry, alarms."""
 
+import copy
 import itertools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -155,6 +157,28 @@ class TestConfiguration:
         assert stack.pml.lockout.window_ms == 55.0
         assert stack.agent.config.manager_instances == 3
 
+    @pytest.mark.parametrize("bad", [
+        {"utilization_alarm_threshold": "high"},
+        {"queue_depth": "deep"},
+        {"lockout_window_ms": -1},
+        {"functions": [{"name": "no-id"}]},
+    ])
+    def test_a_bad_document_commits_nothing(self, bad):
+        stack = Stack()
+        stack.pml.set_lockout_window(20.0)
+        stack.agent.config.lockout_window_ms = 20.0
+        config_before = replace(stack.agent.config)
+        ran_state_before = copy.deepcopy(stack.agent.repository.ran_state)
+        catalog_before = stack.agent.repository.catalog
+        doc = {"plugins": ["fs"], "lockout_window_ms": 7, "queue_depth": 3,
+               "functions": FS_FUNCTION_DOC["functions"], **bad}
+        with pytest.raises(MalformedConfig):
+            stack.agent.load_configuration(doc)
+        assert stack.pml.lockout.window_ms == 20.0
+        assert stack.agent.config == config_before
+        assert stack.agent.repository.ran_state == ran_state_before
+        assert stack.agent.repository.catalog is catalog_before
+
 
 class TestSetupAndLocks:
     def test_setup_lists_available_functions_and_activates(self):
@@ -290,6 +314,23 @@ class TestControlPath:
         stack.settle()
         assert ric.control_results[corr][0] == "ack"
         assert stack.registry.get_bearer(20).bearer_priority == 5
+
+    def test_the_ack_leaves_after_its_epoch_is_published(self):
+        stack = Stack()
+        ric = stack.attach()
+        link = stack.agent._links["link-ric-1"]
+        send = link.send
+        seen_at_send = []
+
+        def watching_send(data):
+            seen_at_send.append(stack.registry.published.bearers[20].bearer_priority)
+            send(data)
+
+        link.send = watching_send
+        corr = ric.control_ue(1, {"drb_id": 20, "bearer_priority": 5})
+        stack.settle()
+        assert ric.control_results[corr][0] == "ack"
+        assert seen_at_send == [5]
 
     def test_not_activated_function_fails(self):
         stack = Stack()

@@ -211,6 +211,20 @@ class TestControlApi:
         assert registry.get_slice(2).state is SliceState.DEDICATED
         assert registry.snapshot(slice_ids=[2])["slices"][0]["state"] == "dedicated"
 
+    def test_a_write_resolves_only_after_its_epoch_is_published(self):
+        registry, pml, fs, _ = make_stack()
+        seed_slice(registry, 1, SliceState.SHARED, drb=11)
+        epoch = registry.published.epoch
+        seen = []
+        completion = fs.fs_control_request("ric-1", {"ues": [{"drb_id": 11, "bearer_priority": 5}]})
+        completion.add_done_callback(lambda c: seen.append(
+            (registry.published.epoch, registry.published.bearers[11].bearer_priority)
+        ))
+        snap = pml.tti_boundary(registry)
+        assert completion.error is None
+        assert snap.epoch == epoch + 1
+        assert seen == [(epoch + 1, 5)]
+
     def test_multi_target_request_publishes_atomically(self):
         registry, pml, fs, _ = make_stack()
         seed_slice(registry, 1, SliceState.SHARED, drb=11)
@@ -251,6 +265,21 @@ class TestControlApi:
         pml.tti_boundary(registry)
         assert isinstance(completion.error, OverSubscription)
         assert registry.get_slice(1).rrc.footprint() == 0
+
+    def test_footprint_check_counts_slices_outside_the_request(self):
+        registry, pml, fs, _ = make_stack()
+        seed_slice(registry, 1, SliceState.DEDICATED, drb=11, dedicated_rb=85)
+        seed_slice(registry, 2, SliceState.SHARED, drb=21)
+        seed_slice(registry, 3, SliceState.SHARED, drb=31)
+        completion = fs.fs_control_request("ric-1", {
+            "slices": [
+                {"slice_id": 2, "state": "dedicated", "dedicated_rb": 10},
+                {"slice_id": 3, "state": "dedicated", "dedicated_rb": 15},
+            ]
+        })
+        pml.tti_boundary(registry)
+        assert isinstance(completion.error, OverSubscription)
+        assert registry.get_slice(2).state is SliceState.SHARED
 
     def test_shrink_and_grow_in_one_request(self):
         registry, pml, fs, _ = make_stack()

@@ -1,6 +1,9 @@
 """Slice context store: lifecycle transitions, admission checks, reports."""
 
 import random
+import sys
+import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -10,6 +13,7 @@ from hexsim.errors import (
     DuplicateUe,
     InvalidResourceConfig,
     OverSubscription,
+    SliceModelError,
     UnknownDrb,
     UnknownId,
     UnknownSlice,
@@ -20,6 +24,7 @@ from hexsim.slice_model import (
     Bearer,
     ChangeTrigger,
     RadioResourceConfig,
+    SliceContext,
     SliceRegistry,
     SliceState,
     UEContext,
@@ -310,3 +315,199 @@ class TestRecordsAndSnapshots:
         assert reg.snapshot(slice_ids=[1])["slices"][0]["state"] == "shared"
         reg.publish()
         assert reg.snapshot(slice_ids=[1])["slices"][0]["state"] == "dedicated"
+
+
+class TestRecordsSinceUnderAWriter:
+    def test_a_reader_survives_a_writer_appending_to_the_log(self):
+        reg = SliceRegistry(106, change_log_depth=512)
+        reg.create_slice(1)
+        add_session(reg, 1, 11)
+        for k in range(600):
+            reg.set_bearer_priority(11, k % 5 + 1, T)
+        reg.publish()
+        stop = threading.Event()
+
+        def writer():
+            k = 0
+            while not stop.is_set():
+                reg.set_bearer_priority(11, k % 5 + 1, T)
+                k += 1
+
+        errors = 0
+        interval = sys.getswitchinterval()
+        thread = threading.Thread(target=writer)
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            for _ in range(20_000):
+                try:
+                    reg.records_since(1, 0)
+                except RuntimeError:
+                    errors += 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert errors == 0
+
+
+# -- copy-on-write publish -------------------------------------------------------
+
+KINDS = ("slices", "bearers", "ues")
+
+
+def _live(reg):
+    return {"slices": reg._slices, "bearers": reg._bearers, "ues": reg._ues}
+
+
+def _content(maps, with_stats=True):
+    """A field-by-field copy of every object, keyed by kind and id."""
+    out = {}
+    for kind in KINDS:
+        out[kind] = {}
+        for key, obj in maps[kind].items():
+            fields = asdict(obj)
+            if not with_stats:
+                fields.pop("stats", None)
+            out[kind][key] = fields
+    return out
+
+
+def _snap_maps(snap):
+    return {"slices": snap.slices, "bearers": snap.bearers, "ues": snap.ues}
+
+
+def _random_rrc(rng, state):
+    if state is SliceState.DEDICATED:
+        return RadioResourceConfig(dedicated_rb=rng.randint(0, 12))
+    if state is SliceState.PRIORITIZED:
+        return RadioResourceConfig(prioritized_rb=rng.randint(0, 12))
+    if state is SliceState.HYBRID:
+        return RadioResourceConfig(dedicated_rb=rng.randint(0, 6),
+                                   prioritized_rb=rng.randint(0, 6),
+                                   shared_priority=rng.randint(1, 3))
+    return RadioResourceConfig(shared_priority=rng.randint(1, 3))
+
+
+def random_write(reg, rng):
+    """Apply one random write; return the ids it names, per kind (none if it raised)."""
+    touched = {kind: set() for kind in KINDS}
+    sids, drbs = reg.slice_ids(), sorted(reg._bearers)
+    sid = rng.choice(sids) if sids and rng.random() < 0.9 else rng.randint(1, 10)
+    drb = rng.choice(drbs) if drbs and rng.random() < 0.9 else rng.randint(100, 140)
+    uid = rng.randint(1, 25)
+    op = rng.randrange(9)
+    try:
+        if op == 0:
+            new_sid = sid if rng.random() < 0.2 else rng.randint(1, 10)
+            state = rng.choice(sorted(ACTIVE_STATES, key=lambda s: s.value))
+            reg.create_slice(new_sid, state, _random_rrc(rng, state), hu_associations=["hu1"])
+            touched["slices"].add(new_sid)
+        elif op == 1:
+            reg.add_ue(UEContext(ue_id=uid, mcs=rng.randint(0, 28), bler=rng.random() / 2))
+            touched["ues"].add(uid)
+        elif op == 2:
+            reg.remove_ue(uid)
+            touched["ues"].add(uid)
+        elif op == 3:
+            new_drb = rng.randint(100, 140)
+            reg.add_drb(sid, Bearer(drb_id=new_drb, ue_id=uid, slice_id=sid,
+                                    bearer_priority=rng.randint(1, 4)), T)
+            touched["slices"].add(sid)
+            touched["bearers"].add(new_drb)
+            touched["ues"].add(uid)
+        elif op == 4:
+            bearers = reg.get_slice(sid).bearers
+            target = rng.choice(bearers) if bearers else drb
+            ue = reg.get_bearer(target).ue_id
+            reg.remove_drb(sid, target, T)
+            touched["slices"].add(sid)
+            touched["bearers"].add(target)
+            touched["ues"].add(ue)
+        elif op == 5:
+            state = rng.choice(sorted(ACTIVE_STATES, key=lambda s: s.value))
+            reg.request_state_change(sid, state, _random_rrc(rng, state), T)
+            touched["slices"].add(sid)
+        elif op == 6:
+            reg.update_slice(
+                sid, T,
+                fd_scheduler=rng.choice([None, "round_robin", "priority_weighted"]),
+                hu_associations=rng.choice([None, [], ["hu1"], ["hu1", "hu2"]]),
+            )
+            touched["slices"].add(sid)
+        elif op == 7:
+            reg.set_bearer_priority(drb, rng.randint(1, 4), T)
+            touched["bearers"].add(drb)
+        else:  # telemetry written in place, as the radio simulator does
+            if reg.has_drb(drb):
+                reg.get_bearer(drb).stats.throughput_mbps = rng.random()
+    except SliceModelError:
+        return {kind: set() for kind in KINDS}
+    return touched
+
+
+class TestCopyOnWritePublish:
+    def test_a_new_registry_holds_an_empty_epoch_zero(self):
+        reg = make_registry()
+        snap = reg.published
+        assert (snap.epoch, snap.slices, snap.bearers, snap.ues) == (0, {}, {}, {})
+        assert reg.publish() is snap
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_writes_publish_exactly_the_live_state(self, seed):
+        rng = random.Random(seed)
+        reg = make_registry()
+        held = []  # (snapshot, its content without stats, at publish time)
+        touched = {kind: set() for kind in KINDS}
+        for _ in range(400):
+            for kind, ids in random_write(reg, rng).items():
+                touched[kind] |= ids
+            if rng.random() < 0.6:
+                continue
+            prev = reg.published
+            snap = reg.publish()
+            live = _live(reg)
+            assert _content(_snap_maps(snap)) == _content(live)
+            assert snap.record_watermark == reg._seq
+            if snap is prev:  # every named id was a no-op write
+                continue
+            assert snap.epoch == prev.epoch + 1
+            for kind in KINDS:
+                old, new = _snap_maps(prev)[kind], _snap_maps(snap)[kind]
+                if not touched[kind]:
+                    assert new is old
+                for key, obj in new.items():
+                    assert obj is not live[kind][key]
+                    if key not in touched[kind]:
+                        assert obj is old[key]
+                    elif key not in old or asdict(old[key]) != asdict(obj):
+                        assert obj is not old.get(key)
+            for drb, bearer in snap.bearers.items():
+                assert bearer.stats is reg.get_bearer(drb).stats
+            held.append((snap, _content(_snap_maps(snap), with_stats=False)))
+            touched = {kind: set() for kind in KINDS}
+        assert len(held) > 20
+        for snap, content in held:
+            assert _content(_snap_maps(snap), with_stats=False) == content
+
+    @pytest.mark.parametrize("scale", [1, 10])
+    def test_a_one_bearer_change_copies_one_bearer(self, scale, monkeypatch):
+        reg = SliceRegistry(106 * scale)
+        for sid in range(1, 8 * scale + 1):
+            reg.create_slice(sid, SliceState.SHARED)
+            for k in range(8):
+                add_session(reg, sid, 1000 + 8 * sid + k)
+        prev = reg.publish()
+        made = {cls: 0 for cls in (Bearer, SliceContext, UEContext)}
+        for cls in made:
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                made[_cls] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        reg.set_bearer_priority(1012, 3, T)
+        snap = reg.publish()
+        assert made == {Bearer: 1, SliceContext: 0, UEContext: 0}
+        assert [d for d, b in snap.bearers.items() if b is not prev.bearers[d]] == [1012]
+        assert snap.bearers[1012].bearer_priority == 3
+        assert snap.slices is prev.slices and snap.ues is prev.ues
