@@ -16,9 +16,19 @@ plan for the last ``TtiInput.slices`` tuple it scheduled, matched by identity
 orders, the reserved total, the drb -> UE owner map, each slice's resolved
 algorithm and, for the built-in algorithms, their prepared form (drb ids in
 ascending order, UE ids, integer weights). Registering an algorithm
-invalidates the plan. Custom algorithms keep the ``AlgoDrb`` contract: they
-get a fresh ``AlgoDrb`` list on every call, and every algorithm's output goes
-through the same contract check.
+invalidates the plan.
+
+The plan also lays every drb out once, in one flat bearer order: slices by
+ascending id, each slice's drbs in its prepared order (as given, for a custom
+algorithm), so each slice owns a ``[lo, hi)`` range. A tick works on one list
+in that order, the demand each bearer has left. Stages 1 and 2 hand each
+slice its range; a built-in core returns its grants as a list aligned to it,
+and the grants are contract-checked and taken off the list by index. Dicts
+appear only at the edges: ``TtiInput.demands`` comes in as one, and the
+decision's per-drb grants are built once, at the end of stage 2, as the
+difference between the demand and what is left. Custom algorithms keep the
+``AlgoDrb`` contract: they get a fresh ``AlgoDrb`` list on every call, and
+every algorithm's output goes through the same contract check.
 
 Rounding and tie-break conventions (fixed for determinism):
 
@@ -31,11 +41,11 @@ Rounding and tie-break conventions (fixed for determinism):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from math import gcd, lcm
-from operator import attrgetter
+from operator import add, attrgetter, mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import AlgorithmContractViolation, InfeasibleSnapshot
@@ -85,10 +95,11 @@ class TtiInput:
         ue_ids = self.ue_rate_bits_per_rb
         members = owner if owner is not None else _owner_map(self.slices)
         for drb, demand in self.demands.items():
-            if demand < 0:
+            if demand > 0:
+                if members.get(drb) not in ue_ids:
+                    raise ValueError(f"demanded drb {drb} has no schedulable UE")
+            elif demand < 0:
                 raise ValueError(f"negative demand for drb {drb}")
-            if demand > 0 and members.get(drb) not in ue_ids:
-                raise ValueError(f"demanded drb {drb} has no schedulable UE")
 
 
 @dataclass(frozen=True)
@@ -140,8 +151,8 @@ def integer_weights(weights: Sequence) -> list[int]:
 
 
 def _water_fill(pool: int, keys: Sequence, demands: Sequence[int],
-                weights: Sequence[int], scale: Sequence[int]) -> dict:
-    """Weighted max-min split of ``pool``, keyed by ``keys``; lists aligned by index.
+                weights: Sequence[int], scale: Sequence[int]) -> list[int]:
+    """Weighted max-min split of ``pool``; lists in and out aligned by index.
 
     ``scale[i]`` is ``lcm(weights) // weights[i]``, so ``demands[i] * scale[i]``
     orders the entries by their exact fill level d/w. One walk up that order
@@ -153,9 +164,8 @@ def _water_fill(pool: int, keys: Sequence, demands: Sequence[int],
     """
     alloc = [0] * len(demands)
     if pool > 0:
-        levels = [d * k for d, k in zip(demands, scale)]
+        order = sorted(range(len(demands)), key=list(map(mul, demands, scale)).__getitem__)
         total_w = sum(weights)
-        order = sorted(range(len(levels)), key=levels.__getitem__)
         # entries with no demand sort first and only give up their weight
         for pos, i in enumerate(order):
             d = demands[i]
@@ -167,7 +177,7 @@ def _water_fill(pool: int, keys: Sequence, demands: Sequence[int],
                 pool -= d
             total_w -= w
         else:
-            pool = 0  # every entry filled
+            return alloc  # every entry filled
         if pool:
             shares = []
             leftover = pool
@@ -181,7 +191,7 @@ def _water_fill(pool: int, keys: Sequence, demands: Sequence[int],
                 shares.sort()
                 for share in shares[:leftover]:
                     alloc[share[3]] += 1
-    return dict(zip(keys, alloc))
+    return alloc
 
 
 def weighted_max_min(pool: int, entries: Sequence[tuple[int, int, int]]) -> dict[int, int]:
@@ -191,11 +201,12 @@ def weighted_max_min(pool: int, entries: Sequence[tuple[int, int, int]]) -> dict
     by cross-multiplication and the final proportional slice is rounded by
     largest remainder (ties: larger weight, then lower key).
     """
-    keys = [e[0] for e in entries]
-    weights = [e[2] for e in entries]
+    if not entries:
+        return {}
+    keys, demands, weights = zip(*entries)
     common = lcm(*weights)
-    return _water_fill(pool, keys, [e[1] for e in entries], weights,
-                       [common // w for w in weights])
+    return dict(zip(keys, _water_fill(pool, keys, demands, weights,
+                                      [common // w for w in weights])))
 
 
 # -- built-in slice algorithms ------------------------------------------------
@@ -217,18 +228,22 @@ class BuiltinAlgorithm:
 
     ``core(budget, prepared, demands, rates, history)`` takes per-call demand
     and rate lists aligned with ``prepared.ids`` (``rates`` is None unless the
-    algorithm reads rates) and returns the grant per drb. The scheduler
-    prepares each slice once per epoch and runs the core every tick.
-    Calling the object keeps the ``AlgoDrb`` contract of any
-    :data:`Algorithm`: it prepares the given bearers and runs the same core.
+    algorithm reads rates) and returns the grants as a list aligned the same
+    way. The scheduler prepares each slice once per epoch and runs the core
+    every tick. Calling the object keeps the ``AlgoDrb`` contract of any
+    :data:`Algorithm`: it prepares the given bearers, runs the same core and
+    returns a dict keyed by drb in ascending id, or in the order
+    ``key_order(rates)`` gives as indexes into ``prepared.ids``.
     """
 
     def __init__(self, name: str, core: Callable, stateless: bool,
-                 uses_rates: bool = False, weight_of: Optional[Callable] = None):
+                 uses_rates: bool = False, weight_of: Optional[Callable] = None,
+                 key_order: Optional[Callable] = None):
         self.__name__ = name
         self.stateless = stateless
         self.core = core
         self.uses_rates = uses_rates
+        self._key_order = key_order
         self._weight_of = weight_of  # bearer priority -> weight; priority_weighted only
         self._weight_cache: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
@@ -252,8 +267,13 @@ class BuiltinAlgorithm:
 
     def __call__(self, budget: int, drbs: Sequence[AlgoDrb], history: dict) -> dict[int, int]:
         order = sorted(drbs, key=_by_drb_id)
-        return self.core(budget, self.prepare(order), [d.demand_rb for d in order],
-                         [d.rate_bits_per_rb for d in order], history)
+        rates = [d.rate_bits_per_rb for d in order]
+        prepared = self.prepare(order)
+        grants = self.core(budget, prepared, [d.demand_rb for d in order], rates, history)
+        ids = prepared.ids
+        if self._key_order is None:
+            return dict(zip(ids, grants))
+        return {ids[k]: grants[k] for k in self._key_order(rates)}
 
 
 def _round_robin(budget, prepared, demands, rates, history):
@@ -265,15 +285,14 @@ def _round_robin(budget, prepared, demands, rates, history):
     sorted demands; the partial round after it runs in cyclic order from the
     start index.
     """
-    ids = prepared.ids
-    n = len(ids)
+    n = len(prepared.ids)
     if not n:
-        return {}
+        return []
     start = history.get("rr_start", 0) % n
     history["rr_start"] = (start + 1) % n
     alloc = [0] * n
     if budget > 0:
-        wants = sorted(d for d in demands if d > 0)
+        wants = sorted([d for d in demands if d > 0])
         level = used = 0
         left = len(wants)
         for d in wants:
@@ -298,7 +317,7 @@ def _round_robin(budget, prepared, demands, rates, history):
             if demands[k] > level:
                 alloc[k] += 1
                 extra -= 1
-    return dict(zip(ids, alloc))
+    return alloc
 
 
 def _proportional_fair(budget, prepared, demands, rates, history):
@@ -314,7 +333,6 @@ def _proportional_fair(budget, prepared, demands, rates, history):
     rate = [max(r, 1e-9) for r in rates]
     avg0 = [ewma.get(i, 0.0) for i in ids]
     granted = [0.0] * len(ids)
-    alloc = [0] * len(ids)
     left = list(demands)
     heap = [(-(rate[k] / max(avg0[k], 1e-9)), ids[k], k)
             for k in range(len(ids)) if left[k] > 0]
@@ -322,30 +340,37 @@ def _proportional_fair(budget, prepared, demands, rates, history):
     pool = budget
     while pool > 0 and heap:
         k = heap[0][2]
-        alloc[k] += 1
-        left[k] -= 1
-        granted[k] += rate[k]
         pool -= 1
-        if left[k] > 0:
-            heapreplace(heap, (-(rate[k] / max(avg0[k] + granted[k], 1e-9)), ids[k], k))
+        want = left[k] - 1
+        left[k] = want
+        got = granted[k] + rate[k]
+        granted[k] = got
+        if want > 0:
+            avg = avg0[k] + got
+            # max(avg, 1e-9), written out
+            heapreplace(heap, (-(rate[k] / (1e-9 if 1e-9 > avg else avg)), ids[k], k))
         else:
             heappop(heap)
     for k, i in enumerate(ids):
         prev = avg0[k]
         ewma[i] = prev + (granted[k] - prev) / window
-    return dict(zip(ids, alloc))
+    return [d - n for d, n in zip(demands, left)]
+
+
+def _best_rate_first(rates: Sequence[float]) -> list[int]:
+    # a reversed sort is still stable: the lower id stays first on equal rates
+    return sorted(range(len(rates)), key=rates.__getitem__, reverse=True)
 
 
 def _max_throughput(budget, prepared, demands, rates, history):
     """Fill the best-rate bearers first (ties: lower drb id)."""
-    ids = prepared.ids
-    # a stable sort of the ascending ids keeps the lower id first on equal rates
-    order = sorted(range(len(ids)), key=lambda k: -rates[k])
-    alloc = {ids[k]: 0 for k in order}
+    alloc = [0] * len(demands)
     pool = budget
-    for k in order:
-        give = min(demands[k], pool)
-        alloc[ids[k]] = give
+    for k in _best_rate_first(rates):
+        give = demands[k]
+        if pool < give:
+            give = pool
+        alloc[k] = give
         pool -= give
         if pool == 0:
             break
@@ -381,7 +406,7 @@ round_robin = BuiltinAlgorithm("round_robin", _round_robin, stateless=False)
 proportional_fair = BuiltinAlgorithm("proportional_fair", _proportional_fair,
                                      stateless=False, uses_rates=True)
 max_throughput = BuiltinAlgorithm("max_throughput", _max_throughput, stateless=True,
-                                  uses_rates=True)
+                                  uses_rates=True, key_order=_best_rate_first)
 priority_weighted = make_priority_weighted()
 
 
@@ -422,18 +447,17 @@ DEFAULT_REGISTRY = AlgorithmRegistry()
 # -- the per-epoch plan ----------------------------------------------------------
 
 class _SliceRun(NamedTuple):
-    """One slice with its resolved algorithm; ``prepared`` is None unless built-in."""
+    """One scheduled slice, its algorithm and its range of the flat bearer order.
+
+    ``prepared`` is None unless the algorithm is built-in. The range
+    ``[lo, hi)`` holds ``prepared.ids``, or else the slice's drbs as given.
+    """
 
     slice: SliceInput
     algo: Algorithm
     prepared: Optional[Prepared]
-    drb_ids: tuple[int, ...]
-
-
-def _slice_run(s: SliceInput, registry: AlgorithmRegistry) -> _SliceRun:
-    algo = registry.get(s.fd_scheduler)
-    prepared = algo.prepare(s.drbs) if isinstance(algo, BuiltinAlgorithm) else None
-    return _SliceRun(s, algo, prepared, tuple(d.drb_id for d in s.drbs))
+    lo: int
+    hi: int
 
 
 def _stage2_order(s: SliceInput) -> tuple[int, int]:
@@ -451,7 +475,21 @@ class _EpochPlan:
     dph: tuple[_SliceRun, ...]         # dedicated/prioritized/hybrid, ascending id
     s_list: tuple[SliceInput, ...]     # stage 1's shared list: shared by id, then hybrid
     ordered: tuple[_SliceRun, ...]     # s_list in stage-2 order
-    owner: dict[int, int]
+    runs: dict[int, _SliceRun]         # slice id -> run, for every scheduled slice
+    ids: tuple[int, ...]               # the flat bearer order: each slice's range, by id
+    owner: dict[int, int]              # drb -> UE
+    ues: tuple[int, ...]               # the UEs owning ids, ascending
+    ue_slot: dict[int, int]            # drb -> position of its UE in ues
+    index: dict[int, int]              # drb -> position in ids
+
+    def aligned(self, per_drb: Mapping[int, int]) -> list[int]:
+        """``per_drb``'s values in the flat bearer order, 0 where a drb is absent."""
+        return [per_drb.get(drb, 0) for drb in self.ids]
+
+    def grants(self, demand: Sequence[int], left: Sequence[int]) -> dict[int, int]:
+        """drb -> RBs granted, for each bearer whose ``left`` fell below its
+        ``demand`` (both lists in the flat bearer order)."""
+        return {drb: d - n for drb, d, n in zip(self.ids, demand, left) if d != n}
 
 
 def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> _EpochPlan:
@@ -460,18 +498,38 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
     generation = registry._generation
     if plan is not None and plan.slices is slices and plan.generation == generation:
         return plan
-    dph = sorted((s for s in slices if s.state in _RESERVING), key=_by_slice_id)
-    shared = sorted((s for s in slices if s.state is SliceState.SHARED), key=_by_slice_id)
-    s_list = tuple(shared) + tuple(s for s in dph if s.state is SliceState.HYBRID)
-    runs = {id(s): _slice_run(s, registry) for s in dph + shared}
+    ids: list[int] = []
+    runs: dict[int, _SliceRun] = {}
+    for s in sorted(slices, key=_by_slice_id):
+        lo = len(ids)
+        if s.state is SliceState.IDLE:
+            # not scheduled, but its drbs keep a place: every drb of slices
+            # has an index
+            ids.extend(d.drb_id for d in s.drbs)
+            continue
+        algo = registry.get(s.fd_scheduler)
+        prepared = algo.prepare(s.drbs) if isinstance(algo, BuiltinAlgorithm) else None
+        ids.extend(prepared.ids if prepared is not None else (d.drb_id for d in s.drbs))
+        runs[s.slice_id] = _SliceRun(s, algo, prepared, lo, len(ids))
+    dph = tuple(run for run in runs.values() if run.slice.state in _RESERVING)
+    s_list = tuple(run.slice for run in runs.values() if run.slice.state is SliceState.SHARED)
+    s_list += tuple(run.slice for run in dph if run.slice.state is SliceState.HYBRID)
+    owner = _owner_map(slices)
+    ues = tuple(sorted({owner[drb] for drb in ids}))
+    slot = {ue: k for k, ue in enumerate(ues)}
     plan = _EpochPlan(
         slices=slices,
         generation=generation,
-        reserved=sum(s.dedicated_rb + s.prioritized_rb for s in dph),
-        dph=tuple(runs[id(s)] for s in dph),
+        reserved=sum(run.slice.dedicated_rb + run.slice.prioritized_rb for run in dph),
+        dph=dph,
         s_list=s_list,
-        ordered=tuple(runs[id(s)] for s in sorted(s_list, key=_stage2_order)),
-        owner=_owner_map(slices),
+        ordered=tuple(runs[s.slice_id] for s in sorted(s_list, key=_stage2_order)),
+        runs=runs,
+        ids=tuple(ids),
+        owner=owner,
+        ues=ues,
+        ue_slot={drb: slot[owner[drb]] for drb in ids},
+        index={drb: i for i, drb in enumerate(ids)},
     )
     registry._plan = plan
     return plan
@@ -481,46 +539,75 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
 
 @dataclass
 class Stage1Result:
-    per_drb_rb: dict[int, int]
+    """Stage 1's outcome. ``demand`` (what each bearer asked for) and ``left``
+    (what it still lacks) are lists in ``epoch``'s flat bearer order, so a
+    grant is their difference; the dict views are built when asked for."""
+
+    epoch: _EpochPlan = field(repr=False)
+    demand: list[int]
+    left: list[int]
     shared_pool: int
-    s_list: Sequence[SliceInput]
-    remaining: dict[int, int]
+
+    @property
+    def s_list(self) -> tuple[SliceInput, ...]:
+        return self.epoch.s_list
+
+    @property
+    def per_drb_rb(self) -> dict[int, int]:
+        return self.epoch.grants(self.demand, self.left)
+
+    @property
+    def remaining(self) -> dict[int, int]:
+        return dict(zip(self.epoch.ids, self.left))
 
 
-def _algo_drbs(s: SliceInput, demands: Mapping[int, int], rates: Rates) -> list[AlgoDrb]:
-    return [
-        AlgoDrb(d.drb_id, d.ue_id, demands.get(d.drb_id, 0), d.bearer_priority,
-                rates.get(d.ue_id, 0.0))
-        for d in s.drbs
-    ]
+def _grant(run: _SliceRun, budget: int, left: list[int], ep: _EpochPlan, rates: Rates,
+           histories: dict[int, dict]) -> int:
+    """Run one slice's algorithm on its demand left and take the grants off it.
 
-
-def _invoke(run: _SliceRun, budget: int, remaining: dict[int, int], rates: Rates,
-            histories: dict[int, dict]) -> dict[int, int]:
-    history = histories.get(run.slice.slice_id)
+    Enforces the algorithm contract: no bearer gets more than its demand
+    left, none a negative grant, and the slice no more than ``budget``.
+    Returns the RBs used.
+    """
+    s, algo, prepared, lo, hi = run
+    history = histories.get(s.slice_id)
     if history is None:
-        history = histories[run.slice.slice_id] = {}
-    algo = run.algo
-    prepared = run.prepared
+        history = histories[s.slice_id] = {}
+    demands = left[lo:hi]
     if prepared is None:
-        return algo(budget, _algo_drbs(run.slice, remaining, rates), history)
-    demands = [remaining.get(i, 0) for i in prepared.ids]
+        drbs = [AlgoDrb(d.drb_id, d.ue_id, n, d.bearer_priority, rates.get(d.ue_id, 0.0))
+                for d, n in zip(s.drbs, demands)]
+        return _fold_dict(algo(budget, drbs, history), budget, left, ep, s.fd_scheduler)
     per_drb_rates = [rates.get(u, 0.0) for u in prepared.ues] if algo.uses_rates else None
-    return algo.core(budget, prepared, demands, per_drb_rates, history)
-
-
-def _apply_alloc(alloc: dict[int, int], budget: int, remaining: dict[int, int],
-                 per_drb: dict[int, int], who: str) -> int:
-    """Fold an algorithm's output into the plan, enforcing its contract."""
-    used = 0
-    for drb, n in alloc.items():
+    grants = algo.core(budget, prepared, demands, per_drb_rates, history)
+    if len(grants) != hi - lo:
+        raise AlgorithmContractViolation(
+            f"{s.fd_scheduler} returned {len(grants)} grants for {hi - lo} bearers")
+    for i, n in enumerate(grants, lo):
         if n:
-            if n < 0 or n > remaining.get(drb, 0):
+            want = left[i]
+            if n < 0 or n > want:
                 raise AlgorithmContractViolation(
-                    f"{who} gave drb {drb} {n} RBs (demand {remaining.get(drb, 0)})"
-                )
-            per_drb[drb] = per_drb.get(drb, 0) + n
-            remaining[drb] -= n
+                    f"{s.fd_scheduler} gave drb {ep.ids[i]} {n} RBs (demand {want})")
+            left[i] = want - n
+    used = sum(grants)
+    if used > budget:
+        raise AlgorithmContractViolation(f"{s.fd_scheduler} exceeded budget {budget} with {used}")
+    return used
+
+
+def _fold_dict(out: dict[int, int], budget: int, left: list[int], ep: _EpochPlan,
+               who: str) -> int:
+    """:func:`_grant` for an ``AlgoDrb`` algorithm's per-drb dict."""
+    index = ep.index
+    used = 0
+    for drb, n in out.items():
+        if n:
+            i = index.get(drb)
+            want = 0 if i is None else left[i]
+            if n < 0 or n > want:
+                raise AlgorithmContractViolation(f"{who} gave drb {drb} {n} RBs (demand {want})")
+            left[i] = want - n
             used += n
     if used > budget:
         raise AlgorithmContractViolation(f"{who} exceeded budget {budget} with {used}")
@@ -538,30 +625,27 @@ def stage1_slice_specific(
     if ep.reserved > inp.total_rb:
         raise InfeasibleSnapshot(f"reserved {ep.reserved} RBs on a {inp.total_rb}-RB cell")
     pool = inp.total_rb - ep.reserved
-    per_drb: dict[int, int] = {}
-    remaining = dict(inp.demands)
+    demand = ep.aligned(inp.demands)
+    left = list(demand)
     rates = inp.ue_rate_bits_per_rb
     for run in ep.dph:
         s = run.slice
-        budget = s.dedicated_rb + s.prioritized_rb
-        alloc = _invoke(run, budget, remaining, rates, histories)
-        used = _apply_alloc(alloc, budget, remaining, per_drb, s.fd_scheduler)
+        used = _grant(run, s.dedicated_rb + s.prioritized_rb, left, ep, rates, histories)
         # dedicated RBs are consumed first; whatever of the prioritized
         # assignment goes unused moves to the shared pool (dedicated does not)
         used_prio = max(0, used - s.dedicated_rb)
         pool += s.prioritized_rb - used_prio
-    return Stage1Result(per_drb_rb=per_drb, shared_pool=pool, s_list=ep.s_list,
-                        remaining=remaining)
+    return Stage1Result(ep, demand, left, pool)
 
 
 def stage2_shared(
     s_list: Sequence[SliceInput],
     shared_pool: int,
-    partial: dict[int, int],
+    partial: Stage1Result | Mapping[int, int],
     inp: TtiInput,
     registry: AlgorithmRegistry = DEFAULT_REGISTRY,
     histories: Optional[dict[int, dict]] = None,
-    remaining: Optional[dict[int, int]] = None,
+    remaining: Optional[Mapping[int, int]] = None,
     policy: str = "max_min",
 ) -> AllocationPlan:
     """Distribute the shared pool over shared (and spent hybrid) slices.
@@ -569,25 +653,26 @@ def stage2_shared(
     ``max_min`` (default) is weighted max-min fairness with the shared
     priority as weight; ``greedy`` serves slices to satisfaction in descending
     priority order (ties: ascending id) until the pool runs dry.
+
+    ``partial`` is stage 1's result for ``inp`` and ``registry``, whose lists
+    carry on here, or a drb -> RB map of grants already made, with
+    ``remaining`` the demand left (default ``inp.demands``). ``s_list`` holds
+    scheduled slices of ``inp``.
     """
     if shared_pool < 0:
         raise InfeasibleSnapshot("negative shared pool")
     histories = histories if histories is not None else {}
-    remaining = dict(remaining) if remaining is not None else dict(inp.demands)
-    per_drb = dict(partial)
     ep = _epoch_plan(inp.slices, registry)
+    if isinstance(partial, Stage1Result) and partial.epoch is ep:
+        demand, left = partial.demand, list(partial.left)
+    else:
+        left = ep.aligned(inp.demands if remaining is None else remaining)
+        demand = list(map(add, ep.aligned(partial), left))
     if s_list is ep.s_list:
         ordered = ep.ordered
     else:
-        ordered = [_slice_run(s, registry) for s in sorted(s_list, key=_stage2_order)]
-    slice_demand = []
-    for run in ordered:
-        want = 0
-        for drb in run.drb_ids:
-            n = remaining.get(drb, 0)
-            if n > 0:
-                want += n
-        slice_demand.append(want)
+        ordered = [ep.runs[s.slice_id] for s in sorted(s_list, key=_stage2_order)]
+    slice_demand = [sum(left[run.lo:run.hi]) for run in ordered]
     pool = shared_pool
     if policy == "max_min":
         grants = weighted_max_min(
@@ -597,21 +682,19 @@ def stage2_shared(
         )
     elif policy == "greedy":
         grants = {}
-        left = pool
+        left_pool = pool
         for run, want in zip(ordered, slice_demand):
-            g = min(want, left)
+            g = min(want, left_pool)
             grants[run.slice.slice_id] = g
-            left -= g
+            left_pool -= g
     else:
         raise ValueError(f"unknown stage-2 policy {policy!r}")
     rates = inp.ue_rate_bits_per_rb
     for run in ordered:
         grant = grants.get(run.slice.slice_id, 0)
-        if grant <= 0:
-            continue
-        alloc = _invoke(run, grant, remaining, rates, histories)
-        pool -= _apply_alloc(alloc, grant, remaining, per_drb, run.slice.fd_scheduler)
-    return AllocationPlan(per_drb_rb=per_drb, shared_pool_remaining=pool)
+        if grant > 0:
+            pool -= _grant(run, grant, left, ep, rates, histories)
+    return AllocationPlan(per_drb_rb=ep.grants(demand, left), shared_pool_remaining=pool)
 
 
 def stage3_vrb_assignment(
@@ -621,22 +704,22 @@ def stage3_vrb_assignment(
 ) -> VrbMap:
     """One contiguous VRB range per UE, ascending UE id, lowest free VRB first.
 
-    The drb -> UE map comes from ``registry``'s plan for ``inp.slices``.
+    The drb -> UE slot map comes from ``registry``'s plan for ``inp.slices``.
     """
-    ue_total: dict[int, int] = {}
-    owner = _epoch_plan(inp.slices, registry).owner
+    ep = _epoch_plan(inp.slices, registry)
+    slot = ep.ue_slot
+    ue_total = [0] * len(ep.ues)
     for drb, n in plan.per_drb_rb.items():
         if n > 0:
-            ue = owner[drb]
-            ue_total[ue] = ue_total.get(ue, 0) + n
-    if sum(ue_total.values()) > inp.total_rb:
+            ue_total[slot[drb]] += n
+    if sum(ue_total) > inp.total_rb:
         raise InfeasibleSnapshot("per-UE totals exceed the cell")
     ranges: dict[int, tuple[int, int]] = {}
     cursor = 0
-    for ue in sorted(ue_total):
-        n = ue_total[ue]
-        ranges[ue] = (cursor, cursor + n - 1)
-        cursor += n
+    for ue, n in zip(ep.ues, ue_total):
+        if n:
+            ranges[ue] = (cursor, cursor + n - 1)
+            cursor += n
     return VrbMap(per_ue_range=ranges)
 
 
@@ -651,9 +734,7 @@ def run_tti(
     inp.validate(ep.owner)
     histories = histories if histories is not None else {}
     st1 = stage1_slice_specific(inp, registry, histories)
-    plan = stage2_shared(
-        st1.s_list, st1.shared_pool, st1.per_drb_rb, inp,
-        registry, histories, remaining=st1.remaining, policy=stage2_policy,
-    )
+    plan = stage2_shared(st1.s_list, st1.shared_pool, st1, inp, registry, histories,
+                         policy=stage2_policy)
     vrb = stage3_vrb_assignment(plan, inp, registry)
     return ScheduleDecision(tti_index=inp.tti_index, plan=plan, vrb=vrb)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -395,6 +396,10 @@ class FsApi:
 
     ``fs_control_request`` is all-or-nothing: every action in the request is
     validated against live state before anything is applied.
+
+    The handlers registered with ``pml`` live on a separate object that holds
+    ``pml`` only weakly, so ``pml`` and this object form no reference cycle
+    and are freed by reference counting alone.
     """
 
     def __init__(self, pml: Pml, registry: SliceRegistry,
@@ -402,14 +407,15 @@ class FsApi:
         self.pml = pml
         self.registry = registry
         self.algorithms = algorithms
+        handlers = _FsHandlers(weakref.ref(pml), registry, algorithms)
         manifest = PluginManifest(plugin_id=FS_PLUGIN_ID, provided_api_ids=FS_API_IDS)
         pml.register_plugin(
             manifest,
             {
-                API_TELEMETRY_REGISTRATION: self._handle_registration,
-                API_STATISTICS: self._handle_statistics,
-                API_CONTEXT_CHANGE: self._handle_context_change,
-                API_CONTROL: self._handle_control,
+                API_TELEMETRY_REGISTRATION: handlers.registration,
+                API_STATISTICS: handlers.statistics,
+                API_CONTEXT_CHANGE: handlers.context_change,
+                API_CONTROL: handlers.control,
             },
         )
 
@@ -432,7 +438,15 @@ class FsApi:
         return self.pml.invoke(API_CONTROL, caller_id, dict(params),
                                parameter_paths=control_parameter_paths(params))
 
-    # handlers -----------------------------------------------------------------
+
+class _FsHandlers:
+    """:class:`FsApi`'s handlers; ``pml`` is a weak reference to the caller."""
+
+    def __init__(self, pml: weakref.ref[Pml], registry: SliceRegistry,
+                 algorithms: fssf.AlgorithmRegistry):
+        self.pml = pml
+        self.registry = registry
+        self.algorithms = algorithms
 
     def _targets(self, payload: Mapping) -> tuple[list[int], list[int]]:
         targets = payload.get("targets", {})
@@ -446,17 +460,17 @@ class FsApi:
                 raise UnknownId(f"ue {uid}")
         return slice_ids, ue_ids
 
-    def _handle_registration(self, call: ApiCall) -> dict:
+    def registration(self, call: ApiCall) -> dict:
         slice_ids, ue_ids = self._targets(call.payload)
-        reg = self.pml.add_registration(call.caller_id, slice_ids, ue_ids,
-                                        call.payload["trigger"])
+        reg = self.pml().add_registration(call.caller_id, slice_ids, ue_ids,
+                                          call.payload["trigger"])
         return {"reg_id": reg.reg_id}
 
-    def _handle_statistics(self, call: ApiCall) -> dict:
+    def statistics(self, call: ApiCall) -> dict:
         slice_ids, ue_ids = self._targets(call.payload)
         return self.registry.snapshot(slice_ids, ue_ids)
 
-    def _handle_context_change(self, call: ApiCall) -> dict:
+    def context_change(self, call: ApiCall) -> dict:
         since = call.payload.get("since_seq", 0)
         slice_ids = call.payload.get("slice_ids") or self.registry.slice_ids()
         records = []
@@ -466,7 +480,7 @@ class FsApi:
             records.extend(record_to_dict(r) for r in self.registry.records_since(sid, since))
         return {"records": records}
 
-    def _handle_control(self, call: ApiCall) -> dict:
+    def control(self, call: ApiCall) -> dict:
         params = call.payload
         trigger = ChangeTrigger("FS Control Request", call.caller_id)
         slice_actions = list(params.get("slices", []))

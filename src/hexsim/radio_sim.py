@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import fssf
 from .slice_model import BearerStats, SliceRegistry, SliceState
@@ -70,23 +70,21 @@ class TrafficProfile:
                 cell.set_offered(drb, self.rate_at(drb, t_s))
 
 
-class _BearerRow(NamedTuple):
-    """Per-epoch constants of one scheduled bearer, in scheduler input order."""
-
-    drb_id: int
-    bits_per_rb: float  # the owning UE's bits per RB per tick
-    rb_capacity: float  # bytes one RB carries per tick, after BLER
-    stats: BearerStats  # the live object, aliased by the published bearer
-
-
 @dataclass
 class _Epoch:
-    """One published epoch's tick-loop constants and its last-tick memo."""
+    """One published epoch's tick-loop constants and its last-tick memo.
+
+    The bearer table is four columns aligned by index, one entry per
+    scheduled bearer in scheduler input order.
+    """
 
     number: int
     slices: tuple[fssf.SliceInput, ...]
     ue_rate: dict[int, float]
-    rows: tuple[_BearerRow, ...]
+    drb_ids: tuple[int, ...]
+    bits_per_rb: tuple[float, ...]        # the owning UE's bits per RB per tick
+    rb_capacity: tuple[float, ...]        # bytes one RB carries per tick, after BLER
+    stats: tuple[BearerStats, ...]        # the live objects, aliased by the published bearers
     stateless: bool  # no slice's algorithm keeps history; only then is the memo set
     last_demands: Optional[dict[int, int]] = None
     last_decision: Optional[fssf.ScheduleDecision] = None
@@ -122,8 +120,9 @@ class Cell:
         self.tti_index = 0
         self.buffers: dict[int, float] = {}
         self.offered: dict[int, float] = {}
+        self._arrivals: dict[int, float] = {}  # bytes per tick, for each non-zero offered rate
         self.histories: dict[int, dict] = {}
-        self._epoch = _Epoch(-1, (), {}, (), False)
+        self._epoch = _Epoch(-1, (), {}, (), (), (), (), False)
         # window accumulators (reset by end_window)
         self._win_ttis = 0
         self._win_alloc = 0
@@ -137,25 +136,33 @@ class Cell:
 
     def attach_bearer(self, drb: int, offered_mbps: float = 0.0) -> None:
         self.buffers.setdefault(drb, 0.0)
-        self.offered[drb] = offered_mbps
+        self._offer(drb, offered_mbps)
 
     def detach_bearer(self, drb: int) -> None:
         self.buffers.pop(drb, None)
         self.offered.pop(drb, None)
+        self._arrivals.pop(drb, None)
 
     def set_offered(self, drb: int, mbps: float) -> None:
         if mbps < 0:
             raise ValueError("offered rate must be >= 0")
         if drb not in self.buffers:
             raise KeyError(f"drb {drb} not attached")
+        self._offer(drb, mbps)
+
+    def _offer(self, drb: int, mbps: float) -> None:
         self.offered[drb] = mbps
+        if mbps:
+            self._arrivals[drb] = mbps * 1e6 * (self.cfg.tti_ms / 1000.0) / 8.0
+        else:
+            self._arrivals.pop(drb, None)
 
     # -- per-tick machinery --------------------------------------------------------
 
     def _rebuild_structure(self) -> _Epoch:
         snap = self.registry.published
         slices = []
-        rows = []
+        drb_ids, bits, capacity, stats = [], [], [], []
         per_rb_bits = self.cfg.per_rb_bits_per_tti
         ue_rate = {uid: per_rb_bits * self.link.mcs_rate_fraction(ue.mcs)
                    for uid, ue in snap.ues.items()}
@@ -176,8 +183,10 @@ class Cell:
                 drbs.append(fssf.DrbInput(drb, b.ue_id, b.bearer_priority))
                 bler = snap.ues[b.ue_id].bler if b.ue_id in snap.ues else 0.0
                 bits_per_rb = ue_rate.get(b.ue_id, per_rb_bits)
-                rows.append(_BearerRow(drb, bits_per_rb, bits_per_rb / 8.0 * (1.0 - bler),
-                                       b.stats))
+                drb_ids.append(drb)
+                bits.append(bits_per_rb)
+                capacity.append(bits_per_rb / 8.0 * (1.0 - bler))
+                stats.append(b.stats)
             slices.append(
                 fssf.SliceInput(
                     slice_id=s.slice_id,
@@ -192,7 +201,8 @@ class Cell:
         stateless = all(
             getattr(self.algorithms.get(s.fd_scheduler), "stateless", False) for s in slices
         )
-        return _Epoch(snap.epoch, tuple(slices), ue_rate, tuple(rows), stateless)
+        return _Epoch(snap.epoch, tuple(slices), ue_rate, tuple(drb_ids), tuple(bits),
+                      tuple(capacity), tuple(stats), stateless)
 
     def step_tti(self) -> fssf.ScheduleDecision:
         """Advance one tick: arrivals, schedule, drain, stats.
@@ -203,19 +213,21 @@ class Cell:
         ep = self._epoch
         if ep.number != self.registry.published.epoch:
             ep = self._epoch = self._rebuild_structure()
-        tti_s = self.cfg.tti_ms / 1000.0
+            self._prune_pf_histories()
+        cfg = self.cfg
+        tti_s = cfg.tti_ms / 1000.0
         buffers = self.buffers
-        for drb, rate in self.offered.items():
-            if rate:
-                buffers[drb] += rate * 1e6 * tti_s / 8.0
+        for drb, arriving in self._arrivals.items():
+            buffers[drb] += arriving
 
         demands: dict[int, int] = {}
-        total_rb = self.cfg.total_rb
-        rows = ep.rows
-        for drb, bits_per_rb, _, _ in rows:
+        total_rb = cfg.total_rb
+        drb_ids = ep.drb_ids
+        ceil = math.ceil
+        for drb, bits_per_rb in zip(drb_ids, ep.bits_per_rb):
             buf = buffers.get(drb, 0.0)
             if buf > 0.0:
-                need = math.ceil(buf * 8.0 / bits_per_rb)
+                need = ceil(buf * 8.0 / bits_per_rb)
                 demands[drb] = need if need < total_rb else total_rb
 
         if ep.stateless and demands == ep.last_demands:
@@ -227,35 +239,62 @@ class Cell:
                 ep.last_demands, ep.last_decision = demands, decision
 
         # the scheduler grants RBs only to bearers with demand, so every
-        # granted drb has a row
+        # granted drb is in the table and has an attached buffer
         per_drb_rb = decision.per_drb_rb
-        alpha = self.cfg.tti_ms / STATS_WINDOW_MS
+        alpha = cfg.tti_ms / STATS_WINDOW_MS
+        base_rtt_ms = cfg.base_rtt_ms
+        rtt_cap_ms = RTT_CAP_MS
         win_served = self._win_served
         win_alloc_drb = self._win_alloc_drb
-        for drb, _, rb_capacity, stats in rows:
+        for drb, rb_capacity, stats in zip(drb_ids, ep.rb_capacity, ep.stats):
             buf = buffers.get(drb, 0.0)
             n_rb = per_drb_rb.get(drb)
             if n_rb is None:
-                served = 0.0
+                # nothing served: the rate is exactly 0.0 and the window's
+                # served sum keeps its value
+                inst_mbps = 0.0
+                if drb not in win_served:
+                    win_served[drb] = 0.0
             else:
                 capacity = n_rb * rb_capacity
                 served = capacity if capacity < buf else buf
                 buf -= served
-                if drb in buffers:
-                    buffers[drb] = buf
+                buffers[drb] = buf
                 win_alloc_drb[drb] = win_alloc_drb.get(drb, 0) + n_rb
-            inst_mbps = served * 8.0 / tti_s / 1e6
+                win_served[drb] = win_served.get(drb, 0.0) + served
+                inst_mbps = served * 8.0 / tti_s / 1e6
             throughput = stats.throughput_mbps
             throughput += alpha * (inst_mbps - throughput)
             stats.throughput_mbps = throughput
             stats.buffer_occupancy_bytes = buf
-            stats.packet_delay_ms = self._rtt_from(buf, throughput)
-            win_served[drb] = win_served.get(drb, 0.0) + served
+            # _rtt_from(buf, throughput) inlined: Cell.rtt must read the same value
+            if buf <= 0.0:
+                stats.packet_delay_ms = base_rtt_ms
+            else:
+                served_bps = throughput * 1e6
+                if served_bps < 1.0:
+                    stats.packet_delay_ms = rtt_cap_ms
+                else:
+                    rtt = base_rtt_ms + buf * 8.0 / served_bps * 1000.0
+                    stats.packet_delay_ms = rtt if rtt < rtt_cap_ms else rtt_cap_ms
 
         self._win_alloc += sum(per_drb_rb.values())
         self._win_ttis += 1
         self.tti_index += 1
         return decision
+
+    def _prune_pf_histories(self) -> None:
+        """Drop proportional-fair averages of bearers no longer attached.
+
+        A bearer that moves to another slice stays attached, so the history
+        of the slice it left keeps its entry.
+        """
+        buffers = self.buffers
+        for history in self.histories.values():
+            ewma = history.get("pf_ewma")
+            if ewma:
+                for drb in [drb for drb in ewma if drb not in buffers]:
+                    del ewma[drb]
 
     # -- derived metrics ------------------------------------------------------------
 

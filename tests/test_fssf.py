@@ -379,6 +379,131 @@ class TestFrozenAlgorithms:
             assert got_h == want_h
 
 
+def _lowest_first(budget, drbs, history):
+    """A custom (AlgoDrb) algorithm: lowest drb id first, counting its calls."""
+    history["calls"] = history.get("calls", 0) + 1
+    out, left = {}, budget
+    for d in sorted(drbs, key=lambda d: d.drb_id):
+        out[d.drb_id] = min(d.demand_rb, left)
+        left -= out[d.drb_id]
+    return out
+
+
+ALL_ALGORITHMS = ("round_robin", "proportional_fair", "max_throughput", "priority_weighted",
+                  "lowest_first")
+
+
+def _dense_cell(rng):
+    """Six slices of eight bearers on a 106-RB cell, in every slice state and
+    under every algorithm; about a third of the UEs hold two bearers."""
+    states = [SliceState.DEDICATED, SliceState.PRIORITIZED, SliceState.HYBRID,
+              SliceState.SHARED, SliceState.SHARED,
+              rng.choice((SliceState.DEDICATED, SliceState.SHARED, SliceState.HYBRID))]
+    algos = list(ALL_ALGORITHMS) + [rng.choice(ALL_ALGORITHMS)]
+    rng.shuffle(states)
+    rng.shuffle(algos)
+    unreserved = 106
+    slices, rates = [], {}
+    drb = ue = 0
+    for sid, (state, algo) in enumerate(zip(states, algos), start=1):
+        ded = prio = 0
+        if state in (SliceState.DEDICATED, SliceState.HYBRID):
+            ded = rng.randint(0, min(20, unreserved))
+            unreserved -= ded
+        if state in (SliceState.PRIORITIZED, SliceState.HYBRID):
+            prio = rng.randint(0, min(20, unreserved))
+            unreserved -= prio
+        members = []
+        for _ in range(8):
+            if ue == 0 or rng.random() > 0.3:
+                ue += 1
+            drb += rng.randint(1, 3)
+            members.append(fssf.DrbInput(drb, ue, rng.randint(1, 5)))
+            rates.setdefault(ue, rng.choice((600.0, 900.0, 1226.4, rng.uniform(0.0, 3000.0))))
+        rng.shuffle(members)
+        slices.append(fssf.SliceInput(sid, state, ded, prio, rng.randint(1, 3), algo,
+                                      tuple(members)))
+    rng.shuffle(slices)
+    return tuple(slices), rates
+
+
+def _warm_histories(rng, slices):
+    histories = {}
+    for s in slices:
+        h = histories[s.slice_id] = {}
+        if rng.random() < 0.7:
+            h["rr_start"] = rng.randint(0, 20)
+        if rng.random() < 0.7:
+            # some averages belong to bearers that have left
+            h["pf_ewma"] = {d: rng.uniform(0.0, 4000.0) for d in
+                            [d.drb_id for d in s.drbs] + [900, 901] if rng.random() < 0.8}
+    return histories
+
+
+class TestAlignedPath:
+    """The flat per-epoch bearer order against the algorithms' AlgoDrb form."""
+
+    def test_dense_ticks_match_frozen_algorithms_and_the_reference(self):
+        frozen = fssf.AlgorithmRegistry()
+        for name in ALL_ALGORITHMS[:4]:
+            frozen.register(name, getattr(fssf_v0, name))
+        current = fssf.AlgorithmRegistry()
+        for registry in (frozen, current):
+            registry.register("lowest_first", _lowest_first)
+        rng = random.Random(13)
+        for instance in range(40):
+            slices, rates = _dense_cell(rng)
+            policy = ("max_min", "greedy")[instance % 2]
+            start = _warm_histories(rng, slices)
+            got_h, want_h, staged_h = (copy.deepcopy(start) for _ in range(3))
+            for tick in range(10):
+                demands = {d.drb_id: rng.choice((0, rng.randint(1, 30), 106))
+                           for s in slices for d in s.drbs if rng.random() < 0.9}
+                inp = fssf.TtiInput(tick, 106, rates, demands, slices)
+                # the reference also runs an algorithm on a zero stage-2 grant,
+                # so it only ever gets this tick's starting histories
+                ref = reference_run_tti(inp, frozen, copy.deepcopy(got_h), policy)
+                got = fssf.run_tti(inp, current, got_h, policy)
+                want = fssf.run_tti(inp, frozen, want_h, policy)
+                assert got == want, (instance, tick)
+                assert got_h == want_h, (instance, tick)
+                assert got.per_drb_rb == {d: n for d, n in ref.per_drb_rb.items() if n}
+                assert got.plan.shared_pool_remaining == ref.plan.shared_pool_remaining
+                assert got.vrb == ref.vrb
+                # the stages called in their dict form give the same plan
+                st1 = fssf.stage1_slice_specific(inp, current, staged_h)
+                plan = fssf.stage2_shared(st1.s_list, st1.shared_pool, st1.per_drb_rb, inp,
+                                          current, staged_h, remaining=st1.remaining,
+                                          policy=policy)
+                assert plan == got.plan
+                assert fssf.stage3_vrb_assignment(plan, inp, current) == got.vrb
+                assert staged_h == got_h
+
+    @staticmethod
+    def _run_core(grants):
+        registry = fssf.AlgorithmRegistry()
+        registry.register("fixed", fssf.BuiltinAlgorithm(
+            "fixed", lambda budget, prepared, demands, rates, history: list(grants),
+            stateless=True))
+        s = slice_input(1, SliceState.SHARED, sched="fixed",
+                        drbs=[(13, 3, 1), (11, 1, 1), (12, 2, 1)])
+        return fssf.run_tti(tti(10, [s], {11: 4, 12: 4, 13: 4}), registry)
+
+    @pytest.mark.parametrize("grants, message", [
+        ([1, -1, 0], "fixed gave drb 12 -1 RBs (demand 4)"),
+        ([0, 0, 5], "fixed gave drb 13 5 RBs (demand 4)"),
+        ([4, 4, 3], "fixed exceeded budget 10 with 11"),
+        ([1, 1], "fixed returned 2 grants for 3 bearers"),
+    ])
+    def test_a_builtin_core_is_contract_checked(self, grants, message):
+        with pytest.raises(AlgorithmContractViolation) as err:
+            self._run_core(grants)
+        assert str(err.value) == message
+
+    def test_a_builtin_core_within_its_contract_is_applied(self):
+        assert self._run_core([4, 4, 2]).per_drb_rb == {11: 4, 12: 4, 13: 2}
+
+
 class TestEpochPlan:
     """The per-epoch plan is a cache: nothing it holds may outlive a change."""
 

@@ -1,7 +1,9 @@
 """Mediation layer: FIFO dispatch, lockout, boundary publication, slice APIs."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -517,3 +519,26 @@ class TestNonBlockingBoundary:
             for t in threads:
                 t.join()
         assert busy_p95 <= 2 * idle_p95 + 100_000  # 100 us absolute floor for timer noise
+
+
+class TestReferenceCycles:
+    def test_a_dropped_stack_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            registry, pml, fs, _ = make_stack()
+            seed_slice(registry, drb=11)
+            pml.invoke(API_CONTROL, "a", {"slices": [{"slice_id": 1, "shared_priority": 2}]})
+            pml.tti_boundary(registry)
+            dead = weakref.ref(registry)
+            del registry, pml, fs
+            assert dead() is None
+        finally:
+            gc.enable()
+
+    def test_the_handlers_outlive_the_fs_api_object(self):
+        registry, pml, _, _ = make_stack()
+        seed_slice(registry, drb=11)
+        done = pml.invoke(API_CONTROL, "a", {"slices": [{"slice_id": 1, "shared_priority": 3}]})
+        pml.tti_boundary(registry)
+        assert done.error is None and done.result == {"applied": 1}
+        assert registry.get_slice(1).rrc.shared_priority == 3

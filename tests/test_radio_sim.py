@@ -305,3 +305,76 @@ class TestDecisionMemo:
             self._steps(cell, reg, 1)
         assert len(calls) == 3
         assert calls[0].demands == calls[2].demands != calls[1].demands
+
+
+class TestDrainLoop:
+    def test_rtt_equals_the_published_delay_after_every_churn_tick(self):
+        """The drain loop computes the delay inline; Cell.rtt must agree bit
+        for bit, across base RTT, the cap and everything in between."""
+        rng = random.Random(8)
+        cell, reg = build_cell({
+            1: (SliceState.DEDICATED, {"dedicated_rb": 20}, [(11, 1, 30.0), (12, 2, 0.0)]),
+            2: (SliceState.SHARED, {}, [(21, 3, 90.0), (22, 4, 5.0)]),
+        })
+        reg.update_slice(2, T, fd_scheduler="proportional_fair")
+        live = {11: 1, 12: 1, 21: 2, 22: 2}
+        fresh = 100
+        for tick in range(3000):
+            if tick % 50 == 49:
+                drb = rng.choice(sorted(live))
+                sid = live.pop(drb)
+                reg.remove_drb(sid, drb, T)
+                cell.detach_bearer(drb)
+                reg.add_ue(UEContext(ue_id=fresh))
+                reg.add_drb(sid, Bearer(drb_id=fresh, ue_id=fresh, slice_id=sid), T)
+                cell.attach_bearer(fresh, rng.choice((0.0, 2.0, 40.0, 150.0)))
+                live[fresh] = sid
+                fresh += 1
+            if tick % 37 == 0:
+                cell.set_offered(rng.choice(sorted(live)), rng.choice((0.0, 1.0, 60.0, 200.0)))
+            reg.publish()
+            cell.step_tti()
+            for drb in live:
+                assert cell.rtt(drb) == reg.get_bearer(drb).stats.packet_delay_ms, (tick, drb)
+        seen = {reg.get_bearer(drb).stats.packet_delay_ms for drb in live}
+        assert cell.cfg.base_rtt_ms in seen or RTT_CAP_MS in seen
+
+
+class TestPfHistory:
+    def test_churned_ids_leave_no_averages_behind(self):
+        cell, reg = build_cell({1: (SliceState.SHARED, {}, [(d, d, 5.0) for d in range(1, 5)])})
+        reg.update_slice(1, T, fd_scheduler="proportional_fair")
+        live = list(range(1, 5))
+        fresh = 5
+        for _ in range(2500):
+            for _ in range(4):  # 10,000 leaves and as many fresh joins in all
+                gone = live.pop(0)
+                reg.remove_drb(1, gone, T)
+                cell.detach_bearer(gone)
+                reg.remove_ue(gone)
+                reg.add_ue(UEContext(ue_id=fresh))
+                reg.add_drb(1, Bearer(drb_id=fresh, ue_id=fresh, slice_id=1), T)
+                cell.attach_bearer(fresh, 5.0)
+                live.append(fresh)
+                fresh += 1
+            reg.publish()
+            cell.step_tti()
+        ewma = cell.histories[1]["pf_ewma"]
+        assert len(ewma) <= len(live)
+        assert set(ewma) <= set(live)
+
+    def test_a_bearer_moving_to_another_slice_keeps_its_average(self):
+        cell, reg = build_cell({
+            1: (SliceState.SHARED, {}, [(11, 1, 20.0), (12, 2, 20.0)]),
+            2: (SliceState.SHARED, {}, [(21, 3, 20.0)]),
+        })
+        for sid in (1, 2):
+            reg.update_slice(sid, T, fd_scheduler="proportional_fair")
+        run_seconds(cell, reg, 1)
+        before = cell.histories[1]["pf_ewma"][11]
+        reg.remove_drb(1, 11, T)
+        reg.add_drb(2, Bearer(drb_id=11, ue_id=1, slice_id=2), T)
+        reg.publish()
+        cell.step_tti()
+        assert cell.histories[1]["pf_ewma"][11] == before  # slice 1 no longer runs it
+        assert 11 in cell.histories[2]["pf_ewma"]
