@@ -471,6 +471,22 @@ class Agent:
             processed += 1
         return processed
 
+    def next_wake_ns(self) -> float:
+        """When the control plane next has work, in this agent's clock's ns.
+
+        0 (now) if a message is queued or :meth:`Pml.next_wake_ns` says the
+        boundary or a change-record scan has work; otherwise the earliest
+        periodic report deadline, ``inf`` with none. Before then, with no new
+        input, :meth:`pump`, ``pml.tti_boundary(registry)`` and
+        :meth:`emit_telemetry` do nothing, so a driver may skip them.
+
+        For single-threaded drivers: it takes no lock, and input that arrives
+        from another thread after it returns is not seen.
+        """
+        if self._queued:
+            return 0
+        return self.pml.next_wake_ns(self.registry)
+
     def _pop_oldest(self, keys: Iterable[tuple[str, int]]) -> Optional[_Pending]:
         """Pop the earliest-arrived head among the given queues; hold ``_cv``."""
         oldest = None

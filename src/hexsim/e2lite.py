@@ -10,11 +10,14 @@ Frame layout (normative, bit-exact), all integers big-endian:
     8       4     payload length (u32)
     12      n     payload: UTF-8 JSON object
 
-The decoder is total: any byte string either yields a frame or raises a
-:class:`~hexsim.errors.CodecError` subclass, never anything else. Unknown
-message-type bytes decode fine; rejecting them is the dispatcher's job, which
-must answer with a failure frame rather than drop the message. Transport is
-any reliable byte stream; :class:`FrameReader` does the reassembly.
+The payload length is at most ``MAX_FRAME`` (1 MiB): ``encode`` refuses a
+longer payload, and the decoder rejects a header declaring one before any of
+its payload arrives. The decoder is total: any byte string either yields a
+frame or raises a :class:`~hexsim.errors.CodecError` subclass, never anything
+else. Unknown message-type bytes decode fine; rejecting them is the
+dispatcher's job, which must answer with a failure frame rather than drop the
+message. Transport is any reliable byte stream; :class:`FrameReader` does the
+reassembly.
 """
 
 from __future__ import annotations
@@ -25,13 +28,21 @@ import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import BadJson, BadMagic, BadVersion, SchemaViolation, ShortFrame, UnknownFunction
+from .errors import (
+    BadJson,
+    BadMagic,
+    BadVersion,
+    FrameTooLarge,
+    SchemaViolation,
+    ShortFrame,
+    UnknownFunction,
+)
 
 MAGIC = b"E2"
 VERSION = 1
 HEADER = struct.Struct(">2sBBII")
 HEADER_LEN = HEADER.size  # 12 bytes
-MAX_PAYLOAD = 2**32 - 1
+MAX_FRAME = 1 << 20  # largest payload length a frame may declare (1 MiB)
 
 
 class MsgType(enum.IntEnum):
@@ -77,8 +88,8 @@ def encode(frame: E2LiteFrame) -> bytes:
     if not 0 <= frame.correlation_id <= 0xFFFFFFFF:
         raise ValueError(f"correlation_id out of range: {frame.correlation_id}")
     body = json.dumps(frame.payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_PAYLOAD:
-        raise ValueError("payload too large")
+    if len(body) > MAX_FRAME:
+        raise FrameTooLarge(f"payload of {len(body)} bytes exceeds {MAX_FRAME}")
     return HEADER.pack(MAGIC, frame.version, frame.msg_type, frame.correlation_id, len(body)) + body
 
 
@@ -91,6 +102,8 @@ def decode_first(data: bytes) -> tuple[E2LiteFrame, int]:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported version {version}")
+    if length > MAX_FRAME:
+        raise FrameTooLarge(f"declared payload of {length} bytes exceeds {MAX_FRAME}")
     end = HEADER_LEN + length
     if len(data) < end:
         raise ShortFrame(f"payload truncated: declared {length}, have {len(data) - HEADER_LEN}")

@@ -105,6 +105,10 @@ class ShortFrame(CodecError):
     pass
 
 
+class FrameTooLarge(CodecError):
+    """A frame declares a payload longer than ``e2lite.MAX_FRAME``."""
+
+
 class BadJson(CodecError):
     pass
 

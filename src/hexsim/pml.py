@@ -78,13 +78,23 @@ class Completion:
         self.error: Optional[Exception] = None
         self._callbacks: list[Callable[["Completion"], None]] = []
 
-    def _resolve(self, result=None, error: Optional[Exception] = None) -> None:
+    def _resolve(self, result=None, error: Optional[Exception] = None) -> int:
+        """Settle the call and run each callback once; returns how many raised.
+
+        The callbacks are taken off before any runs, and one that raises
+        neither stops the others nor changes the outcome.
+        """
         self.result = result
         self.error = error
         self.done = True
-        for cb in self._callbacks:
-            cb(self)
-        self._callbacks.clear()
+        callbacks, self._callbacks = self._callbacks, []
+        raised = 0
+        for cb in callbacks:
+            try:
+                cb(self)
+            except Exception:
+                raised += 1
+        return raised
 
     def add_done_callback(self, cb: Callable[["Completion"], None]) -> None:
         if self.done:
@@ -143,9 +153,10 @@ class Pml:
         self._registrations: dict[int, TelemetryRegistration] = {}
         self._lock = threading.RLock()
         # fast-path state, all guarded by _lock
-        self._next_periodic_ns: Optional[float] = None  # earliest deadline; None: rescan
+        self._next_periodic_ns = -math.inf  # earliest periodic deadline; -inf: rescan
         self._regs_version = 0  # bumped whenever the registration set changes
-        self._records_seen: Optional[tuple] = None  # (registry, epoch, regs_version)
+        self._records_seen: Optional[tuple] = None  # _change_scan_key at the last scan
+        self.callback_errors = 0  # done-callbacks that raised; their calls still stand
 
     # -- registration ---------------------------------------------------------
 
@@ -223,12 +234,36 @@ class Pml:
 
         The completions resolve only after the publish, so a done-callback
         (an ack, say) never runs before its effect is visible to readers.
+        With no call queued and no unpublished write it returns the published
+        snapshot at once; a call queued concurrently waits for the next one.
         """
+        if not self._boundary_has_work(registry):
+            return registry.published
         executed = self._execute()
         snap = registry.publish()
         if executed:
             self._complete(executed)
         return snap
+
+    def _boundary_has_work(self, registry: SliceRegistry) -> bool:
+        """True if :meth:`tti_boundary` would run a call or publish an epoch."""
+        return bool(self._queue) or registry.has_unpublished()
+
+    def next_wake_ns(self, registry: SliceRegistry) -> float:
+        """When :meth:`tti_boundary` or the telemetry scans next have work.
+
+        0 (now) if a call is queued, ``registry`` holds unpublished writes, or
+        a published epoch or registration change has not been scanned for
+        change records; otherwise the earliest periodic deadline, ``inf``
+        with none. Before then, with no new input, :meth:`tti_boundary`,
+        :meth:`due_periodic` and :meth:`new_change_records` take their fast
+        paths, which test the same state. Takes no lock: for single-threaded
+        drivers.
+        """
+        if (self._boundary_has_work(registry)
+                or self._change_scan_key(registry) != self._records_seen):
+            return 0
+        return self._next_periodic_ns
 
     def _execute(self) -> list[tuple[Completion, object, Optional[Exception]]]:
         """Run the queued batch's handlers in arrival order, resolving nothing."""
@@ -245,17 +280,15 @@ class Pml:
                 executed.append((completion, None, exc))
         return executed
 
-    @staticmethod
-    def _complete(executed: list[tuple[Completion, object, Optional[Exception]]]) -> int:
-        """Resolve each executed call in order; a failing done-callback fails its call."""
+    def _complete(self, executed: list[tuple[Completion, object, Optional[Exception]]]) -> int:
+        """Resolve each executed call once, in order; a done-callback that
+        raises is counted in :attr:`callback_errors` and changes no outcome."""
+        raised = 0
         for completion, result, error in executed:
-            if error is not None:
-                completion._resolve(error=error)
-                continue
-            try:
-                completion._resolve(result=result)
-            except Exception as exc:
-                completion._resolve(error=exc)
+            raised += completion._resolve(result, error)
+        if raised:
+            with self._lock:
+                self.callback_errors += raised
         return len(executed)
 
     # -- telemetry registrations -------------------------------------------------
@@ -290,8 +323,12 @@ class Pml:
 
     def _registrations_changed(self) -> None:
         """Invalidate both telemetry fast paths; the caller holds ``_lock``."""
-        self._next_periodic_ns = None
+        self._next_periodic_ns = -math.inf
         self._regs_version += 1
+
+    def _change_scan_key(self, registry: SliceRegistry) -> tuple:
+        """What :meth:`new_change_records`' answer depends on, besides time."""
+        return (registry, registry.published.epoch, self._regs_version)
 
     def due_periodic(self, now_ns: int) -> list[TelemetryRegistration]:
         """Periodic registrations whose period elapsed; advances their deadlines.
@@ -302,7 +339,7 @@ class Pml:
         forgets it.
         """
         with self._lock:
-            if self._next_periodic_ns is not None and now_ns < self._next_periodic_ns:
+            if now_ns < self._next_periodic_ns:
                 return []
             due = []
             earliest = None
@@ -331,9 +368,8 @@ class Pml:
         changed since; otherwise every cursor is already at the watermark and
         the scan is skipped.
         """
-        epoch = registry.published.epoch
         with self._lock:
-            seen = (registry, epoch, self._regs_version)
+            seen = self._change_scan_key(registry)
             if seen == self._records_seen:
                 return []
             self._records_seen = seen

@@ -459,20 +459,35 @@ class ScenarioRunner:
         self.pml.tti_boundary(self.registry)
 
     def run(self) -> MetricsTable:
+        """Run every tick: script events, the control step, then the cell.
+
+        The control step (``Agent.pump``, ``Pml.tti_boundary``,
+        ``Agent.emit_telemetry``) runs on a tick that applied a script event
+        or has reached the agent's :meth:`~hexsim.agent.Agent.next_wake_ns`,
+        asked after each step. On the other ticks it would do nothing, so
+        skipping it changes no output.
+        """
         self._setup()
         duration_ms = int(round(self.script.duration_s * 1000))
-        events = list(self.script.events)
+        events = self.script.events
+        due_ms = [int(round(ev.t * 1000)) for ev in events] + [math.inf]
         next_event = 0
+        wake = 0
+        clock, cell, tti_ms = self.clock, self.cell, self.script.cell.tti_ms
         for ms in range(duration_ms):
-            now = self.clock.now_ns()
-            while next_event < len(events) and int(round(events[next_event].t * 1000)) <= ms:
+            now = clock.now_ns()
+            step = now >= wake
+            while due_ms[next_event] <= ms:
                 self._apply_event(events[next_event])
                 next_event += 1
-            self.agent.pump()
-            self.pml.tti_boundary(self.registry)
-            self.agent.emit_telemetry(now)
-            self.cell.step_tti()
-            self.clock.advance_ms(self.script.cell.tti_ms)
+                step = True
+            if step:
+                self.agent.pump()
+                self.pml.tti_boundary(self.registry)
+                self.agent.emit_telemetry(now)
+                wake = self.agent.next_wake_ns()
+            cell.step_tti()
+            clock.advance_ms(tti_ms)
             if (ms + 1) % 1000 == 0:
                 self._close_window((ms + 1) // 1000 - 1)
         # flush any pending completions so every control saw exactly one response

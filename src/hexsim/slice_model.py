@@ -263,13 +263,17 @@ class SliceRegistry:
     def published(self) -> RegistrySnapshot:
         return self._published
 
+    def has_unpublished(self) -> bool:
+        """True if a write since the last publish makes the next one a new epoch."""
+        return bool(self._dirty_slices or self._dirty_bearers or self._dirty_ues)
+
     def publish(self) -> RegistrySnapshot:
         """Swap in a fresh read snapshot; a no-op (same epoch) if nothing changed.
 
         Only the ids touched since the last publish are copied (or dropped,
         if removed); everything else is shared with the previous snapshot.
         """
-        if not (self._dirty_slices or self._dirty_bearers or self._dirty_ues):
+        if not self.has_unpublished():
             return self._published
         prev = self._published
         snap = RegistrySnapshot(

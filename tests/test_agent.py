@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hexsim
 from hexsim import e2lite
@@ -24,7 +27,7 @@ from hexsim.errors import (
     ShortFrame,
     UnknownFunction,
 )
-from hexsim.pml import FsApi, Pml
+from hexsim.pml import Completion, FsApi, Pml
 from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc
 from hexsim.slice_model import (
     Bearer,
@@ -578,3 +581,129 @@ class TestPipelineMetricsInvariant:
         assert records
         for r in records:
             assert r.receive_ns <= r.dispatch_ns <= r.invoke_ns
+
+
+# one controller-or-driver action for TestNextWakeSoundness; peers are 0 and 1
+_PEER = st.integers(0, 1)
+_WAKE_OPS = st.one_of(
+    st.tuples(st.just("control_slice"), _PEER, st.sampled_from([1, 2, 9]), st.integers(1, 4)),
+    st.tuples(st.just("control_ue"), _PEER, st.sampled_from([10, 20, 99]), st.integers(1, 3)),
+    st.tuples(st.just("query"), _PEER, st.sampled_from(["slice_context", "context_change"])),
+    st.tuples(st.just("periodic"), _PEER, st.sampled_from([1, 3, 10, 50])),
+    st.tuples(st.just("event"), _PEER, st.sampled_from([(), (1,), (2,)])),
+    st.tuples(st.just("write"), st.sampled_from(["hu", "priority", "ue"]), st.integers(0, 9)),
+    st.tuples(st.just("advance"), st.integers(0, 30)),
+    st.tuples(st.just("run"), st.sampled_from(["pump", "boundary", "emit", "step"])),
+)
+
+
+class _CountingPeer(SimulatedPeer):
+    """A controller that counts the bytes the agent sends it."""
+
+    received = 0
+
+    def on_bytes(self, data: bytes) -> None:
+        self.received += len(data)
+        super().on_bytes(data)
+
+
+class TestNextWakeSoundness:
+    """Before ``next_wake_ns``, the control step has nothing to do: a
+    single-threaded driver that skips it loses no work."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_WAKE_OPS, max_size=40))
+    def test_nothing_happens_before_the_wake_time(self, ops):
+        doc = {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources=[])]}
+        stack = Stack(doc=doc)
+        agent, pml, registry, clock = stack.agent, stack.pml, stack.registry, stack.clock
+        peers = [_CountingPeer(f"ric-{k}", RIC) for k in range(2)]
+        for peer in peers:
+            connect_inproc(agent, peer, f"link-{peer.peer_id}")
+        stack.settle()
+        resolved = []
+        original = Completion._resolve
+
+        def counting(completion, *args, **kwargs):
+            resolved.append(completion)
+            return original(completion, *args, **kwargs)
+
+        Completion._resolve = counting
+        try:
+            for op in ops:
+                self._apply(op, stack, peers)
+                now = clock.now_ns()
+                if agent.next_wake_ns() <= now:
+                    continue
+                sent = [p.received for p in peers]
+                epoch = registry.published.epoch
+                n_resolved = len(resolved)
+                assert agent.pump() == 0
+                assert pml.tti_boundary(registry).epoch == epoch
+                assert agent.emit_telemetry(now) == 0
+                assert [p.received for p in peers] == sent
+                assert len(resolved) == n_resolved
+                assert agent.next_wake_ns() > now
+        finally:
+            Completion._resolve = original
+
+    def test_wake_is_now_with_work_and_the_deadline_without(self):
+        stack = Stack()
+        agent, clock = stack.agent, stack.clock
+        ric = stack.attach()
+        ric.subscribe(1, "slice_context", slice_ids=[1],
+                      trigger={"kind": "periodic", "period_ms": 20})
+        assert agent.next_wake_ns() == 0  # a queued message
+        stack.settle()
+        deadline = agent.next_wake_ns()
+        assert clock.now_ns() < deadline < math.inf
+        stack.registry.update_slice(1, T, hu_associations={"hu1"})
+        assert agent.next_wake_ns() == 0  # an unpublished write
+        stack.pml.tti_boundary(stack.registry)
+        assert agent.next_wake_ns() == 0  # a published epoch not yet scanned
+        agent.emit_telemetry(clock.now_ns())
+        assert agent.next_wake_ns() == deadline
+        ric.control_slice(1, {"slice_id": 1, "shared_priority": 2})
+        agent.pump()
+        assert agent.next_wake_ns() == 0  # a queued mediation call
+        stack.settle()
+        clock.advance_ms(20)
+        assert agent.next_wake_ns() == deadline <= clock.now_ns()
+        assert len(ric.drain_indications()) == 0
+        stack.settle()
+        assert len(ric.drain_indications()) == 1
+        assert agent.next_wake_ns() == deadline + 20_000_000
+
+    @staticmethod
+    def _apply(op, stack, peers):
+        kind = op[0]
+        if kind == "control_slice":
+            peers[op[1]].control_slice(1, {"slice_id": op[2], "shared_priority": op[3]})
+        elif kind == "control_ue":
+            peers[op[1]].control_ue(1, {"drb_id": op[2], "bearer_priority": op[3]})
+        elif kind == "query":
+            peers[op[1]].query(1, op[2], slice_ids=[1])
+        elif kind == "periodic":
+            peers[op[1]].subscribe(1, "slice_context", slice_ids=[1],
+                                   trigger={"kind": "periodic", "period_ms": op[2]})
+        elif kind == "event":
+            peers[op[1]].subscribe(1, "context_change", slice_ids=list(op[2]),
+                                   trigger={"kind": "event", "event": "context_change"})
+        elif kind == "write":
+            registry, n = stack.registry, op[2]
+            if op[1] == "hu":
+                registry.update_slice(1 + n % 2, T, hu_associations={f"hu{n}"})
+            elif op[1] == "priority":
+                registry.set_bearer_priority(10, 1 + n, T)
+            elif not registry.has_ue(100 + n):
+                registry.add_ue(UEContext(ue_id=100 + n))
+        elif kind == "advance":
+            stack.clock.advance_ms(op[1])
+        elif op[1] == "pump":
+            stack.agent.pump()
+        elif op[1] == "boundary":
+            stack.pml.tti_boundary(stack.registry)
+        elif op[1] == "emit":
+            stack.agent.emit_telemetry(stack.clock.now_ns())
+        else:
+            stack.settle(ms=1)

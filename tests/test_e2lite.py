@@ -13,6 +13,7 @@ from hexsim.errors import (
     BadMagic,
     BadVersion,
     CodecError,
+    FrameTooLarge,
     SchemaViolation,
     ShortFrame,
     UnknownFunction,
@@ -76,6 +77,32 @@ class TestFraming:
             got.extend(reader.feed(blob[k:k + 7]))
         assert got == frames
         assert reader.pending() == 0
+
+    def test_reader_rejects_an_oversized_frame_on_its_header_alone(self):
+        reader = FrameReader()
+        head = e2lite.HEADER.pack(b"E2", 1, MsgType.CONTROL_REQUEST, 1, e2lite.MAX_FRAME + 1)
+        assert reader.feed(head[:11]) == []  # not yet a whole header
+        with pytest.raises(FrameTooLarge):
+            reader.feed(head[11:])
+        # a 4 GiB declaration too, with none of its payload sent
+        with pytest.raises(FrameTooLarge):
+            FrameReader().feed(e2lite.HEADER.pack(b"E2", 1, 6, 1, 2**32 - 1))
+        assert issubclass(FrameTooLarge, CodecError)
+
+    def test_reader_accepts_a_frame_of_exactly_max_size(self):
+        body = b'{"a":"' + b"x" * (e2lite.MAX_FRAME - 8) + b'"}'
+        assert len(body) == e2lite.MAX_FRAME
+        head = e2lite.HEADER.pack(b"E2", 1, MsgType.CONTROL_REQUEST, 3, len(body))
+        reader = FrameReader()
+        assert reader.feed(head) == []
+        (frame,) = reader.feed(body)
+        assert frame.correlation_id == 3
+        assert encode(frame) == head + body
+
+    def test_encode_refuses_a_payload_over_max_size(self):
+        frame = E2LiteFrame(MsgType.QUERY_RESPONSE, 1, {"a": "x" * (e2lite.MAX_FRAME - 7)})
+        with pytest.raises(FrameTooLarge):
+            encode(frame)
 
     def test_every_request_type_has_one_response(self):
         requests = {MsgType.SETUP_REQUEST, MsgType.SUBSCRIPTION_REQUEST,

@@ -126,6 +126,27 @@ class TestFifoDispatch:
         assert executed == sorted(executed)
         assert len(executed) == 4000
 
+    def test_a_raising_callback_runs_once_and_the_batch_goes_on(self):
+        registry, pml, _, _ = make_stack()
+        seed_slice(registry)
+        pml.register_plugin(PluginManifest("p", ("a",)), {"a": lambda c: c.payload * 2})
+        first, second = pml.invoke("a", "x", 1), pml.invoke("a", "x", 2)
+        calls = []
+
+        def raising(c):
+            calls.append(("raising", c.result, c.error))
+            raise BrokenPipeError("ack send failed")
+
+        first.add_done_callback(raising)
+        first.add_done_callback(lambda c: calls.append(("after", c.result, c.error)))
+        second.add_done_callback(lambda c: calls.append(("second", c.result, c.error)))
+        assert pml.tti_boundary(registry) is registry.published
+        assert calls == [("raising", 2, None), ("after", 2, None), ("second", 4, None)]
+        assert (first.result, first.error) == (2, None)
+        assert pml.callback_errors == 1
+        pml.tti_boundary(registry)
+        assert len(calls) == 3
+
     def test_completion_callbacks_fire_on_drain(self):
         _, pml, _, _ = make_stack()
         pml.register_plugin(PluginManifest("p", ("a",)), {"a": lambda c: c.payload * 2})

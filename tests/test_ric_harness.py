@@ -2,6 +2,7 @@
 
 import pytest
 
+from hexsim.agent import Agent
 from hexsim.errors import ScenarioError
 from hexsim.ric_harness import (
     CSV_HEADER,
@@ -109,3 +110,45 @@ class TestMetricsTable:
         assert table.mean("ue", "7", "throughput_mbps", 0, 5) == 2.0
         with pytest.raises(KeyError):
             table.mean("ue", "9", "throughput_mbps", 0, 5)
+
+
+def _outputs(script):
+    metrics, runner = run_scenario(script)
+    stamps = [(r.receive_ns, r.dispatch_ns, r.invoke_ns) for r in runner.agent.metrics.records]
+    return metrics.to_csv(), runner.ric.control_results, stamps
+
+
+class TestQuietTicks:
+    """The runner skips the control step until the agent's next wake time;
+    stepping it on every tick must give exactly the same run."""
+
+    @pytest.mark.parametrize("name", ["fig15", "fig16", "fig17", "mini", "mini_off_grid"])
+    def test_skipping_quiet_ticks_changes_nothing(self, name, monkeypatch):
+        from hexsim.cli import bundled_scenario_path
+        if name == "mini":
+            script = ScenarioScript.from_dict(MINI_SCRIPT, "mini")
+        elif name == "mini_off_grid":
+            # events between the once-a-second report deadlines
+            events = [dict(e, t=e["t"] + 0.37) for e in MINI_SCRIPT["events"]]
+            script = ScenarioScript.from_dict(dict(MINI_SCRIPT, events=events), name)
+        else:
+            script = ScenarioScript.load(bundled_scenario_path(name))
+        steps = []
+        next_wake_ns = Agent.next_wake_ns
+
+        def counted(agent):
+            steps.append(1)
+            return next_wake_ns(agent)
+
+        monkeypatch.setattr(Agent, "next_wake_ns", counted)
+        skipping = _outputs(script)
+        ticks = int(round(script.duration_s * 1000))
+        if name == "fig15":
+            assert 0 < len(steps) < ticks / 100
+        monkeypatch.setattr(Agent, "next_wake_ns", lambda agent: 0)
+        every_tick = _outputs(script)
+        assert skipping[0] == every_tick[0]
+        assert skipping[1] == every_tick[1]
+        assert skipping[2] == every_tick[2]
+        assert len(skipping[2]) == sum(
+            e.action in ("slice_control", "ue_control") for e in script.events)

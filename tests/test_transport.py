@@ -14,12 +14,12 @@ from hexsim.slice_model import SliceRegistry, SliceState
 from hexsim.transport import TcpAgentServer, ThreadedAgentServer
 
 
-def make_agent(n_slices=3):
+def make_agent(n_slices=3, doc=FS_FUNCTION_DOC):
     registry = SliceRegistry(106)
     pml = Pml()
     fs = FsApi(pml, registry)
     agent = Agent(registry, pml, fs, AgentConfig())
-    agent.load_configuration(FS_FUNCTION_DOC)
+    agent.load_configuration(doc)
     for sid in range(1, n_slices + 1):
         registry.create_slice(sid, SliceState.SHARED)
     registry.publish()
@@ -93,6 +93,44 @@ class TestThreadedServer:
             sys.setswitchinterval(interval)
         assert errors == []
         assert sorted(seen) == list(range(1, 2 * per_thread + 1))
+
+
+class _GonePeer(SimulatedPeer):
+    """A controller whose link breaks once ``gone`` is set, as a socket
+    whose peer has closed does."""
+
+    gone = False
+
+    def on_bytes(self, data: bytes) -> None:
+        if self.gone:
+            raise BrokenPipeError("peer closed")
+        super().on_bytes(data)
+
+
+class TestBrokenAckSend:
+    def test_a_failed_ack_leaves_the_ticker_running_for_other_links(self):
+        doc = {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources=[])]}
+        agent = make_agent(doc=doc)
+        server = ThreadedAgentServer(agent).start()
+        try:
+            gone, live = _GonePeer("ric-a", RIC), SimulatedPeer("ric-b", RIC)
+            connect_inproc(agent, gone, "link-a")
+            connect_inproc(agent, live, "link-b")
+            assert wait_for(lambda: agent.activation("ric-a") == agent.activation("ric-b") == {1})
+            gone.gone = True
+            gone.control_slice(1, {"slice_id": 1, "shared_priority": 2})
+            assert wait_for(lambda: agent.metrics.executed == 1)
+            corr = live.control_slice(1, {"slice_id": 2, "shared_priority": 3})
+            assert wait_for(lambda: corr in live.control_results)
+            assert live.control_results[corr][0] == "ack"
+            ticker = [t for t in threading.enumerate() if t.name == "agent-ticker"]
+            assert len(ticker) == 1 and ticker[0].is_alive()
+            assert agent.registry.published.slices[2].rrc.shared_priority == 3
+            m = agent.metrics
+            assert (m.received, m.executed, m.failed) == (2, 2, 0)
+            assert agent.pml.callback_errors == 1
+        finally:
+            server.stop()
 
 
 class TestTcp:
