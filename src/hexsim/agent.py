@@ -42,8 +42,8 @@ from .errors import (
     ValidationFailed,
 )
 from .e2lite import E2LiteFrame, FrameReader, MsgType
-from .pml import Completion, FsApi, Pml, record_to_dict
-from .slice_model import SliceRegistry
+from .pml import Completion, FsApi, Pml
+from .slice_model import SliceRegistry, record_to_dict
 
 DEFAULT_QUEUE_DEPTH = 1024
 DEFAULT_MANAGER_INSTANCES = 2
@@ -675,15 +675,13 @@ class Agent:
     # -- telemetry / alarms --------------------------------------------------------
 
     def _build_report(self, service: str, targets: Mapping) -> dict:
+        """A query's or a periodic indication's report, from the published epoch."""
         if service == "slice_context":
             return self.registry.snapshot(slice_ids=targets.get("slice_ids", []))
         if service == "ue_context":
             return self.registry.snapshot(ue_ids=targets.get("ue_ids", []))
         if service == "context_change":
-            records = []
-            for sid in targets.get("slice_ids", []) or self.registry.slice_ids():
-                records.extend(record_to_dict(r) for r in self.registry.records_since(sid, 0))
-            return {"records": records}
+            return self.registry.change_report(targets.get("slice_ids", []))
         raise SchemaViolation(f"unknown service {service!r}")
 
     def emit_telemetry(self, now_ns: int) -> int:

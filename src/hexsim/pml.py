@@ -391,22 +391,9 @@ class Pml:
 
 FS_PLUGIN_ID = "fs"
 API_TELEMETRY_REGISTRATION = "fs.telemetry_registration"
-API_STATISTICS = "fs.statistics"
-API_CONTEXT_CHANGE = "fs.context_change"
 API_CONTROL = "fs.control"
 
-FS_API_IDS = (API_TELEMETRY_REGISTRATION, API_STATISTICS, API_CONTEXT_CHANGE, API_CONTROL)
-
-
-def record_to_dict(record: ContextChangeRecord) -> dict:
-    return {
-        "slice_id": record.slice_id,
-        "seq": record.seq,
-        "trigger": {"procedure": record.trigger.procedure, "source": record.trigger.source},
-        "outcomes": [
-            {"kind": o.kind.value, "before": o.before, "after": o.after} for o in record.outcomes
-        ],
-    }
+FS_API_IDS = (API_TELEMETRY_REGISTRATION, API_CONTROL)
 
 
 def control_parameter_paths(params: Mapping) -> list[str]:
@@ -428,10 +415,12 @@ def control_parameter_paths(params: Mapping) -> list[str]:
 
 
 class FsApi:
-    """Slice-context APIs exposed through the mediation layer.
+    """The FS plugin's two mediated APIs: telemetry registration and control.
 
-    ``fs_control_request`` is all-or-nothing: every action in the request is
-    validated against live state before anything is applied.
+    Reports are not mediated: :class:`SliceRegistry` builds them from the
+    published snapshot. ``fs_control_request`` is all-or-nothing: every
+    action in the request is validated against live state before anything
+    is applied.
 
     The handlers registered with ``pml`` live on a separate object that holds
     ``pml`` only weakly, so ``pml`` and this object form no reference cycle
@@ -449,26 +438,16 @@ class FsApi:
             manifest,
             {
                 API_TELEMETRY_REGISTRATION: handlers.registration,
-                API_STATISTICS: handlers.statistics,
-                API_CONTEXT_CHANGE: handlers.context_change,
                 API_CONTROL: handlers.control,
             },
         )
 
-    # convenience wrappers used by the agent and tests ------------------------
+    # one invoke wrapper per API, called by the agent's managers --------------
 
     def fs_telemetry_registration_request(self, caller_id: str, targets: Mapping,
                                           trigger: Mapping) -> Completion:
         return self.pml.invoke(API_TELEMETRY_REGISTRATION, caller_id,
                                {"targets": dict(targets), "trigger": dict(trigger)})
-
-    def fs_statistics_request(self, caller_id: str, targets: Mapping) -> Completion:
-        return self.pml.invoke(API_STATISTICS, caller_id, {"targets": dict(targets)})
-
-    def fs_context_change_request(self, caller_id: str, since_seq: int = 0,
-                                  slice_ids: Sequence[int] = ()) -> Completion:
-        return self.pml.invoke(API_CONTEXT_CHANGE, caller_id,
-                               {"since_seq": since_seq, "slice_ids": list(slice_ids)})
 
     def fs_control_request(self, caller_id: str, params: Mapping) -> Completion:
         return self.pml.invoke(API_CONTROL, caller_id, dict(params),
@@ -501,20 +480,6 @@ class _FsHandlers:
         reg = self.pml().add_registration(call.caller_id, slice_ids, ue_ids,
                                           call.payload["trigger"])
         return {"reg_id": reg.reg_id}
-
-    def statistics(self, call: ApiCall) -> dict:
-        slice_ids, ue_ids = self._targets(call.payload)
-        return self.registry.snapshot(slice_ids, ue_ids)
-
-    def context_change(self, call: ApiCall) -> dict:
-        since = call.payload.get("since_seq", 0)
-        slice_ids = call.payload.get("slice_ids") or self.registry.slice_ids()
-        records = []
-        for sid in slice_ids:
-            if not self.registry.has_slice(sid):
-                raise UnknownId(f"slice {sid}")
-            records.extend(record_to_dict(r) for r in self.registry.records_since(sid, since))
-        return {"records": records}
 
     def control(self, call: ApiCall) -> dict:
         params = call.payload

@@ -257,6 +257,11 @@ class ScenarioScript:
                 tti_ms=float(raw_cell.get("tti_ms", 1.0)),
                 base_rtt_ms=float(raw_cell.get("base_rtt_ms", 20.0)),
             )
+            # the runner closes a one-second window every 1000 / tti_ms ticks
+            per_s = 1000 / cell.tti_ms if cell.tti_ms > 0 else 0.0
+            if per_s < 1 or not math.isclose(per_s, round(per_s)):
+                raise ScenarioError(f"tti_ms {cell.tti_ms} must be > 0 and divide "
+                                    "one second into whole ticks")
             events = []
             for i, raw in enumerate(doc.get("events", [])):
                 action = raw["action"]
@@ -468,16 +473,17 @@ class ScenarioRunner:
         skipping it changes no output.
         """
         self._setup()
-        duration_ms = int(round(self.script.duration_s * 1000))
+        clock, cell, tti_ms = self.clock, self.cell, self.script.cell.tti_ms
+        n_ticks = round(self.script.duration_s * 1000 / tti_ms)
+        per_s = round(1000 / tti_ms)
         events = self.script.events
-        due_ms = [int(round(ev.t * 1000)) for ev in events] + [math.inf]
+        due = [round(ev.t * 1000 / tti_ms) for ev in events] + [math.inf]
         next_event = 0
         wake = 0
-        clock, cell, tti_ms = self.clock, self.cell, self.script.cell.tti_ms
-        for ms in range(duration_ms):
+        for tick in range(n_ticks):
             now = clock.now_ns()
             step = now >= wake
-            while due_ms[next_event] <= ms:
+            while due[next_event] <= tick:
                 self._apply_event(events[next_event])
                 next_event += 1
                 step = True
@@ -488,8 +494,8 @@ class ScenarioRunner:
                 wake = self.agent.next_wake_ns()
             cell.step_tti()
             clock.advance_ms(tti_ms)
-            if (ms + 1) % 1000 == 0:
-                self._close_window((ms + 1) // 1000 - 1)
+            if (tick + 1) % per_s == 0:
+                self._close_window((tick + 1) // per_s - 1)
         # flush any pending completions so every control saw exactly one response
         self.agent.pump()
         self.pml.tti_boundary(self.registry)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DuplicateDrb,
@@ -195,6 +195,17 @@ def _rrc_dict(rrc: RadioResourceConfig) -> dict:
     }
 
 
+def record_to_dict(record: ContextChangeRecord) -> dict:
+    return {
+        "slice_id": record.slice_id,
+        "seq": record.seq,
+        "trigger": {"procedure": record.trigger.procedure, "source": record.trigger.source},
+        "outcomes": [
+            {"kind": o.kind.value, "before": o.before, "after": o.after} for o in record.outcomes
+        ],
+    }
+
+
 def _copy_slice(s: SliceContext) -> SliceContext:
     return replace(s, hu_associations=set(s.hu_associations), bearers=list(s.bearers))
 
@@ -335,6 +346,21 @@ class SliceRegistry:
             "packet_loss_rate": b.stats.packet_loss_rate,
             "buffer_occupancy_bytes": b.stats.buffer_occupancy_bytes,
         }
+
+    def change_report(self, slice_ids: Sequence[int] = ()) -> dict:
+        """Every published change record of ``slice_ids`` (of all slices, in
+        id order, with none). Like :meth:`snapshot`, it reads one published
+        epoch and raises :class:`UnknownId` for an id not in it."""
+        snap = self._published
+        records = []
+        for sid in slice_ids or sorted(snap.slices):
+            if sid not in snap.slices:
+                raise UnknownId(f"slice {sid}")
+            watermark = snap.record_watermark[sid]
+            # tuple() copies the deque in one call, as in records_since
+            records.extend(record_to_dict(r) for r in tuple(self._records[sid])
+                           if r.seq <= watermark)
+        return {"records": records}
 
     def records_since(self, slice_id: int, since_seq: int = 0) -> list[ContextChangeRecord]:
         """All published change records for a slice with seq > since_seq, in order."""

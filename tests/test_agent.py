@@ -18,7 +18,7 @@ import hexsim
 from hexsim import e2lite
 from hexsim.agent import RIC, SMO, Agent, AgentConfig, HaRepository, PeerContext, failure_cause
 from hexsim.clocks import VirtualClock
-from hexsim.e2lite import E2LiteFrame, MsgType
+from hexsim.e2lite import E2LiteFrame, FrameReader, MsgType
 from hexsim.errors import (
     BadJson,
     BadMagic,
@@ -90,6 +90,86 @@ def contend(order):
 
 print(json.dumps([contend(["ric-a", "ric-b"]), contend(["ric-b", "ric-a"])]))
 """
+
+# Runs in a fresh interpreter, like _CONTENTION_SCRIPT. Drives one SMO and one
+# controller with pump and prints, in order, every chunk of bytes the agent
+# sent them, hex-encoded: a setup request, four subscription responses, a
+# query response per service, periodic and event indications, a control ack
+# and failure, a config ack and an alarm.
+_WIRE_SCRIPT = """
+import json
+from hexsim.agent import RIC, SMO, Agent
+from hexsim.clocks import VirtualClock
+from hexsim.pml import FsApi, Pml
+from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc
+from hexsim.slice_model import Bearer, ChangeTrigger, SliceRegistry, SliceState, UEContext
+
+T = ChangeTrigger("script", "unit")
+clock = VirtualClock()
+registry = SliceRegistry(106)
+pml = Pml(clock=clock)
+agent = Agent(registry, pml, FsApi(pml, registry), clock=clock)
+agent.load_configuration(FS_FUNCTION_DOC)
+for sid in (1, 2, 3):
+    registry.create_slice(sid, SliceState.SHARED, hu_associations={"hu-a", "hu-b", "hu-c"})
+    registry.add_ue(UEContext(ue_id=sid * 10))
+    registry.add_drb(sid, Bearer(drb_id=sid * 10, ue_id=sid * 10, slice_id=sid), T)
+registry.publish()
+sent = []
+
+
+def attach(name, kind):
+    peer = SimulatedPeer(name, kind)
+    rx = peer.on_bytes
+
+    def on_bytes(data):
+        sent.append(data.hex())
+        rx(data)
+
+    peer.on_bytes = on_bytes
+    connect_inproc(agent, peer, "link-" + name)
+    return peer
+
+
+def step(ms=1):
+    for _ in range(ms):
+        agent.pump()
+        pml.tti_boundary(registry)
+        agent.emit_telemetry(clock.now_ns())
+        clock.advance_ms(1)
+
+
+smo = attach("smo-1", SMO)
+ric = attach("ric-1", RIC)
+step()
+every_5ms = {"kind": "periodic", "period_ms": 5}
+ric.subscribe(1, "slice_context", slice_ids=[1, 2, 3], trigger=every_5ms)
+ric.subscribe(1, "ue_context", ue_ids=[10, 20, 30], trigger=every_5ms)
+ric.subscribe(1, "context_change", trigger=every_5ms)
+ric.subscribe(1, "context_change", trigger={"kind": "event", "event": "context_change"})
+step()
+ric.query(1, "slice_context", slice_ids=[3, 1, 2])
+ric.query(1, "ue_context", ue_ids=[30, 10])
+ric.query(1, "context_change")
+ric.control_slice(1, {"slice_id": 2, "hu_associations": ["hu-z", "hu-y", "hu-x"]})
+ric.control_slice(1, {"slice_id": 9, "shared_priority": 2})
+smo.edit_config({"utilization_alarm_threshold": 0.8, "queue_depth": 512,
+                 "lockout_window_ms": 50.0})
+step(6)
+agent.report_hu_utilization("hu-a", 0.95)
+print(json.dumps(sent))
+"""
+
+
+def _run_under_hash_seed(script: str, seed: int) -> str:
+    """Run ``script`` in a fresh interpreter with PYTHONHASHSEED=seed; its stdout."""
+    src = str(Path(hexsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 class Stack:
@@ -266,20 +346,29 @@ class TestDispatch:
         """Two controllers write one parameter path in the same tick; the
         lockout lets exactly one through. Whoever arrived first must win,
         whatever PYTHONHASHSEED says."""
-        src = str(Path(hexsim.__file__).resolve().parent.parent)
-        outcomes = []
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        for seed in range(6):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
-            done = subprocess.run([sys.executable, "-c", _CONTENTION_SCRIPT], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert done.returncode == 0, done.stderr
-            outcomes.append(json.loads(done.stdout))
+        outcomes = [json.loads(_run_under_hash_seed(_CONTENTION_SCRIPT, seed))
+                    for seed in range(6)]
         first_wins = [
             {"ric-a": ["ack", None], "ric-b": ["failure", "locked_out"]},
             {"ric-b": ["ack", None], "ric-a": ["failure", "locked_out"]},
         ]
         assert outcomes == [first_wins] * 6
+
+    def test_every_message_the_agent_sends_has_the_same_bytes_under_any_hash_seed(self):
+        outputs = [_run_under_hash_seed(_WIRE_SCRIPT, seed) for seed in (0, 1)]
+        assert outputs[0] == outputs[1]
+        frames = [frame for chunk in json.loads(outputs[0])
+                  for frame in FrameReader().feed(bytes.fromhex(chunk))]
+        assert {frame.msg_type for frame in frames} == {
+            MsgType.SETUP_REQUEST, MsgType.SUBSCRIPTION_RESPONSE, MsgType.QUERY_RESPONSE,
+            MsgType.INDICATION, MsgType.CONTROL_ACK, MsgType.CONTROL_FAILURE,
+            MsgType.CONFIG_ACK, MsgType.ALARM_NOTIFICATION,
+        }
+        queried = {f.payload["service"] for f in frames if f.msg_type == MsgType.QUERY_RESPONSE}
+        assert queried == e2lite.REPORT_SERVICES
+        # subscriptions 1-3 are periodic, 4 is event-triggered
+        indicated = {f.payload["sub_id"] for f in frames if f.msg_type == MsgType.INDICATION}
+        assert indicated == {1, 2, 3, 4}
 
     def test_per_ric_control_order_is_preserved(self):
         stack = Stack()
@@ -483,6 +572,72 @@ class TestSubscriptionsAndQueries:
         corr = ric.query(1, "slice_context", slice_ids=[])
         stack.settle()
         assert ric.responses[corr].payload["report"] == {"slices": [], "ues": []}
+
+
+# per service: the targets of a query and of a periodic subscription
+_REPORT_TARGETS = [
+    ("slice_context", {"slice_ids": [2, 1]}),
+    ("ue_context", {"ue_ids": [20, 10]}),
+    ("context_change", {"slice_ids": [2, 1]}),
+    ("context_change", {}),
+]
+
+
+class TestOneReportBuilder:
+    """Queries and periodic indications get their reports from one builder,
+    over the published snapshot, with one unknown-id rule."""
+
+    @pytest.mark.parametrize("service, targets", _REPORT_TARGETS)
+    def test_a_query_reports_what_the_next_periodic_indication_does(self, service, targets):
+        stack = Stack()
+        ric = stack.attach()
+        ric.subscribe(1, service, trigger={"kind": "periodic", "period_ms": 5}, **targets)
+        stack.settle(2)
+        ric.drain_indications()
+        corr = ric.query(1, service, **targets)
+        stack.run_ms(6)
+        query_report = ric.responses[corr].payload["report"]
+        indication = ric.indications[0].payload
+        assert indication["service"] == service
+        assert query_report == indication["report"]
+        assert any(query_report.values())  # not trivially equal
+
+    @pytest.mark.parametrize("service, targets, detail", [
+        ("slice_context", {"slice_ids": [1, 9]}, "slice 9"),
+        ("ue_context", {"ue_ids": [10, 99]}, "ue 99"),
+        ("context_change", {"slice_ids": [1, 9]}, "slice 9"),
+    ])
+    def test_an_unknown_id_fails_the_query(self, service, targets, detail):
+        stack = Stack()
+        ric = stack.attach()
+        corr = ric.query(1, service, **targets)
+        stack.settle()
+        failure = ric.responses[corr]
+        assert failure.msg_type == MsgType.CONTROL_FAILURE
+        assert failure.payload == {"cause": "unknown_id", "detail": detail}
+
+    def test_a_slice_is_reported_once_it_is_published(self):
+        stack = Stack()
+        ric = stack.attach()
+        stack.registry.create_slice(3, SliceState.SHARED)
+        services = ("slice_context", "context_change")
+        before = [ric.query(1, service, slice_ids=[3]) for service in services]
+        every = ric.query(1, "context_change")
+        stack.agent.pump()  # no boundary yet: slice 3 is unpublished
+        for corr in before:
+            assert ric.responses[corr].payload == {"cause": "unknown_id", "detail": "slice 3"}
+        records = ric.responses[every].payload["report"]["records"]
+        assert {r["slice_id"] for r in records} == {1, 2}
+        stack.pml.tti_boundary(stack.registry)
+        after = [ric.query(1, service, slice_ids=[3]) for service in services]
+        every = ric.query(1, "context_change")
+        stack.settle()
+        slices = ric.responses[after[0]].payload["report"]["slices"]
+        assert [s["slice_id"] for s in slices] == [3]
+        records = ric.responses[after[1]].payload["report"]["records"]
+        assert [(r["slice_id"], r["seq"]) for r in records] == [(3, 1)]
+        records = ric.responses[every].payload["report"]["records"]
+        assert {r["slice_id"] for r in records} == {1, 2, 3}
 
 
 class TestOamPath:

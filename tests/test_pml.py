@@ -43,6 +43,14 @@ def make_stack(total_rb=106, clock=None):
     return registry, pml, fs, clock
 
 
+NOOP_API = "noop.read"
+
+
+def register_noop(pml):
+    """A plugin API whose calls do nothing: a second, non-control API."""
+    pml.register_plugin(PluginManifest("noop", (NOOP_API,)), {NOOP_API: lambda call: None})
+
+
 def seed_slice(registry, slice_id=1, state=SliceState.SHARED, drb=None, **rrc):
     registry.create_slice(slice_id, state, RadioResourceConfig(**rrc))
     if drb is not None:
@@ -52,9 +60,9 @@ def seed_slice(registry, slice_id=1, state=SliceState.SHARED, drb=None, **rrc):
 
 
 class TestRegistration:
-    def test_fs_plugin_exposes_four_apis(self):
+    def test_fs_plugin_exposes_two_apis(self):
         _, pml, _, _ = make_stack()
-        assert len(pml.api_ids()) == 4
+        assert pml.api_ids() == ["fs.control", "fs.telemetry_registration"]
 
     def test_empty_manifest_is_fine(self):
         _, pml, _, _ = make_stack()
@@ -94,12 +102,13 @@ class TestFifoDispatch:
         resolved = []
         control = fs.fs_control_request("ric", {"slices": [{"slice_id": 1,
                                                             "shared_priority": 2}]})
-        stats = fs.fs_statistics_request("ric", {"slice_ids": [1]})
+        registration = fs.fs_telemetry_registration_request(
+            "ric", {"slice_ids": [1]}, {"kind": "periodic", "period_ms": 1000})
         control.add_done_callback(lambda c: resolved.append("control"))
-        stats.add_done_callback(lambda c: resolved.append("statistics"))
+        registration.add_done_callback(lambda c: resolved.append("registration"))
         assert pml.drain() == 2
-        assert resolved == ["control", "statistics"]
-        assert control.error is None and stats.error is None
+        assert resolved == ["control", "registration"]
+        assert control.error is None and registration.error is None
 
     def test_fifo_under_thread_interleaving(self):
         _, pml, _, _ = make_stack()
@@ -340,31 +349,17 @@ class TestControlApi:
 
 
 class TestTelemetryAndReports:
-    def test_statistics_delegates_to_snapshot(self):
-        registry, pml, fs, _ = make_stack()
-        seed_slice(registry, 1, SliceState.SHARED, drb=11)
-        completion = fs.fs_statistics_request("ric", {"slice_ids": [1]})
-        pml.drain()
-        assert completion.result["slices"][0]["slice_id"] == 1
-        bad = fs.fs_statistics_request("ric", {"slice_ids": [9]})
-        pml.drain()
-        assert isinstance(bad.error, UnknownId)
-
     def test_context_change_counting(self):
-        registry, pml, fs, _ = make_stack()
+        registry, _, _, _ = make_stack()
         seed_slice(registry, 1, SliceState.SHARED)
         for k in range(3):
             registry.update_slice(1, T, fd_scheduler=("round_robin", "max_throughput",
                                                       "priority_weighted")[k])
         registry.publish()
-        completion = fs.fs_context_change_request("ric", since_seq=0, slice_ids=[1])
-        pml.drain()
-        records = completion.result["records"]
+        records = registry.records_since(1, 0)
         assert len(records) == 4  # creation plus three scheduler flips
-        latest = records[-1]["seq"]
-        empty = fs.fs_context_change_request("ric", since_seq=latest, slice_ids=[1])
-        pml.drain()
-        assert empty.result["records"] == []
+        latest = records[-1].seq
+        assert registry.records_since(1, latest) == []
 
     def test_periodic_registration_fires_every_period(self):
         registry, pml, fs, clock = make_stack()
@@ -410,10 +405,11 @@ class TestIdleFastPaths:
     def test_pending_follows_invoke_drain_and_lockout(self):
         registry, pml, fs, _ = make_stack()
         seed_slice(registry, 1, SliceState.SHARED)
+        register_noop(pml)
         assert pml.pending() == 0
         assert pml.drain() == 0
         fs.fs_control_request("ric-a", {"slices": [{"slice_id": 1, "shared_priority": 2}]})
-        fs.fs_statistics_request("ric-b", {"slice_ids": [1]})
+        pml.invoke(NOOP_API, "ric-b", None)
         assert pml.pending() == 2
         rejected = fs.fs_control_request("ric-b",
                                          {"slices": [{"slice_id": 1, "shared_priority": 3}]})
@@ -422,7 +418,7 @@ class TestIdleFastPaths:
         assert pml.drain() == 2
         assert pml.pending() == 0
         assert pml.drain() == 0
-        fs.fs_statistics_request("ric-b", {"slice_ids": [1]})
+        pml.invoke(NOOP_API, "ric-b", None)
         assert pml.pending() == 1
         assert pml.drain() == 1
 
@@ -497,7 +493,8 @@ class TestNonBlockingBoundary:
         trickle of concurrent enqueues) stays within 2x of the idle p95."""
         from hexsim import fssf
 
-        registry, pml, fs, _ = make_stack()
+        registry, pml, _, _ = make_stack()
+        register_noop(pml)
         for sid in (1, 2, 3):
             seed_slice(registry, sid, SliceState.SHARED, drb=sid * 10)
         snap = registry.published
@@ -524,11 +521,11 @@ class TestNonBlockingBoundary:
 
         def trickler():
             while not stop.is_set():
-                fs.fs_statistics_request("bg", {"slice_ids": [1]})
+                pml.invoke(NOOP_API, "bg", None)
                 time.sleep(0.001)
 
         for _ in range(1000):
-            fs.fs_statistics_request("bg", {"slice_ids": [1]})
+            pml.invoke(NOOP_API, "bg", None)
         threads = [threading.Thread(target=trickler) for _ in range(2)]
         for t in threads:
             t.start()

@@ -8,6 +8,7 @@ from hexsim.ric_harness import (
     CSV_HEADER,
     MetricRow,
     MetricsTable,
+    ScenarioRunner,
     ScenarioScript,
     run_scenario,
 )
@@ -89,6 +90,60 @@ class TestScenarioRun:
         metrics, _ = run_scenario(script)
         cells = metrics.series("cell", "cell", "utilization")
         assert cells and all(u == 0.0 for u in cells)
+
+
+class TestTickLength:
+    """A tick lasts ``cell.tti_ms``; seconds, windows and event times stay
+    seconds whatever the tick length."""
+
+    def _runner(self, tti_ms, events=()):
+        script = ScenarioScript.from_dict({
+            "duration_s": 2,
+            "cell": {"total_rb": 106, "max_dl_mbps": 130.0, "tti_ms": tti_ms},
+            "slices": [{"slice_id": 1, "default_state": "shared"}],
+            "events": list(events),
+        }, "half")
+        return ScenarioRunner(script)
+
+    def test_half_millisecond_ticks_run_two_seconds_in_two_windows(self):
+        runner = self._runner(0.5)
+        step_tti = runner.cell.step_tti
+        ticks = []
+
+        def counted():
+            ticks.append(runner.clock.now_ns())
+            return step_tti()
+
+        runner.cell.step_tti = counted
+        metrics = runner.run()
+        assert len(ticks) == 4000
+        assert runner.clock.now_ns() == 2_000_000_000
+        assert [r.t_s for r in metrics.select("cell", "cell")] == [0, 1]
+
+    def test_an_event_applies_at_its_scripted_time(self):
+        runner = self._runner(0.5, [{"t": 0.5, "action": "traffic",
+                                     "params": {"drb_id": 11, "rate_mbps": 1.0}}])
+        apply_event = runner._apply_event
+        applied_ns = []
+
+        def stamped(ev):
+            applied_ns.append(runner.clock.now_ns())
+            apply_event(ev)
+
+        runner._apply_event = stamped
+        runner.run()
+        assert applied_ns == [500_000_000]
+
+    @pytest.mark.parametrize("tti_ms", [0, -1.0, 0.3, 3.0, 2000.0])
+    def test_a_tick_that_does_not_divide_a_second_is_rejected(self, tti_ms):
+        bad = dict(MINI_SCRIPT, cell={"total_rb": 106, "tti_ms": tti_ms})
+        with pytest.raises(ScenarioError):
+            ScenarioScript.from_dict(bad)
+
+    @pytest.mark.parametrize("tti_ms", [1.0, 0.5, 0.25, 0.125, 0.0625, 2.0])
+    def test_a_tick_that_divides_a_second_is_accepted(self, tti_ms):
+        script = ScenarioScript.from_dict(dict(MINI_SCRIPT, cell={"tti_ms": tti_ms}))
+        assert script.cell.tti_ms == tti_ms
 
 
 class TestMetricsTable:

@@ -316,6 +316,31 @@ class TestRecordsAndSnapshots:
         reg.publish()
         assert reg.snapshot(slice_ids=[1])["slices"][0]["state"] == "dedicated"
 
+    def test_change_report_reads_the_published_epoch(self):
+        reg = make_registry()
+        reg.create_slice(2, SliceState.SHARED)
+        reg.create_slice(1, SliceState.SHARED)
+        reg.publish()
+        reg.update_slice(1, T, fd_scheduler="round_robin")
+        reg.create_slice(3, SliceState.SHARED)
+        # slice 3 and the scheduler change are not published yet
+        seqs = [(r["slice_id"], r["seq"]) for r in reg.change_report()["records"]]
+        assert seqs == [(1, 1), (2, 1)]
+        assert reg.change_report([2, 1]) == {
+            "records": [reg.change_report([2])["records"][0],
+                        reg.change_report([1])["records"][0]]
+        }
+        with pytest.raises(UnknownId, match="^slice 3$"):
+            reg.change_report([1, 3])
+        with pytest.raises(UnknownId, match="^slice 9$"):
+            reg.change_report([9])
+        reg.publish()
+        seqs = [(r["slice_id"], r["seq"]) for r in reg.change_report()["records"]]
+        assert seqs == [(1, 1), (1, 2), (2, 1), (3, 1)]
+        record = reg.change_report([1])["records"][-1]
+        assert record["trigger"] == {"procedure": "test", "source": "unit"}
+        assert record["outcomes"][0]["kind"] == "scheduler"
+
 
 class TestRecordsSinceUnderAWriter:
     def test_a_reader_survives_a_writer_appending_to_the_log(self):
