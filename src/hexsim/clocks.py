@@ -25,6 +25,10 @@ class VirtualClock:
         self._now += int(ms * 1_000_000)
         return self._now
 
+    def advance_ns(self, ns: int) -> int:
+        self._now += ns
+        return self._now
+
 
 def ms_to_ns(ms: float) -> int:
     return int(ms * 1_000_000)

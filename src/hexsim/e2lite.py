@@ -32,6 +32,7 @@ from .errors import (
     BadJson,
     BadMagic,
     BadVersion,
+    CodecError,
     FrameTooLarge,
     SchemaViolation,
     ShortFrame,
@@ -136,6 +137,10 @@ class FrameReader:
                 frame, used = decode_first(bytes(self._buf))
             except ShortFrame:
                 break
+            except CodecError:
+                # the rejected bytes would fail every later feed on this link
+                self._buf.clear()
+                raise
             del self._buf[:used]
             frames.append(frame)
         return frames

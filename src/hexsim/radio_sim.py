@@ -11,6 +11,14 @@ schedule; a many-second scenario replays in a fraction of wall time. Within
 one epoch, when every slice's algorithm is stateless, a tick whose demands
 equal the previous tick's reuses the previous decision, which is what keeps
 long steady-state phases cheap.
+
+A memo-hit tick is a fixed point when every bearer with arrivals is in the
+bearer table and, for each one in it, the throughput it writes equals the one
+it read and its drained buffer plus the next arrivals equals the buffer it
+drained. Every later tick then reads the same inputs and writes the same
+values, adding only to the window accumulators, until the epoch, a rate or
+the attached set changes. ``step_tti`` tests this in its drain loop at most
+every ``PROBE_INTERVAL`` ticks; ``repeat_tti`` runs k such ticks.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .slice_model import BearerStats, SliceRegistry, SliceState
 
 RTT_CAP_MS = 2000.0
 STATS_WINDOW_MS = 100.0
+PROBE_INTERVAL = 64  # ticks from one fixed-point probe to the next
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,11 @@ class Cell:
         self._arrivals: dict[int, float] = {}  # bytes per tick, for each non-zero offered rate
         self.histories: dict[int, dict] = {}
         self._epoch = _Epoch(-1, (), {}, (), (), (), (), False)
+        self._tti_s = cfg.tti_ms / 1000.0
+        self._alpha = cfg.tti_ms / STATS_WINDOW_MS
+        # (drb, RBs or None, bytes served) per table bearer of a fixed-point last tick
+        self.fixed_tick: Optional[list[tuple[int, Optional[int], float]]] = None
+        self._probe_at = 0
         # window accumulators (reset by end_window)
         self._win_ttis = 0
         self._win_alloc = 0
@@ -139,6 +153,7 @@ class Cell:
         self._offer(drb, offered_mbps)
 
     def detach_bearer(self, drb: int) -> None:
+        self.fixed_tick = None  # the next tick differs from the last
         self.buffers.pop(drb, None)
         self.offered.pop(drb, None)
         self._arrivals.pop(drb, None)
@@ -151,9 +166,10 @@ class Cell:
         self._offer(drb, mbps)
 
     def _offer(self, drb: int, mbps: float) -> None:
+        self.fixed_tick = None
         self.offered[drb] = mbps
         if mbps:
-            self._arrivals[drb] = mbps * 1e6 * (self.cfg.tti_ms / 1000.0) / 8.0
+            self._arrivals[drb] = mbps * 1e6 * self._tti_s / 8.0
         else:
             self._arrivals.pop(drb, None)
 
@@ -208,20 +224,20 @@ class Cell:
         """Advance one tick: arrivals, schedule, drain, stats.
 
         A decision reused from the previous tick keeps the ``tti_index`` of
-        the tick that computed it.
+        the tick that computed it. Sets :attr:`fixed_tick` to this tick if
+        it is a fixed point, else to None.
         """
         ep = self._epoch
         if ep.number != self.registry.published.epoch:
             ep = self._epoch = self._rebuild_structure()
             self._prune_pf_histories()
-        cfg = self.cfg
-        tti_s = cfg.tti_ms / 1000.0
         buffers = self.buffers
-        for drb, arriving in self._arrivals.items():
+        arrivals = self._arrivals
+        for drb, arriving in arrivals.items():
             buffers[drb] += arriving
 
         demands: dict[int, int] = {}
-        total_rb = cfg.total_rb
+        total_rb = self.cfg.total_rb
         drb_ids = ep.drb_ids
         ceil = math.ceil
         for drb, bits_per_rb in zip(drb_ids, ep.bits_per_rb):
@@ -230,29 +246,36 @@ class Cell:
                 need = ceil(buf * 8.0 / bits_per_rb)
                 demands[drb] = need if need < total_rb else total_rb
 
+        tti = self.tti_index
+        fixed = None
         if ep.stateless and demands == ep.last_demands:
             decision = ep.last_decision
+            if tti >= self._probe_at:
+                self._probe_at = tti + PROBE_INTERVAL
+                fixed = []
         else:
-            inp = fssf.TtiInput(self.tti_index, total_rb, ep.ue_rate, demands, ep.slices)
+            inp = fssf.TtiInput(tti, total_rb, ep.ue_rate, demands, ep.slices)
             decision = fssf.run_tti(inp, self.algorithms, self.histories, self.stage2_policy)
             if ep.stateless:
                 ep.last_demands, ep.last_decision = demands, decision
 
         # the scheduler grants RBs only to bearers with demand, so every
         # granted drb is in the table and has an attached buffer
-        per_drb_rb = decision.per_drb_rb
-        alpha = cfg.tti_ms / STATS_WINDOW_MS
-        base_rtt_ms = cfg.base_rtt_ms
+        per_drb_rb = decision.plan.per_drb_rb
+        alloc = 0
+        tti_s = self._tti_s
+        alpha = self._alpha
+        base_rtt_ms = self.cfg.base_rtt_ms
         rtt_cap_ms = RTT_CAP_MS
         win_served = self._win_served
         win_alloc_drb = self._win_alloc_drb
         for drb, rb_capacity, stats in zip(drb_ids, ep.rb_capacity, ep.stats):
-            buf = buffers.get(drb, 0.0)
+            buf = drained = buffers.get(drb, 0.0)
             n_rb = per_drb_rb.get(drb)
             if n_rb is None:
                 # nothing served: the rate is exactly 0.0 and the window's
                 # served sum keeps its value
-                inst_mbps = 0.0
+                inst_mbps = served = 0.0
                 if drb not in win_served:
                     win_served[drb] = 0.0
             else:
@@ -261,10 +284,11 @@ class Cell:
                 buf -= served
                 buffers[drb] = buf
                 win_alloc_drb[drb] = win_alloc_drb.get(drb, 0) + n_rb
+                alloc += n_rb
                 win_served[drb] = win_served.get(drb, 0.0) + served
                 inst_mbps = served * 8.0 / tti_s / 1e6
-            throughput = stats.throughput_mbps
-            throughput += alpha * (inst_mbps - throughput)
+            previous = stats.throughput_mbps
+            throughput = previous + alpha * (inst_mbps - previous)
             stats.throughput_mbps = throughput
             stats.buffer_occupancy_bytes = buf
             # _rtt_from(buf, throughput) inlined: Cell.rtt must read the same value
@@ -277,11 +301,36 @@ class Cell:
                 else:
                     rtt = base_rtt_ms + buf * 8.0 / served_bps * 1000.0
                     stats.packet_delay_ms = rtt if rtt < rtt_cap_ms else rtt_cap_ms
+            if fixed is not None:
+                if throughput == previous and buf + arrivals.get(drb, 0.0) == drained:
+                    fixed.append((drb, n_rb, served))
+                else:
+                    fixed = None
 
-        self._win_alloc += sum(per_drb_rb.values())
+        self._win_alloc += alloc
         self._win_ttis += 1
-        self.tti_index += 1
+        self.tti_index = tti + 1
+        if fixed is not None and not arrivals.keys() <= {drb for drb, _, _ in fixed}:
+            fixed = None  # a bearer outside the table grows its buffer
+        self.fixed_tick = fixed
         return decision
+
+    def repeat_tti(self, k: int) -> None:
+        """Run ``k`` more ticks of the fixed-point tick just stepped: integer
+        counts add ``k * n``, each served sum takes ``k`` float adds."""
+        if self.fixed_tick is None or self._epoch.number != self.registry.published.epoch:
+            raise RuntimeError("the last tick was not a fixed point")
+        win_served, win_alloc_drb = self._win_served, self._win_alloc_drb
+        for drb, n_rb, served in self.fixed_tick:
+            total = win_served.get(drb, 0.0)
+            if n_rb is not None:
+                win_alloc_drb[drb] = win_alloc_drb.get(drb, 0) + k * n_rb
+                self._win_alloc += k * n_rb
+                for _ in range(k):
+                    total += served
+            win_served[drb] = total
+        self._win_ttis += k
+        self.tti_index += k
 
     def _prune_pf_histories(self) -> None:
         """Drop proportional-fair averages of bearers no longer attached.

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from . import e2lite
 from .agent import RIC, Agent, AgentConfig
-from .clocks import VirtualClock
+from .clocks import VirtualClock, ms_to_ns
 from .errors import ScenarioError
 from .e2lite import E2LiteFrame, FrameReader, MsgType
 from .pml import Completion, FsApi, Pml
@@ -471,16 +471,23 @@ class ScenarioRunner:
         or has reached the agent's :meth:`~hexsim.agent.Agent.next_wake_ns`,
         asked after each step. On the other ticks it would do nothing, so
         skipping it changes no output.
+
+        After a fixed-point tick (:attr:`Cell.fixed_tick`: the next tick reads
+        the same buffers and throughputs), the ticks before the next event,
+        wake tick, window close or end run as one :meth:`Cell.repeat_tti`, and
+        the clock advances by exactly as many ticks.
         """
         self._setup()
         clock, cell, tti_ms = self.clock, self.cell, self.script.cell.tti_ms
+        step_ns = ms_to_ns(tti_ms)  # one tick, exactly as advance_ms(tti_ms) adds it
         n_ticks = round(self.script.duration_s * 1000 / tti_ms)
         per_s = round(1000 / tti_ms)
         events = self.script.events
         due = [round(ev.t * 1000 / tti_ms) for ev in events] + [math.inf]
         next_event = 0
         wake = 0
-        for tick in range(n_ticks):
+        tick = 0
+        while tick < n_ticks:
             now = clock.now_ns()
             step = now >= wake
             while due[next_event] <= tick:
@@ -493,9 +500,18 @@ class ScenarioRunner:
                 self.agent.emit_telemetry(now)
                 wake = self.agent.next_wake_ns()
             cell.step_tti()
-            clock.advance_ms(tti_ms)
-            if (tick + 1) % per_s == 0:
-                self._close_window((tick + 1) // per_s - 1)
+            clock.advance_ns(step_ns)
+            tick += 1
+            if cell.fixed_tick is not None:
+                end = min(n_ticks, due[next_event], -(-tick // per_s) * per_s)
+                if wake != math.inf:  # ceil: the first tick whose now >= wake
+                    end = min(end, tick - (clock.now_ns() - wake) // step_ns)
+                if end > tick:
+                    cell.repeat_tti(end - tick)
+                    clock.advance_ns((end - tick) * step_ns)
+                    tick = end
+            if tick % per_s == 0:
+                self._close_window(tick // per_s - 1)
         # flush any pending completions so every control saw exactly one response
         self.agent.pump()
         self.pml.tti_boundary(self.registry)

@@ -89,6 +89,21 @@ class TestFraming:
             FrameReader().feed(e2lite.HEADER.pack(b"E2", 1, 6, 1, 2**32 - 1))
         assert issubclass(FrameTooLarge, CodecError)
 
+    @pytest.mark.parametrize("bad, error", [
+        (e2lite.HEADER.pack(b"E2", 1, 6, 1, 2**32 - 1), FrameTooLarge),  # declares 4 GiB
+        (b"XX" + bytes(10), BadMagic),
+    ], ids=["too_large", "bad_magic"])
+    def test_a_rejected_frame_does_not_poison_the_reader(self, bad, error):
+        reader = FrameReader()
+        with pytest.raises(error):
+            reader.feed(bad)
+        assert reader.pending() == 0
+        good = encode(E2LiteFrame(MsgType.CONTROL_REQUEST, 5, {"i": 1}))
+        assert len(good) == 19
+        (frame,) = reader.feed(good)
+        assert frame.correlation_id == 5 and frame.payload == {"i": 1}
+        assert reader.pending() == 0
+
     def test_reader_accepts_a_frame_of_exactly_max_size(self):
         body = b'{"a":"' + b"x" * (e2lite.MAX_FRAME - 8) + b'"}'
         assert len(body) == e2lite.MAX_FRAME

@@ -378,3 +378,95 @@ class TestPfHistory:
         cell.step_tti()
         assert cell.histories[1]["pf_ewma"][11] == before  # slice 1 no longer runs it
         assert 11 in cell.histories[2]["pf_ewma"]
+
+
+class TestFixedPoint:
+    """A memo-hit tick after which the next tick reads the same buffers and
+    throughputs is recorded in ``fixed_tick``; ``repeat_tti(k)`` then stands
+    for k more such ticks."""
+
+    @staticmethod
+    def _state(cell):
+        bearers = cell.registry.published.bearers
+        return (cell.tti_index, cell._win_ttis, cell._win_alloc,
+                list(cell._win_served.items()), list(cell._win_alloc_drb.items()),
+                list(cell.buffers.items()),
+                [(drb, dataclasses.astuple(b.stats)) for drb, b in bearers.items()])
+
+    @staticmethod
+    def _settle(cell, reg, limit=20_000):
+        for _ in range(limit):
+            reg.publish()
+            cell.step_tti()
+            if cell.fixed_tick is not None:
+                return
+        raise AssertionError(f"no fixed point in {limit} ticks")
+
+    def test_repeat_stands_for_the_ticks_it_skips(self):
+        # rates whose bytes per tick are not dyadic, so that k adds of the
+        # served bytes differ from one multiplication by k
+        slices = {
+            1: (SliceState.DEDICATED, {"dedicated_rb": 20}, [(11, 1, 9.7131)]),
+            2: (SliceState.SHARED, {}, [(21, 2, 10.333), (22, 3, 5.1117), (23, 4, 0.0)]),
+        }
+        fast, fast_reg = build_cell(slices)
+        slow, slow_reg = build_cell(slices)
+        self._settle(fast, fast_reg)
+        for _ in range(fast.tti_index):
+            slow_reg.publish()
+            slow.step_tti()
+        assert self._state(fast) == self._state(slow)
+        for k in (1, 7, 993):
+            fast.repeat_tti(k)
+            for _ in range(k):
+                slow_reg.publish()
+                slow.step_tti()
+            assert self._state(fast) == self._state(slow)
+        assert fast.end_window() == slow.end_window()
+        # after a window close the sums start afresh, in the same key order
+        fast.repeat_tti(5)
+        for _ in range(5):
+            slow_reg.publish()
+            slow.step_tti()
+        assert self._state(fast) == self._state(slow)
+        assert fast.end_window() == slow.end_window()
+
+    def test_traffic_to_a_bearer_outside_the_table_is_never_fixed(self):
+        cell, reg = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
+        reg.create_slice(2, SliceState.SHARED)  # no bearers: idle, so never scheduled
+        # the cell carries drb 21 while no published slice schedules it, as
+        # for a bearer of slice 2 before a boundary publishes it
+        cell.attach_bearer(21, 5.0)
+        for _ in range(10_000):
+            reg.publish()
+            cell.step_tti()
+            assert cell.fixed_tick is None
+        assert reg.published.slices[2].state is SliceState.IDLE
+        assert cell.buffers[21] == pytest.approx(10_000 * 625.0)
+        cell.set_offered(21, 0.0)  # without arrivals its buffer stays put
+        self._settle(cell, reg, limit=200)
+
+    def test_a_stateful_algorithm_is_never_fixed(self):
+        cell, reg = TestDecisionMemo._cell()
+        reg.update_slice(2, T, fd_scheduler="round_robin")
+        for _ in range(5_000):
+            reg.publish()
+            cell.step_tti()
+            assert cell.fixed_tick is None
+
+    def test_repeat_needs_an_unchanged_fixed_tick_of_the_published_epoch(self):
+        cell, reg = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
+        cell.step_tti()  # the first tick of an epoch schedules afresh
+        with pytest.raises(RuntimeError):
+            cell.repeat_tti(3)
+        for change in (lambda: cell.set_offered(11, 12.0), lambda: cell.attach_bearer(12),
+                       lambda: cell.detach_bearer(12)):
+            self._settle(cell, reg)
+            change()
+            with pytest.raises(RuntimeError):
+                cell.repeat_tti(3)
+        self._settle(cell, reg)
+        reg.set_bearer_priority(11, 2, T)
+        reg.publish()
+        with pytest.raises(RuntimeError):
+            cell.repeat_tti(3)
