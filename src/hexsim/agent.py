@@ -135,8 +135,6 @@ class Subscription:
     targets: dict
     trigger: dict
     reg_id: int = 0
-    sent: int = 0
-    failed: int = 0
 
 
 @dataclass
@@ -217,10 +215,6 @@ class PipelineMetrics:
                 (r.invoke_ns - r.receive_ns) / 1000.0 for r in self.records if r.invoke_ns
             ]
 
-    @property
-    def reliability(self) -> float:
-        return self.executed / self.received if self.received else 1.0
-
 
 @dataclass
 class AgentConfig:
@@ -250,7 +244,12 @@ class _Pending:
 
 
 class Agent:
-    """Synchronous agent core; drive it with pump() or wrap it in a server."""
+    """Synchronous agent core, driven by :meth:`pump`, :meth:`step` and :meth:`flush`.
+
+    A single-threaded driver calls ``pump()`` then ``step(now)`` on a tick
+    and ends with ``flush()``. On :class:`~hexsim.transport.ThreadedAgentServer`
+    the workers take the messages, the ticker steps, and ``stop()`` flushes.
+    """
 
     def __init__(
         self,
@@ -389,12 +388,12 @@ class Agent:
             }
             self._send(link_id, E2LiteFrame(MsgType.SETUP_REQUEST, corr, payload))
 
-    def detach_link(self, link_id: str) -> None:
-        """Drop the peer: its locks are released and subscriptions die with it."""
+    def detach_link(self, link_id: str) -> bool:
+        """Drop the peer, its locks and its subscriptions; False if not attached."""
         with self._state:
             link = self._links.pop(link_id, None)
             if link is None:
-                return
+                return False
             ctx = self.repository.context_for(link.peer_id)
             if ctx is not None and ctx.link_id == link_id:
                 for sub in ctx.subscriptions.values():
@@ -402,6 +401,7 @@ class Agent:
                     self._sub_by_reg.pop(sub.reg_id, None)
                 self.repository.ric_contexts.pop(link.peer_id, None)
                 self.repository.smo_contexts.pop(link.peer_id, None)
+        return True
 
     def activation(self, peer_id: str) -> set[int]:
         ctx = self.repository.context_for(peer_id)
@@ -415,14 +415,15 @@ class Agent:
         if link is None:
             raise AgentError(f"unknown link {link_id}")
         try:
-            frames = link.reader.feed(data)
+            frames, error = link.reader.feed(data), None
         except CodecError as exc:
-            self._count_failure(failure_cause(exc))
-            self._send(link_id, E2LiteFrame(MsgType.CONTROL_FAILURE, 0,
-                                            {"cause": "codec", "detail": str(exc)}))
-            return 0
+            frames, error = exc.frames, exc
         for frame in frames:
             self._dispatch(link, frame)
+        if error is not None:
+            self._count_failure(failure_cause(error))
+            self._send(link_id, E2LiteFrame(MsgType.CONTROL_FAILURE, 0,
+                                            {"cause": "codec", "detail": str(error)}))
         return len(frames)
 
     def _dispatch(self, link: _Link, frame: E2LiteFrame) -> None:
@@ -448,15 +449,15 @@ class Agent:
             self._fail(msg, "overloaded", "manager queue full")
             self.raise_alarm("queue_overflow", f"{manager} queue at depth {self.config.queue_depth}")
 
-    # -- pump (deterministic drive) ---------------------------------------------------
+    # -- driving: pump, step, flush ---------------------------------------------------
 
     def pump(self) -> int:
         """Process everything queued; returns the number of messages handled.
 
-        Single-threaded driver entry point. Messages run in arrival order
-        across all manager queues. Telemetry emission is a separate step
-        (:meth:`emit_telemetry`) so drivers can order it after the tick
-        boundary that publishes new state.
+        Only the owner of the queues calls it: a single-threaded driver, not
+        the threaded server, whose workers take the messages. Messages run in
+        arrival order across all manager queues; :meth:`step` publishes and
+        reports.
 
         Every queued message is counted, so a zero count means the queues are
         empty and the call returns without scanning them.
@@ -471,14 +472,31 @@ class Agent:
             processed += 1
         return processed
 
+    def step(self, now_ns: int) -> float:
+        """Run the mediation boundary, then :meth:`emit_telemetry`, so reports
+        read the epoch just published; returns :meth:`next_wake_ns`."""
+        self.pml.tti_boundary(self.registry)
+        self.emit_telemetry(now_ns)
+        return self.next_wake_ns()
+
+    def flush(self) -> None:
+        """Pump and run the boundary until no message is queued and no
+        mediation call is pending, so every message received gets its one
+        response. For when nothing else drives the agent."""
+        while True:
+            self.pump()
+            self.pml.tti_boundary(self.registry)
+            if not self._queued and not self.pml.pending():
+                return
+
     def next_wake_ns(self) -> float:
         """When the control plane next has work, in this agent's clock's ns.
 
         0 (now) if a message is queued or :meth:`Pml.next_wake_ns` says the
         boundary or a change-record scan has work; otherwise the earliest
         periodic report deadline, ``inf`` with none. Before then, with no new
-        input, :meth:`pump`, ``pml.tti_boundary(registry)`` and
-        :meth:`emit_telemetry` do nothing, so a driver may skip them.
+        input, :meth:`pump` and :meth:`step` do nothing, so a driver may skip
+        them.
 
         For single-threaded drivers: it takes no lock, and input that arrives
         from another thread after it returns is not seen.
@@ -694,7 +712,6 @@ class Agent:
             try:
                 report = self._build_report(sub.service, sub.targets)
             except SliceModelError:
-                sub.failed += 1
                 continue
             emitted += self._send_indication(sub, report)
         for reg, record in self.pml.new_change_records(self.registry):
@@ -704,7 +721,7 @@ class Agent:
             emitted += self._send_indication(sub, {"records": [record_to_dict(record)]})
         return emitted
 
-    def _send_indication(self, sub: Subscription, report: dict) -> int:
+    def _send_indication(self, sub: Subscription, report: dict) -> bool:
         frame = E2LiteFrame(
             MsgType.INDICATION,
             0,
@@ -715,14 +732,7 @@ class Agent:
                 "report": report,
             },
         )
-        try:
-            self._send(sub.link_id, frame)
-        except Exception:
-            sub.failed += 1
-            self.raise_alarm("subscription_delivery_failure", f"sub {sub.sub_id}")
-            return 0
-        sub.sent += 1
-        return 1
+        return self._send(sub.link_id, frame)
 
     def report_hu_utilization(self, unit: str, utilization: float) -> None:
         """Operational hook: over-threshold capacity utilization raises an alarm."""
@@ -735,26 +745,29 @@ class Agent:
                 severity="major",
             )
 
-    def raise_alarm(self, condition: str, detail: str, severity: str = "warning") -> int:
-        sent = 0
+    def raise_alarm(self, condition: str, detail: str, severity: str = "warning") -> None:
         payload = {"condition": condition, "detail": detail, "severity": severity}
         for link in list(self._links.values()):
             if link.kind == SMO:
-                try:
-                    self._send(link.link_id, E2LiteFrame(MsgType.ALARM_NOTIFICATION,
-                                                         next(self._corr), payload))
-                    sent += 1
-                except Exception:
-                    pass
-        return sent
+                self._send(link.link_id, E2LiteFrame(MsgType.ALARM_NOTIFICATION,
+                                                     next(self._corr), payload))
 
     # -- plumbing ---------------------------------------------------------------------
 
-    def _send(self, link_id: str, frame: E2LiteFrame) -> None:
+    def _send(self, link_id: str, frame: E2LiteFrame) -> bool:
+        """Send one frame; False if the link is gone. A send that raises
+        detaches the link and counts and alarms ``link_lost`` once."""
         link = self._links.get(link_id)
         if link is None:
-            return
-        link.send(e2lite.encode(frame))
+            return False
+        try:
+            link.send(e2lite.encode(frame))
+        except Exception as exc:  # the peer's transport; any failure loses the link
+            if self.detach_link(link_id):
+                self._count_failure("link_lost")
+                self.raise_alarm("link_lost", f"{link.peer_id}: {exc!r}")
+            return False
+        return True
 
     def _fail(self, msg: _Pending, cause: str, detail: str) -> None:
         if msg.frame.msg_type == MsgType.CONTROL_REQUEST:

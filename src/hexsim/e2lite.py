@@ -130,6 +130,8 @@ class FrameReader:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list[E2LiteFrame]:
+        """The frames ``data`` completes. A :class:`CodecError` clears the
+        buffer and carries the frames decoded before it as ``exc.frames``."""
         self._buf.extend(data)
         frames = []
         while True:
@@ -137,9 +139,10 @@ class FrameReader:
                 frame, used = decode_first(bytes(self._buf))
             except ShortFrame:
                 break
-            except CodecError:
+            except CodecError as exc:
                 # the rejected bytes would fail every later feed on this link
                 self._buf.clear()
+                exc.frames = frames
                 raise
             del self._buf[:used]
             frames.append(frame)

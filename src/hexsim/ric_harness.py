@@ -453,24 +453,21 @@ class ScenarioRunner:
                 ue_id=u["ue_id"], mcs=u.get("mcs", 28), cqi=u.get("cqi", 15),
                 bler=u.get("bler", 0.0),
             ))
-        # let the setup exchange and the two standing subscriptions settle
-        self.agent.pump()
         slice_ids = [s["slice_id"] for s in self.script.slices]
         ue_ids = [u["ue_id"] for u in self.script.ues]
         self.ric.subscribe(e2lite.FS_RAN_FUNCTION_ID, "slice_context", slice_ids=slice_ids)
         if ue_ids:
             self.ric.subscribe(e2lite.FS_RAN_FUNCTION_ID, "ue_context", ue_ids=ue_ids)
-        self.agent.pump()
-        self.pml.tti_boundary(self.registry)
+        # the setup exchange, queued first, and the standing subscriptions settle
+        self.agent.flush()
 
     def run(self) -> MetricsTable:
         """Run every tick: script events, the control step, then the cell.
 
-        The control step (``Agent.pump``, ``Pml.tti_boundary``,
-        ``Agent.emit_telemetry``) runs on a tick that applied a script event
-        or has reached the agent's :meth:`~hexsim.agent.Agent.next_wake_ns`,
-        asked after each step. On the other ticks it would do nothing, so
-        skipping it changes no output.
+        The control step (``Agent.pump``, then ``Agent.step``) runs on a
+        tick that applied a script event or has reached the wake time the
+        last step returned. On the other ticks it would do nothing, so
+        skipping it changes no output. ``Agent.flush`` ends the run.
 
         After a fixed-point tick (:attr:`Cell.fixed_tick`: the next tick reads
         the same buffers and throughputs), the ticks before the next event,
@@ -496,9 +493,7 @@ class ScenarioRunner:
                 step = True
             if step:
                 self.agent.pump()
-                self.pml.tti_boundary(self.registry)
-                self.agent.emit_telemetry(now)
-                wake = self.agent.next_wake_ns()
+                wake = self.agent.step(now)
             cell.step_tti()
             clock.advance_ns(step_ns)
             tick += 1
@@ -512,9 +507,7 @@ class ScenarioRunner:
                     tick = end
             if tick % per_s == 0:
                 self._close_window(tick // per_s - 1)
-        # flush any pending completions so every control saw exactly one response
-        self.agent.pump()
-        self.pml.tti_boundary(self.registry)
+        self.agent.flush()  # so every control sees exactly one response
         return self.metrics
 
     def _close_window(self, second: int) -> None:
@@ -695,19 +688,9 @@ def benchmark_delay(cfg: BenchmarkConfig) -> dict[int, DelayStats]:
             while not agent.activation("ric-bench") and time.monotonic() < deadline:
                 time.sleep(0.005)
             period_s = cfg.period_ms / 1000.0
-            _send_cycles(ric, n, period_s, cfg.arrival)  # warmup
+            _send_cycles(ric, n, period_s, cfg.arrival, 2 * period_s)  # warmup
             agent.metrics.reset()
-            start = time.monotonic()
-            cycle = 0
-            while time.monotonic() - start < cfg.run_s:
-                cycle_start = start + cycle * period_s
-                for i in range(1, n + 1):
-                    if cfg.arrival == "uniform":
-                        target = cycle_start + (i - 1) * period_s / n
-                        _sleep_until(target)
-                    ric.control_slice(i, {"slice_id": 1, "shared_priority": 1})
-                cycle += 1
-                _sleep_until(start + cycle * period_s)
+            _send_cycles(ric, n, period_s, cfg.arrival, cfg.run_s)
             time.sleep(0.1)  # let the pipeline finish the tail
             delays = agent.metrics.delays_us()
         finally:
@@ -724,14 +707,17 @@ def benchmark_delay(cfg: BenchmarkConfig) -> dict[int, DelayStats]:
     return results
 
 
-def _send_cycles(ric: SimulatedPeer, n: int, period_s: float, arrival: str) -> None:
+def _send_cycles(ric: SimulatedPeer, n: int, period_s: float, arrival: str,
+                 run_s: float) -> None:
     start = time.monotonic()
-    for cycle in range(2):
+    cycle = 0
+    while time.monotonic() - start < run_s:
         for i in range(1, n + 1):
             if arrival == "uniform":
                 _sleep_until(start + cycle * period_s + (i - 1) * period_s / n)
             ric.control_slice(i, {"slice_id": 1, "shared_priority": 1})
-        _sleep_until(start + (cycle + 1) * period_s)
+        cycle += 1
+        _sleep_until(start + cycle * period_s)
 
 
 def _sleep_until(target: float) -> None:
@@ -775,13 +761,9 @@ def benchmark_reliability(cfg: BenchmarkConfig,
                     ric.control_slice(e2lite.FS_RAN_FUNCTION_ID,
                                       {"slice_id": 1, "shared_priority": 1})
             agent.pump()
-            agent.pml.tti_boundary(agent.registry)
-            agent.emit_telemetry(clock.now_ns())
+            agent.step(clock.now_ns())
             clock.advance_ms(step_ms)
-        for _ in range(4):  # flush pending completions
-            agent.pump()
-            agent.pml.tti_boundary(agent.registry)
-            clock.advance_ms(step_ms)
+        agent.flush()
         m = agent.metrics
         results[rate] = ReliabilityStats(
             rate_per_s=rate, received=m.received, executed=m.executed, failed=m.failed

@@ -3,10 +3,10 @@
 The agent core is synchronous; this module supplies the two drive modes the
 harness needs: an in-process duplex link (function-call transport, usable from
 both deterministic and threaded drivers) and a TCP listener speaking the same
-framing. :class:`ThreadedAgentServer` adds the worker/ticker threads that turn
-the core into a concurrent pipeline: per-manager worker pools sharded by link
-(so per-peer order survives), plus a boundary ticker that drains the mediation
-queues and publishes config epochs.
+framing. :class:`ThreadedAgentServer` runs the core concurrently: its workers,
+sharded by link so per-peer order survives, take the messages in place of
+``Agent.pump``; its ticker calls ``Agent.step``; ``stop`` joins them and then
+calls ``Agent.flush``, so every message received gets its one response.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import threading
 from typing import Callable, Optional
 
 from .agent import RIC, Agent
+from .errors import AgentError
 
 
 class InProcessDuplex:
@@ -25,11 +26,7 @@ class InProcessDuplex:
                  on_peer_rx: Callable[[bytes], None]):
         self.agent = agent
         self.link_id = link_id
-        self._on_peer_rx = on_peer_rx
-        agent.attach_link(link_id, peer_id, kind, send=self._to_peer)
-
-    def _to_peer(self, data: bytes) -> None:
-        self._on_peer_rx(data)
+        agent.attach_link(link_id, peer_id, kind, send=on_peer_rx)
 
     def to_agent(self, data: bytes) -> None:
         self.agent.receive(self.link_id, data)
@@ -59,10 +56,12 @@ class ThreadedAgentServer:
         return self
 
     def stop(self) -> None:
+        """Join the threads, then ``Agent.flush``: every message gets its response."""
         self._stop.set()
         for t in self._threads:
             t.join(timeout=2.0)
         self._threads.clear()
+        self.agent.flush()
 
     def _worker(self, keys) -> None:
         while not self._stop.is_set():
@@ -72,12 +71,8 @@ class ThreadedAgentServer:
 
     def _ticker(self) -> None:
         while not self._stop.is_set():
-            now = self.agent.clock.now_ns()
-            self.agent.pml.tti_boundary(self.agent.registry)
-            self.agent.emit_telemetry(now)
+            self.agent.step(self.agent.clock.now_ns())
             self._stop.wait(self.tick_ms / 1000.0)
-        # final drain so every accepted call resolves before shutdown
-        self.agent.pml.tti_boundary(self.agent.registry)
 
 
 class TcpAgentServer:
@@ -90,7 +85,8 @@ class TcpAgentServer:
         self.host, self.port = self._sock.getsockname()
         self._stop = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
-        self._conns: list[socket.socket] = []
+        # open connections; set add, discard and copy are atomic
+        self._conns: set[socket.socket] = set()
 
     def start(self) -> "TcpAgentServer":
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -110,7 +106,7 @@ class TcpAgentServer:
             n += 1
             link_id = f"{self.kind}-tcp-{n}"
             peer_id = f"{self.kind}-{addr[0]}:{addr[1]}"
-            self._conns.append(conn)
+            self._conns.add(conn)
             send_lock = threading.Lock()
 
             def sender(data: bytes, c=conn, lk=send_lock):
@@ -134,9 +130,13 @@ class TcpAgentServer:
                     break
                 if not data:
                     break
-                self.agent.receive(link_id, data)
+                try:
+                    self.agent.receive(link_id, data)
+                except AgentError:  # the agent detached the link: a send failed
+                    break
         finally:
             self.agent.detach_link(link_id)
+            self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:
@@ -148,7 +148,7 @@ class TcpAgentServer:
             self._sock.close()
         except OSError:
             pass
-        for c in self._conns:
+        for c in list(self._conns):
             try:
                 c.close()
             except OSError:

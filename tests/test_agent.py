@@ -75,12 +75,10 @@ def contend(order):
     # before the contended round
     for sid, name in ((2, "ric-a"), (3, "ric-b")):
         peers[name].control_slice(1, {"slice_id": sid, "shared_priority": 2})
-    agent.pump()
-    pml.tti_boundary(registry)
+    agent.flush()
     corrs = {name: peers[name].control_slice(1, {"slice_id": 1, "shared_priority": 2 + i})
              for i, name in enumerate(order)}
-    agent.pump()
-    pml.tti_boundary(registry)
+    agent.flush()
     results = {}
     for name, corr in corrs.items():
         kind, payload = peers[name].control_results[corr]
@@ -134,8 +132,7 @@ def attach(name, kind):
 def step(ms=1):
     for _ in range(ms):
         agent.pump()
-        pml.tti_boundary(registry)
-        agent.emit_telemetry(clock.now_ns())
+        agent.step(clock.now_ns())
         clock.advance_ms(1)
 
 
@@ -197,8 +194,7 @@ class Stack:
     def settle(self, ms=1):
         for _ in range(ms):
             self.agent.pump()
-            self.pml.tti_boundary(self.registry)
-            self.agent.emit_telemetry(self.clock.now_ns())
+            self.agent.step(self.clock.now_ns())
             self.clock.advance_ms(1)
 
     def run_ms(self, ms):
@@ -335,6 +331,19 @@ class TestDispatch:
                    for f in ric.responses.values()) or ric.responses == {}
         # the reader keeps the bytes buffered; a failure frame was emitted iff
         # the header was undecodable; the count uses the same cause as the frame
+        assert stack.agent.failures_by_cause == {"codec": 1}
+
+    def test_a_frame_before_a_bad_header_is_answered_and_the_link_kept(self):
+        stack = Stack()
+        ric = stack.attach()
+        query = {"ran_function_id": 1, "service": "slice_context",
+                 "targets": {"slice_ids": [1], "ue_ids": []}}
+        good = e2lite.encode(E2LiteFrame(MsgType.QUERY_REQUEST, 5, query))
+        assert stack.agent.receive("link-ric-1", good + b"XX" + bytes(10)) == 1
+        assert ric.responses[0].payload["cause"] == "codec"
+        stack.settle()
+        assert ric.responses[5].msg_type == MsgType.QUERY_RESPONSE
+        assert "ric-1" in stack.agent.repository.ric_contexts
         assert stack.agent.failures_by_cause == {"codec": 1}
 
     def test_every_codec_error_maps_to_the_codec_cause(self):
@@ -712,10 +721,11 @@ class TestOamPath:
         # break the controller's link underneath the subscription
         stack.agent._links["link-ric-1"].send = _raise_on_send
         stack.run_ms(10)
-        sub = next(iter(stack.agent.repository.ric_contexts["ric-1"].subscriptions.values()))
-        assert sub.failed >= 1
-        assert any(a.payload["condition"] == "subscription_delivery_failure"
-                   for a in smo.alarms)
+        # the first failed send loses the link, and its subscription with it
+        assert [a.payload["condition"] for a in smo.alarms] == ["link_lost"]
+        assert "ric-1" not in stack.agent.repository.ric_contexts
+        assert not stack.agent._sub_by_reg
+        assert stack.agent.failures_by_cause == {"link_lost": 1}
 
     def test_expected_plugin_list_is_recorded(self):
         doc = dict(FS_FUNCTION_DOC, plugins=["fs", "ghost"])
@@ -771,7 +781,7 @@ class TestNextWakeSoundness:
     def test_nothing_happens_before_the_wake_time(self, ops):
         doc = {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources=[])]}
         stack = Stack(doc=doc)
-        agent, pml, registry, clock = stack.agent, stack.pml, stack.registry, stack.clock
+        agent, registry, clock = stack.agent, stack.registry, stack.clock
         peers = [_CountingPeer(f"ric-{k}", RIC) for k in range(2)]
         for peer in peers:
             connect_inproc(agent, peer, f"link-{peer.peer_id}")
@@ -794,11 +804,10 @@ class TestNextWakeSoundness:
                 epoch = registry.published.epoch
                 n_resolved = len(resolved)
                 assert agent.pump() == 0
-                assert pml.tti_boundary(registry).epoch == epoch
-                assert agent.emit_telemetry(now) == 0
+                assert agent.step(now) > now
+                assert registry.published.epoch == epoch
                 assert [p.received for p in peers] == sent
                 assert len(resolved) == n_resolved
-                assert agent.next_wake_ns() > now
         finally:
             Completion._resolve = original
 

@@ -104,6 +104,14 @@ class TestFraming:
         assert frame.correlation_id == 5 and frame.payload == {"i": 1}
         assert reader.pending() == 0
 
+    def test_frames_before_a_rejected_header_ride_on_the_error(self):
+        good = encode(E2LiteFrame(MsgType.CONTROL_REQUEST, 5, {"i": 1}))
+        reader = FrameReader()
+        with pytest.raises(BadMagic) as err:
+            reader.feed(good + b"XX" + bytes(10))
+        assert [f.correlation_id for f in err.value.frames] == [5]
+        assert reader.pending() == 0
+
     def test_reader_accepts_a_frame_of_exactly_max_size(self):
         body = b'{"a":"' + b"x" * (e2lite.MAX_FRAME - 8) + b'"}'
         assert len(body) == e2lite.MAX_FRAME

@@ -1,5 +1,7 @@
 """Scenario harness: script loading, determinism, metrics table, control accounting."""
 
+import hashlib
+
 import pytest
 
 from hexsim.agent import Agent
@@ -91,6 +93,38 @@ class TestScenarioRun:
         metrics, _ = run_scenario(script)
         cells = metrics.series("cell", "cell", "utilization")
         assert cells and all(u == 0.0 for u in cells)
+
+
+# sha256 of each deterministic output, pinned so that a change to how the
+# agent is driven cannot move a byte of them unnoticed
+_PINNED_SHA256 = {
+    "fig15": "55452a2339f3a635916f9fabf65f438fe654ad7b54ba609a631c659aba8ff1e4",
+    "fig16": "4f2685765fa5aa7057074abe90a08fc49319dff997be1765f8662f1ffa9cd983",
+    "fig17": "5142a58d628a95c1654dcf721f85b158e6a96a5d12405209997e52dd8195a62b",
+    "bench_reliability.csv":
+        "6b1e055268ce8f5422e5976b83350f8463417504addadc121900de065896d2ba",
+    "bench_reliability_framegated.csv":
+        "ad5f344c19c07c4b99d8cc8103752aa24a5e6c8deac3b1dbd583a72d839921cf",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", ["fig15", "fig16", "fig17"])
+    def test_bundled_scenario_csv(self, name):
+        from hexsim.cli import bundled_scenario_path
+        metrics, _ = run_scenario(ScenarioScript.load(bundled_scenario_path(name)))
+        assert hashlib.sha256(metrics.to_csv().encode()).hexdigest() == _PINNED_SHA256[name]
+
+    @pytest.mark.parametrize("flags, csv", [
+        ([], "bench_reliability.csv"),
+        (["--frame-gated"], "bench_reliability_framegated.csv"),
+    ])
+    def test_quick_reliability_csv(self, flags, csv, tmp_path):
+        from hexsim.cli import main
+        argv = ["bench-agent", "--mode", "reliability", "--quick", "--out", str(tmp_path)]
+        assert main(argv + flags) == 0
+        digest = hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
+        assert digest == _PINNED_SHA256[csv]
 
 
 class TestTickLength:

@@ -1,5 +1,6 @@
 """Transports: threaded pipeline wrapper and the TCP endpoint."""
 
+import socket
 import sys
 import threading
 import time
@@ -128,9 +129,82 @@ class TestBrokenAckSend:
             assert agent.registry.published.slices[2].rrc.shared_priority == 3
             m = agent.metrics
             assert (m.received, m.executed, m.failed) == (2, 2, 0)
-            assert agent.pml.callback_errors == 1
+            assert agent.pml.callback_errors == 0  # the failed send lost the link
+            assert agent.failures_by_cause == {"link_lost": 1}
         finally:
             server.stop()
+
+
+# two functions that lock different slices, so two controllers can each hold one
+_TWO_FUNCTIONS = {"functions": [
+    dict(FS_FUNCTION_DOC["functions"][0], function_id=1, resources=["slice/1"]),
+    dict(FS_FUNCTION_DOC["functions"][0], function_id=2, name="fs-2", resources=["slice/2"]),
+]}
+
+
+class TestDeadLink:
+    def test_a_failed_query_answer_loses_the_link_and_no_worker(self):
+        agent = make_agent(doc=_TWO_FUNCTIONS)
+        server = ThreadedAgentServer(agent).start()
+        try:
+            dead = _GonePeer("ric-a", RIC, activate=[1])
+            live = SimulatedPeer("ric-b", RIC, activate=[2])
+            connect_inproc(agent, dead, "link-a")
+            connect_inproc(agent, live, "link-b")
+            assert wait_for(lambda: agent.activation("ric-a") == {1}
+                            and agent.activation("ric-b") == {2})
+            sub = dead.subscribe(1, "slice_context", slice_ids=[1])
+            assert wait_for(lambda: sub in dead.responses)
+            dead.gone = True
+            dead.query(1, "slice_context", slice_ids=[1])
+            assert wait_for(lambda: agent.repository.context_for("ric-a") is None)
+            query = live.query(2, "slice_context", slice_ids=[2])
+            control = live.control_slice(2, {"slice_id": 2, "shared_priority": 3})
+            assert wait_for(lambda: query in live.responses and control in live.control_results)
+            assert live.responses[query].msg_type == MsgType.QUERY_RESPONSE
+            assert live.control_results[control][0] == "ack"
+            assert len(server._threads) == 4
+            assert all(t.is_alive() for t in server._threads)
+            assert agent.repository.lock_holder("slice/1") is None
+            assert not agent._sub_by_reg
+            assert agent.failures_by_cause == {"link_lost": 1}
+            m = agent.metrics
+            assert m.received == m.executed + m.failed == 1
+        finally:
+            server.stop()
+
+
+class _AnswerLog(SimulatedPeer):
+    """A controller that logs the correlation id of every answer it gets."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answers = []
+
+    def on_frame(self, frame: E2LiteFrame) -> None:
+        if frame.msg_type not in (MsgType.SETUP_REQUEST, MsgType.INDICATION,
+                                  MsgType.ALARM_NOTIFICATION):
+            self.answers.append(frame.correlation_id)
+        super().on_frame(frame)
+
+
+class TestStop:
+    def test_every_request_sent_before_stop_gets_one_answer(self):
+        doc = {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources=[])]}
+        agent = make_agent(doc=doc)
+        server = ThreadedAgentServer(agent).start()
+        ric = _AnswerLog("ric-1", RIC)
+        connect_inproc(agent, ric, "link-1")
+        assert wait_for(lambda: agent.activation("ric-1") == {1})
+        sent = []
+        for k in range(200):
+            sent.append(ric.control_slice(1, {"slice_id": 1 + k % 3,
+                                              "shared_priority": 1 + k % 4}))
+            sent.append(ric.query(1, "slice_context", slice_ids=[1 + k % 3]))
+        server.stop()
+        assert sorted(ric.answers) == sorted(sent)
+        m = agent.metrics
+        assert m.received == m.executed + m.failed == 200
 
 
 class TestTcp:
@@ -183,3 +257,32 @@ class TestTcp:
         finally:
             tcp.stop()
             threads.stop()
+
+    def test_closed_connections_are_forgotten(self):
+        agent = make_agent()
+        tcp = TcpAgentServer(agent, kind=RIC).start()
+        socks = []
+        try:
+            for _ in range(4):
+                socks.append(socket.create_connection((tcp.host, tcp.port)))
+            assert wait_for(lambda: len(tcp._conns) == 4)
+            for sock in socks:
+                sock.close()
+            assert wait_for(lambda: not tcp._conns)
+            assert not agent.repository.ric_contexts
+        finally:
+            tcp.stop()
+
+    def test_a_link_the_agent_dropped_ends_its_read_loop_quietly(self):
+        agent = make_agent()
+        tcp = TcpAgentServer(agent, kind=RIC).start()
+        sock = socket.create_connection((tcp.host, tcp.port))
+        try:
+            assert wait_for(lambda: len(tcp._conns) == 1)
+            (ctx,) = agent.repository.ric_contexts.values()
+            agent.detach_link(ctx.link_id)  # as after a failed send
+            sock.sendall(b"bytes on a dropped link")
+            assert wait_for(lambda: not tcp._conns)
+        finally:
+            sock.close()
+            tcp.stop()
