@@ -280,13 +280,8 @@ class Agent:
         self._sub_ids = itertools.count(1)
         self._sub_by_reg: dict[int, Subscription] = {}
         self._state = threading.RLock()
-        self._handlers = {
-            int(MsgType.SETUP_RESPONSE): self._on_setup_response,
-            int(MsgType.SUBSCRIPTION_REQUEST): self._on_subscription,
-            int(MsgType.CONTROL_REQUEST): self._on_control,
-            int(MsgType.QUERY_REQUEST): self._on_query,
-            int(MsgType.EDIT_CONFIG): self._on_edit_config,
-        }
+        # function id -> service model, for each available catalog function
+        self._sm_functions: dict[int, str] = {}
         self.pml.set_lockout_window(self.config.lockout_window_ms)
 
     # -- configuration manager -------------------------------------------------
@@ -348,14 +343,9 @@ class Agent:
                 p: (p in registered) for p in expected_plugins
             }
             self.repository.catalog = catalog
+            self._sm_functions = {fid: e.spec.service_model
+                                  for fid, e in catalog.items() if e.available}
         return catalog
-
-    def sm_functions(self) -> dict[int, str]:
-        return {
-            fid: e.spec.service_model
-            for fid, e in self.repository.catalog.items()
-            if e.available
-        }
 
     # -- interface manager -------------------------------------------------------
 
@@ -522,12 +512,12 @@ class Agent:
     def process_message(self, msg: _Pending) -> None:
         msg.record.dispatch_ns = self.clock.now_ns()
         frame = msg.frame
-        handler = self._handlers.get(frame.msg_type)
+        handler = _HANDLERS.get(frame.msg_type)
         if handler is None:
             self._fail(msg, "unknown_type", f"no handler for {frame.msg_type}")
             return
         try:
-            handler(msg)
+            handler(self, msg)
         except Exception as exc:  # manager failures become failure responses
             self._fail(msg, failure_cause(exc), str(exc))
 
@@ -570,7 +560,7 @@ class Agent:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
         link, ctx = self._require_activation(msg, function_id)
-        validated = e2lite.validate_sm_payload(function_id, payload, self.sm_functions())
+        validated = e2lite.validate_sm_payload(function_id, payload, self._sm_functions)
         params = self._control_params(validated)
         for resource in self._touched_resources(validated):
             holder = self.repository.lock_holder(resource, exclude=link.peer_id)
@@ -615,7 +605,7 @@ class Agent:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
         link, ctx = self._require_activation(msg, function_id)
-        validated = e2lite.validate_sm_payload(function_id, payload, self.sm_functions())
+        validated = e2lite.validate_sm_payload(function_id, payload, self._sm_functions)
         completion = self.fs.fs_telemetry_registration_request(
             link.peer_id, validated["targets"], validated["trigger"]
         )
@@ -649,7 +639,7 @@ class Agent:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
         link, _ = self._require_activation(msg, function_id)
-        validated = e2lite.validate_sm_payload(function_id, payload, self.sm_functions())
+        validated = e2lite.validate_sm_payload(function_id, payload, self._sm_functions)
         report = self._build_report(validated["service"], validated["targets"])
         self._send(
             msg.link_id,
@@ -806,3 +796,14 @@ class Agent:
                 self._cv.wait(timeout)
                 msg = self._pop_oldest(keyset)
         return msg
+
+
+# message type -> manager body, called as handler(agent, msg); a module-level
+# table, so an agent holds no bound methods of itself
+_HANDLERS = {
+    int(MsgType.SETUP_RESPONSE): Agent._on_setup_response,
+    int(MsgType.SUBSCRIPTION_REQUEST): Agent._on_subscription,
+    int(MsgType.CONTROL_REQUEST): Agent._on_control,
+    int(MsgType.QUERY_REQUEST): Agent._on_query,
+    int(MsgType.EDIT_CONFIG): Agent._on_edit_config,
+}

@@ -16,17 +16,18 @@ plan for the last ``TtiInput.slices`` tuple it scheduled, matched by identity
 orders, the reserved total, the drb -> UE owner map, each slice's resolved
 algorithm and, for the built-in algorithms, their prepared form (drb ids in
 ascending order, UE ids, integer weights). Registering an algorithm
-invalidates the plan.
+invalidates the plan. :func:`run_tti` looks the plan up once per tick and
+hands it to each stage.
 
 The plan also lays every drb out once, in one flat bearer order: slices by
 ascending id, each slice's drbs in its prepared order (as given, for a custom
 algorithm), so each slice owns a ``[lo, hi)`` range. A tick works on one list
-in that order, the demand each bearer has left. Stages 1 and 2 hand each
-slice its range; a built-in core returns its grants as a list aligned to it,
-and the grants are contract-checked and taken off the list by index. Dicts
-appear only at the edges: ``TtiInput.demands`` comes in as one, and the
-decision's per-drb grants are built once, at the end of stage 2, as the
-difference between the demand and what is left. Custom algorithms keep the
+in that order, the demand each bearer has left, which stages 1 and 2 take
+their grants off. They hand each slice its range; a built-in core returns its
+grants as a list aligned to it, and the grants are contract-checked and taken
+off the list by index. Dicts appear only at the edges: ``TtiInput.demands``
+comes in as one, and the decision's per-drb grants are built once, after
+stage 2, as the difference between the demand and what is left. Custom algorithms keep the
 ``AlgoDrb`` contract: they get a fresh ``AlgoDrb`` list on every call, and
 every algorithm's output goes through the same contract check.
 
@@ -41,11 +42,11 @@ Rounding and tie-break conventions (fixed for determinism):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from math import gcd, lcm
-from operator import add, attrgetter, mul
+from operator import attrgetter, mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import AlgorithmContractViolation, InfeasibleSnapshot
@@ -54,6 +55,7 @@ from .slice_model import SliceState
 Rates = Mapping[int, float]
 
 _RESERVING = (SliceState.DEDICATED, SliceState.PRIORITIZED, SliceState.HYBRID)
+_SHARING = (SliceState.SHARED, SliceState.HYBRID)
 
 
 class DrbInput(NamedTuple):
@@ -75,10 +77,6 @@ class SliceInput:
     drbs: tuple[DrbInput, ...]
 
 
-def _owner_map(slices: Sequence[SliceInput]) -> dict[int, int]:
-    return {d.drb_id: d.ue_id for s in slices for d in s.drbs}
-
-
 @dataclass(frozen=True)
 class TtiInput:
     tti_index: int
@@ -87,16 +85,15 @@ class TtiInput:
     demands: dict[int, int]
     slices: tuple[SliceInput, ...]
 
-    def validate(self, owner: Optional[Mapping[int, int]] = None) -> None:
+    def validate(self, owner: Mapping[int, int]) -> None:
         """Reject negative demands and demanded bearers with no schedulable UE.
 
-        ``owner`` is the drb -> UE map of ``slices`` when the caller has it.
+        ``owner`` is the drb -> UE map of ``slices``.
         """
         ue_ids = self.ue_rate_bits_per_rb
-        members = owner if owner is not None else _owner_map(self.slices)
         for drb, demand in self.demands.items():
             if demand > 0:
-                if members.get(drb) not in ue_ids:
+                if owner.get(drb) not in ue_ids:
                     raise ValueError(f"demanded drb {drb} has no schedulable UE")
             elif demand < 0:
                 raise ValueError(f"negative demand for drb {drb}")
@@ -460,8 +457,8 @@ class _SliceRun(NamedTuple):
     hi: int
 
 
-def _stage2_order(s: SliceInput) -> tuple[int, int]:
-    return (-s.shared_priority, s.slice_id)
+def _stage2_order(run: _SliceRun) -> tuple[int, int]:
+    return (-run.slice.shared_priority, run.slice.slice_id)
 
 
 _by_slice_id = attrgetter("slice_id")
@@ -473,9 +470,7 @@ class _EpochPlan:
     generation: int
     reserved: int
     dph: tuple[_SliceRun, ...]         # dedicated/prioritized/hybrid, ascending id
-    s_list: tuple[SliceInput, ...]     # stage 1's shared list: shared by id, then hybrid
-    ordered: tuple[_SliceRun, ...]     # s_list in stage-2 order
-    runs: dict[int, _SliceRun]         # slice id -> run, for every scheduled slice
+    ordered: tuple[_SliceRun, ...]     # shared and hybrid, in stage-2 order
     ids: tuple[int, ...]               # the flat bearer order: each slice's range, by id
     owner: dict[int, int]              # drb -> UE
     ues: tuple[int, ...]               # the UEs owning ids, ascending
@@ -499,7 +494,7 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
     if plan is not None and plan.slices is slices and plan.generation == generation:
         return plan
     ids: list[int] = []
-    runs: dict[int, _SliceRun] = {}
+    runs: list[_SliceRun] = []
     for s in sorted(slices, key=_by_slice_id):
         lo = len(ids)
         if s.state is SliceState.IDLE:
@@ -510,11 +505,10 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
         algo = registry.get(s.fd_scheduler)
         prepared = algo.prepare(s.drbs) if isinstance(algo, BuiltinAlgorithm) else None
         ids.extend(prepared.ids if prepared is not None else (d.drb_id for d in s.drbs))
-        runs[s.slice_id] = _SliceRun(s, algo, prepared, lo, len(ids))
-    dph = tuple(run for run in runs.values() if run.slice.state in _RESERVING)
-    s_list = tuple(run.slice for run in runs.values() if run.slice.state is SliceState.SHARED)
-    s_list += tuple(run.slice for run in dph if run.slice.state is SliceState.HYBRID)
-    owner = _owner_map(slices)
+        runs.append(_SliceRun(s, algo, prepared, lo, len(ids)))
+    dph = tuple(run for run in runs if run.slice.state in _RESERVING)
+    shared = [run for run in runs if run.slice.state in _SHARING]
+    owner = {d.drb_id: d.ue_id for s in slices for d in s.drbs}
     ues = tuple(sorted({owner[drb] for drb in ids}))
     slot = {ue: k for k, ue in enumerate(ues)}
     plan = _EpochPlan(
@@ -522,9 +516,7 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
         generation=generation,
         reserved=sum(run.slice.dedicated_rb + run.slice.prioritized_rb for run in dph),
         dph=dph,
-        s_list=s_list,
-        ordered=tuple(runs[s.slice_id] for s in sorted(s_list, key=_stage2_order)),
-        runs=runs,
+        ordered=tuple(sorted(shared, key=_stage2_order)),
         ids=tuple(ids),
         owner=owner,
         ues=ues,
@@ -536,30 +528,6 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
 
 
 # -- the three stages ----------------------------------------------------------
-
-@dataclass
-class Stage1Result:
-    """Stage 1's outcome. ``demand`` (what each bearer asked for) and ``left``
-    (what it still lacks) are lists in ``epoch``'s flat bearer order, so a
-    grant is their difference; the dict views are built when asked for."""
-
-    epoch: _EpochPlan = field(repr=False)
-    demand: list[int]
-    left: list[int]
-    shared_pool: int
-
-    @property
-    def s_list(self) -> tuple[SliceInput, ...]:
-        return self.epoch.s_list
-
-    @property
-    def per_drb_rb(self) -> dict[int, int]:
-        return self.epoch.grants(self.demand, self.left)
-
-    @property
-    def remaining(self) -> dict[int, int]:
-        return dict(zip(self.epoch.ids, self.left))
-
 
 def _grant(run: _SliceRun, budget: int, left: list[int], ep: _EpochPlan, rates: Rates,
            histories: dict[int, dict]) -> int:
@@ -614,19 +582,16 @@ def _fold_dict(out: dict[int, int], budget: int, left: list[int], ep: _EpochPlan
     return used
 
 
-def stage1_slice_specific(
-    inp: TtiInput,
-    registry: AlgorithmRegistry = DEFAULT_REGISTRY,
-    histories: Optional[dict[int, dict]] = None,
-) -> Stage1Result:
-    """Serve dedicated/prioritized/hybrid budgets; donate unused prioritized RBs."""
-    histories = histories if histories is not None else {}
-    ep = _epoch_plan(inp.slices, registry)
+def stage1_slice_specific(ep: _EpochPlan, inp: TtiInput, left: list[int],
+                          histories: dict[int, dict]) -> int:
+    """Serve dedicated/prioritized/hybrid budgets; donate unused prioritized RBs.
+
+    ``left`` is the demand each bearer has left, in ``ep``'s flat bearer
+    order; the grants are taken off it. Returns the shared pool.
+    """
     if ep.reserved > inp.total_rb:
         raise InfeasibleSnapshot(f"reserved {ep.reserved} RBs on a {inp.total_rb}-RB cell")
     pool = inp.total_rb - ep.reserved
-    demand = ep.aligned(inp.demands)
-    left = list(demand)
     rates = inp.ue_rate_bits_per_rb
     for run in ep.dph:
         s = run.slice
@@ -635,81 +600,36 @@ def stage1_slice_specific(
         # assignment goes unused moves to the shared pool (dedicated does not)
         used_prio = max(0, used - s.dedicated_rb)
         pool += s.prioritized_rb - used_prio
-    return Stage1Result(ep, demand, left, pool)
+    return pool
 
 
-def stage2_shared(
-    s_list: Sequence[SliceInput],
-    shared_pool: int,
-    partial: Stage1Result | Mapping[int, int],
-    inp: TtiInput,
-    registry: AlgorithmRegistry = DEFAULT_REGISTRY,
-    histories: Optional[dict[int, dict]] = None,
-    remaining: Optional[Mapping[int, int]] = None,
-    policy: str = "max_min",
-) -> AllocationPlan:
-    """Distribute the shared pool over shared (and spent hybrid) slices.
+def stage2_shared(ep: _EpochPlan, inp: TtiInput, pool: int, left: list[int],
+                  histories: dict[int, dict]) -> int:
+    """Split ``pool`` over the shared (and hybrid) slices by weighted max-min
+    fairness, with the shared priority as weight, in ``ep.ordered``.
 
-    ``max_min`` (default) is weighted max-min fairness with the shared
-    priority as weight; ``greedy`` serves slices to satisfaction in descending
-    priority order (ties: ascending id) until the pool runs dry.
-
-    ``partial`` is stage 1's result for ``inp`` and ``registry``, whose lists
-    carry on here, or a drb -> RB map of grants already made, with
-    ``remaining`` the demand left (default ``inp.demands``). ``s_list`` holds
-    scheduled slices of ``inp``.
+    A slice granted nothing is not scheduled. Takes the grants off ``left``
+    like stage 1; returns the pool left.
     """
-    if shared_pool < 0:
-        raise InfeasibleSnapshot("negative shared pool")
-    histories = histories if histories is not None else {}
-    ep = _epoch_plan(inp.slices, registry)
-    if isinstance(partial, Stage1Result) and partial.epoch is ep:
-        demand, left = partial.demand, list(partial.left)
-    else:
-        left = ep.aligned(inp.demands if remaining is None else remaining)
-        demand = list(map(add, ep.aligned(partial), left))
-    if s_list is ep.s_list:
-        ordered = ep.ordered
-    else:
-        ordered = [ep.runs[s.slice_id] for s in sorted(s_list, key=_stage2_order)]
-    slice_demand = [sum(left[run.lo:run.hi]) for run in ordered]
-    pool = shared_pool
-    if policy == "max_min":
-        grants = weighted_max_min(
-            pool,
-            [(run.slice.slice_id, want, run.slice.shared_priority)
-             for run, want in zip(ordered, slice_demand)],
-        )
-    elif policy == "greedy":
-        grants = {}
-        left_pool = pool
-        for run, want in zip(ordered, slice_demand):
-            g = min(want, left_pool)
-            grants[run.slice.slice_id] = g
-            left_pool -= g
-    else:
-        raise ValueError(f"unknown stage-2 policy {policy!r}")
+    ordered = ep.ordered
+    grants = weighted_max_min(
+        pool,
+        [(run.slice.slice_id, sum(left[run.lo:run.hi]), run.slice.shared_priority)
+         for run in ordered],
+    )
     rates = inp.ue_rate_bits_per_rb
     for run in ordered:
-        grant = grants.get(run.slice.slice_id, 0)
+        grant = grants[run.slice.slice_id]
         if grant > 0:
             pool -= _grant(run, grant, left, ep, rates, histories)
-    return AllocationPlan(per_drb_rb=ep.grants(demand, left), shared_pool_remaining=pool)
+    return pool
 
 
-def stage3_vrb_assignment(
-    plan: AllocationPlan,
-    inp: TtiInput,
-    registry: AlgorithmRegistry = DEFAULT_REGISTRY,
-) -> VrbMap:
-    """One contiguous VRB range per UE, ascending UE id, lowest free VRB first.
-
-    The drb -> UE slot map comes from ``registry``'s plan for ``inp.slices``.
-    """
-    ep = _epoch_plan(inp.slices, registry)
+def stage3_vrb_assignment(ep: _EpochPlan, inp: TtiInput, per_drb_rb: dict[int, int]) -> VrbMap:
+    """One contiguous VRB range per UE, ascending UE id, lowest free VRB first."""
     slot = ep.ue_slot
     ue_total = [0] * len(ep.ues)
-    for drb, n in plan.per_drb_rb.items():
+    for drb, n in per_drb_rb.items():
         if n > 0:
             ue_total[slot[drb]] += n
     if sum(ue_total) > inp.total_rb:
@@ -727,14 +647,19 @@ def run_tti(
     inp: TtiInput,
     registry: AlgorithmRegistry = DEFAULT_REGISTRY,
     histories: Optional[dict[int, dict]] = None,
-    stage2_policy: str = "max_min",
 ) -> ScheduleDecision:
-    """Full per-tick decision: stage 1 -> stage 2 -> stage 3."""
+    """Full per-tick decision: stage 1 -> stage 2 -> stage 3.
+
+    Looks up ``registry``'s epoch plan for ``inp.slices`` once and hands it,
+    with the tick's one demand-left list, to each stage.
+    """
     ep = _epoch_plan(inp.slices, registry)
     inp.validate(ep.owner)
     histories = histories if histories is not None else {}
-    st1 = stage1_slice_specific(inp, registry, histories)
-    plan = stage2_shared(st1.s_list, st1.shared_pool, st1, inp, registry, histories,
-                         policy=stage2_policy)
-    vrb = stage3_vrb_assignment(plan, inp, registry)
-    return ScheduleDecision(tti_index=inp.tti_index, plan=plan, vrb=vrb)
+    demand = ep.aligned(inp.demands)
+    left = list(demand)
+    pool = stage1_slice_specific(ep, inp, left, histories)
+    pool = stage2_shared(ep, inp, pool, left, histories)
+    per_drb_rb = ep.grants(demand, left)
+    vrb = stage3_vrb_assignment(ep, inp, per_drb_rb)
+    return ScheduleDecision(inp.tti_index, AllocationPlan(per_drb_rb, pool), vrb)

@@ -116,7 +116,6 @@ class Cell:
         cfg: CellConfig,
         registry: SliceRegistry,
         algorithms: fssf.AlgorithmRegistry = fssf.DEFAULT_REGISTRY,
-        stage2_policy: str = "max_min",
         link_state: Optional[LinkState] = None,
     ):
         if registry.total_rb != cfg.total_rb:
@@ -124,7 +123,6 @@ class Cell:
         self.cfg = cfg
         self.registry = registry
         self.algorithms = algorithms
-        self.stage2_policy = stage2_policy
         self.link = link_state or LinkState()
         self.tti_index = 0
         self.buffers: dict[int, float] = {}
@@ -255,7 +253,7 @@ class Cell:
                 fixed = []
         else:
             inp = fssf.TtiInput(tti, total_rb, ep.ue_rate, demands, ep.slices)
-            decision = fssf.run_tti(inp, self.algorithms, self.histories, self.stage2_policy)
+            decision = fssf.run_tti(inp, self.algorithms, self.histories)
             if ep.stateless:
                 ep.last_demands, ep.last_decision = demands, decision
 

@@ -96,7 +96,6 @@ def reference_run_tti(
     inp: fssf.TtiInput,
     registry: fssf.AlgorithmRegistry = fssf.DEFAULT_REGISTRY,
     histories: Optional[dict[int, dict]] = None,
-    stage2_policy: str = "max_min",
 ) -> fssf.ScheduleDecision:
     histories = histories if histories is not None else {}
     remaining = dict(inp.demands)
@@ -135,24 +134,20 @@ def reference_run_tti(
         if s.state is SliceState.HYBRID:
             s_list.append(s)
 
-    # stage 2: shared pool across the shared list
+    # stage 2: shared pool across the shared list; a slice granted nothing
+    # is not scheduled
     ordered = sorted(s_list, key=lambda s: (-s.shared_priority, s.slice_id))
     wants = {
         s.slice_id: sum(max(0, remaining.get(d.drb_id, 0)) for d in s.drbs) for s in ordered
     }
-    if stage2_policy == "max_min":
-        grants = fraction_max_min(
-            pool, [(s.slice_id, wants[s.slice_id], s.shared_priority) for s in ordered]
-        )
-    else:
-        grants, left = {}, pool
-        for s in ordered:
-            grants[s.slice_id] = min(wants[s.slice_id], left)
-            left -= grants[s.slice_id]
+    grants = fraction_max_min(
+        pool, [(s.slice_id, wants[s.slice_id], s.shared_priority) for s in ordered]
+    )
     spent = 0
     for s in ordered:
-        spent += invoke(s, grants.get(s.slice_id, 0))
-    plan = fssf.AllocationPlan(per_drb_rb=per_drb, shared_pool_remaining=pool - spent)
+        if grants[s.slice_id] > 0:
+            spent += invoke(s, grants[s.slice_id])
+    plan = fssf.AllocationPlan(per_drb, pool - spent)
 
     # stage 3: ascending UE id, one contiguous range each
     owner = {d.drb_id: d.ue_id for s in inp.slices for d in s.drbs}
@@ -250,9 +245,8 @@ def oracle_equivalence_run(n_instances: int, seed: int = 20240, progress=None) -
     mismatches = []
     for k in range(n_instances):
         inp, histories = random_instance(rng)
-        stage2 = rng.choice(("max_min", "greedy"))
-        got = fssf.run_tti(inp, histories=copy.deepcopy(histories), stage2_policy=stage2)
-        want = reference_run_tti(inp, histories=copy.deepcopy(histories), stage2_policy=stage2)
+        got = fssf.run_tti(inp, histories=copy.deepcopy(histories))
+        want = reference_run_tti(inp, histories=copy.deepcopy(histories))
         got_plan = {d: n for d, n in got.per_drb_rb.items() if n}
         want_plan = {d: n for d, n in want.per_drb_rb.items() if n}
         if (got_plan != want_plan

@@ -392,7 +392,7 @@ class ScenarioRunner:
         self.agent = Agent(self.registry, self.pml, self.fs, AgentConfig(), clock=self.clock)
         self.agent.load_configuration(FS_FUNCTION_DOC)
         self.ric = SimulatedPeer("ric-1", RIC)
-        connect_inproc(self.agent, self.ric, "link-ric-1")
+        self._duplex = connect_inproc(self.agent, self.ric, "link-ric-1")
         self.cell = Cell(script.cell, self.registry)
         self.metrics = MetricsTable(name=script.name, seed=script.seed)
         self._drb_rate: dict[int, float] = {}
@@ -467,7 +467,8 @@ class ScenarioRunner:
         The control step (``Agent.pump``, then ``Agent.step``) runs on a
         tick that applied a script event or has reached the wake time the
         last step returned. On the other ticks it would do nothing, so
-        skipping it changes no output. ``Agent.flush`` ends the run.
+        skipping it changes no output. ``Agent.flush`` ends the run, and the
+        RIC's link is closed after it.
 
         After a fixed-point tick (:attr:`Cell.fixed_tick`: the next tick reads
         the same buffers and throughputs), the ticks before the next event,
@@ -508,6 +509,7 @@ class ScenarioRunner:
             if tick % per_s == 0:
                 self._close_window(tick // per_s - 1)
         self.agent.flush()  # so every control sees exactly one response
+        self._duplex.close()
         return self.metrics
 
     def _close_window(self, second: int) -> None:

@@ -33,97 +33,96 @@ def tti(total_rb, slices, demands, rates=None):
 
 
 class TestStage1:
+    """Stage 1 through run_tti: with no shared slice to take from it, the
+    shared pool stage 1 leaves is the plan's ``shared_pool_remaining``."""
+
     def test_dedicated_85_leaves_pool_of_21(self):
         s2 = slice_input(2, SliceState.DEDICATED, ded=85, drbs=[(201, 2, 1)])
-        out = fssf.stage1_slice_specific(tti(106, [s2], {201: 106}))
+        out = fssf.run_tti(tti(106, [s2], {201: 106}))
         assert out.per_drb_rb == {201: 85}
-        assert out.shared_pool == 21
+        assert out.plan.shared_pool_remaining == 21
 
     def test_empty_dph_list_frees_everything(self):
-        out = fssf.stage1_slice_specific(tti(106, [], {}))
+        out = fssf.run_tti(tti(106, [], {}))
         assert out.per_drb_rb == {}
-        assert out.shared_pool == 106
+        assert out.plan.shared_pool_remaining == 106
 
     def test_prioritized_donation_dedicated_retention(self):
         # A dedicated 4 fully used, B prioritized 4 with demand 2: the two
         # unused prioritized RBs join the pool, total 10 - 8 + 2 = 4
         a = slice_input(1, SliceState.DEDICATED, ded=4, drbs=[(11, 1, 1)])
         b = slice_input(2, SliceState.PRIORITIZED, prio=4, drbs=[(21, 2, 1)])
-        out = fssf.stage1_slice_specific(tti(10, [a, b], {11: 4, 21: 2}))
+        out = fssf.run_tti(tti(10, [a, b], {11: 4, 21: 2}))
         assert out.per_drb_rb == {11: 4, 21: 2}
-        assert out.shared_pool == 4
+        assert out.plan.shared_pool_remaining == 4
 
     def test_unused_dedicated_rbs_are_wasted(self):
         a = slice_input(1, SliceState.DEDICATED, ded=6, drbs=[(11, 1, 1)])
-        out = fssf.stage1_slice_specific(tti(10, [a], {11: 1}))
-        assert out.shared_pool == 4  # 10 - 6; the 5 idle dedicated RBs stay out
+        out = fssf.run_tti(tti(10, [a], {11: 1}))
+        assert out.plan.shared_pool_remaining == 4  # 10 - 6; the 5 idle dedicated RBs stay out
 
     def test_hybrid_donates_prioritized_remainder_and_joins_shared_list(self):
         h = slice_input(1, SliceState.HYBRID, ded=3, prio=5, drbs=[(11, 1, 1)])
-        out = fssf.stage1_slice_specific(tti(12, [h], {11: 4}))
+        out = fssf.run_tti(tti(12, [h], {11: 4}))
         # 3 dedicated consumed, 1 of 5 prioritized consumed, 4 donated
         assert out.per_drb_rb == {11: 4}
-        assert out.shared_pool == (12 - 8) + 4
-        assert [s.slice_id for s in out.s_list] == [1]
+        assert out.plan.shared_pool_remaining == (12 - 8) + 4
+        # on the shared list, it takes the unreserved pool past its 8 RBs
+        out = fssf.run_tti(tti(12, [h], {11: 20}))
+        assert out.per_drb_rb == {11: 12}
+        assert out.plan.shared_pool_remaining == 0
 
     def test_infeasible_snapshot_raises(self):
         a = slice_input(1, SliceState.DEDICATED, ded=8, drbs=[(11, 1, 1)])
         b = slice_input(2, SliceState.PRIORITIZED, prio=5, drbs=[(21, 2, 1)])
         with pytest.raises(InfeasibleSnapshot):
-            fssf.stage1_slice_specific(tti(10, [a, b], {11: 1, 21: 1}))
+            fssf.run_tti(tti(10, [a, b], {11: 1, 21: 1}))
 
 
 class TestStage2:
+    """Stage 2 through run_tti: with only shared slices, its pool is the cell."""
+
     def test_equal_priorities_split_equally(self):
         s1 = slice_input(1, SliceState.SHARED, drbs=[(11, 1, 1)])
         s2 = slice_input(2, SliceState.SHARED, drbs=[(21, 2, 1)])
-        inp = tti(106, [s1, s2], {11: 106, 21: 106})
-        plan = fssf.stage2_shared([s1, s2], 106, {}, inp)
-        assert plan.per_drb_rb == {11: 53, 21: 53}
-        assert plan.shared_pool_remaining == 0
+        out = fssf.run_tti(tti(106, [s1, s2], {11: 106, 21: 106}))
+        assert out.per_drb_rb == {11: 53, 21: 53}
+        assert out.plan.shared_pool_remaining == 0
 
     def test_empty_pool_grants_nothing(self):
         s1 = slice_input(1, SliceState.SHARED, drbs=[(11, 1, 1)])
-        inp = tti(106, [s1], {11: 50})
-        plan = fssf.stage2_shared([s1], 0, {}, inp)
-        assert plan.per_drb_rb == {}
+        out = fssf.run_tti(tti(0, [s1], {11: 50}))
+        assert out.per_drb_rb == {}
 
     def test_single_slice_capped_by_pool(self):
         s1 = slice_input(1, SliceState.SHARED, drbs=[(11, 1, 1)])
-        inp = tti(106, [s1], {11: 30})
-        plan = fssf.stage2_shared([s1], 21, {}, inp)
-        assert plan.per_drb_rb == {11: 21}
+        out = fssf.run_tti(tti(21, [s1], {11: 30}))
+        assert out.per_drb_rb == {11: 21}
         # 21 RBs at the calibrated rate land near the 27 Mbps ceiling
         assert 21 * R * 1000 / 1e6 == pytest.approx(25.75, abs=0.1)
 
     def test_weighted_split_follows_shared_priority(self):
         s1 = slice_input(1, SliceState.SHARED, sp=2, drbs=[(11, 1, 1)])
         s2 = slice_input(2, SliceState.SHARED, sp=1, drbs=[(21, 2, 1)])
-        inp = tti(106, [s1, s2], {11: 106, 21: 106})
-        plan = fssf.stage2_shared([s1, s2], 30, {}, inp)
-        assert plan.per_drb_rb == {11: 20, 21: 10}
-
-    def test_greedy_policy_serves_priority_order_to_satisfaction(self):
-        s1 = slice_input(1, SliceState.SHARED, sp=2, drbs=[(11, 1, 1)])
-        s2 = slice_input(2, SliceState.SHARED, sp=1, drbs=[(21, 2, 1)])
-        inp = tti(106, [s1, s2], {11: 25, 21: 25})
-        plan = fssf.stage2_shared([s1, s2], 30, {}, inp, policy="greedy")
-        assert plan.per_drb_rb == {11: 25, 21: 5}
+        out = fssf.run_tti(tti(30, [s1, s2], {11: 106, 21: 106}))
+        assert out.per_drb_rb == {11: 20, 21: 10}
 
 
 class TestStage3:
+    """Stage 3 through run_tti, on demands that all fit, so they are the grants."""
+
     def test_contiguous_range_after_occupied_prefix(self):
         s1 = slice_input(1, SliceState.SHARED, drbs=[(11, 1, 1), (21, 2, 1)])
-        inp = tti(106, [s1], {11: 5, 21: 20})
-        vrb = fssf.stage3_vrb_assignment(fssf.AllocationPlan({11: 5, 21: 20}, 0), inp)
-        assert vrb.per_ue_range[1] == (0, 4)
-        assert vrb.per_ue_range[2] == (5, 24)  # 20 RBs: VRB5 through VRB24
+        out = fssf.run_tti(tti(106, [s1], {11: 5, 21: 20}))
+        assert out.per_drb_rb == {11: 5, 21: 20}
+        assert out.vrb.per_ue_range[1] == (0, 4)
+        assert out.vrb.per_ue_range[2] == (5, 24)  # 20 RBs: VRB5 through VRB24
 
     def test_zero_total_ue_absent(self):
         s1 = slice_input(1, SliceState.SHARED, drbs=[(11, 1, 1), (21, 2, 1)])
-        inp = tti(106, [s1], {11: 3})
-        vrb = fssf.stage3_vrb_assignment(fssf.AllocationPlan({11: 3, 21: 0}, 0), inp)
-        assert 2 not in vrb.per_ue_range
+        out = fssf.run_tti(tti(106, [s1], {11: 3}))
+        assert out.per_drb_rb == {11: 3}
+        assert 2 not in out.vrb.per_ue_range
 
     def test_placement_matches_exhaustive_checker(self):
         rng = random.Random(5)
@@ -139,10 +138,10 @@ class TestStage3:
                 drbs.append((100 + u, u, 1))
                 allocs[100 + u] = n
             s1 = slice_input(1, SliceState.SHARED, drbs=drbs)
-            inp = tti(total, [s1], {d: n for d, n in allocs.items()})
-            vrb = fssf.stage3_vrb_assignment(fssf.AllocationPlan(allocs, 0), inp)
+            out = fssf.run_tti(tti(total, [s1], {d: n for d, n in allocs.items()}))
+            assert out.per_drb_rb == {d: n for d, n in allocs.items() if n}
             used = set()
-            for ue, (lo, hi) in vrb.per_ue_range.items():
+            for ue, (lo, hi) in out.vrb.per_ue_range.items():
                 size = hi - lo + 1
                 assert size == allocs[100 + ue]
                 span = set(range(lo, hi + 1))
@@ -272,16 +271,27 @@ class TestProperties:
     @given(st.integers(0, 10**9))
     def test_prioritized_ceiling_and_donation(self, seed):
         inp, histories = _instance_from_seed(seed)
-        st1 = fssf.stage1_slice_specific(inp, histories=copy.deepcopy(histories))
+        # stage 1's grants and pool, as run_tti hands them to stage 2
+        seen = []
+        stage2 = fssf.stage2_shared
+
+        def capture(ep, inp, pool, left, histories):
+            seen.append((pool, dict(zip(ep.ids, left))))
+            return stage2(ep, inp, pool, left, histories)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fssf, "stage2_shared", capture)
+            fssf.run_tti(inp, histories=histories)
+        [(shared_pool, left)] = seen
         expected_pool = inp.total_rb
         for s in inp.slices:
             if s.state in (SliceState.DEDICATED, SliceState.PRIORITIZED, SliceState.HYBRID):
-                used = sum(st1.per_drb_rb.get(d.drb_id, 0) for d in s.drbs)
+                used = sum(inp.demands.get(d.drb_id, 0) - left[d.drb_id] for d in s.drbs)
                 assert used <= s.dedicated_rb + s.prioritized_rb
                 used_prio = max(0, used - s.dedicated_rb)
                 # dedicated leftovers never reach the pool, prioritized ones do
                 expected_pool -= s.dedicated_rb + used_prio
-        assert st1.shared_pool == expected_pool
+        assert shared_pool == expected_pool
 
 
 class TestOracleEquivalence:
@@ -289,10 +299,8 @@ class TestOracleEquivalence:
         rng = random.Random(99)
         for _ in range(800):
             inp, histories = random_instance(rng)
-            policy = rng.choice(("max_min", "greedy"))
-            got = fssf.run_tti(inp, histories=copy.deepcopy(histories), stage2_policy=policy)
-            want = reference_run_tti(inp, histories=copy.deepcopy(histories),
-                                     stage2_policy=policy)
+            got = fssf.run_tti(inp, histories=copy.deepcopy(histories))
+            want = reference_run_tti(inp, histories=copy.deepcopy(histories))
             assert {d: n for d, n in got.per_drb_rb.items() if n} == \
                    {d: n for d, n in want.per_drb_rb.items() if n}
             assert got.plan.shared_pool_remaining == want.plan.shared_pool_remaining
@@ -371,10 +379,9 @@ class TestFrozenAlgorithms:
         rng = random.Random(31)
         for _ in range(3000):
             inp, histories = random_instance(rng, max_rb=40, max_slices=4, max_drbs=8)
-            policy = rng.choice(("max_min", "greedy"))
             got_h, want_h = copy.deepcopy(histories), copy.deepcopy(histories)
-            got = fssf.run_tti(inp, histories=got_h, stage2_policy=policy)
-            want = fssf.run_tti(inp, frozen, want_h, stage2_policy=policy)
+            got = fssf.run_tti(inp, histories=got_h)
+            want = fssf.run_tti(inp, frozen, want_h)
             assert got == want
             assert got_h == want_h
 
@@ -453,31 +460,22 @@ class TestAlignedPath:
         rng = random.Random(13)
         for instance in range(40):
             slices, rates = _dense_cell(rng)
-            policy = ("max_min", "greedy")[instance % 2]
             start = _warm_histories(rng, slices)
-            got_h, want_h, staged_h = (copy.deepcopy(start) for _ in range(3))
+            # the reference carries its own histories from tick to tick
+            got_h, want_h, ref_h = (copy.deepcopy(start) for _ in range(3))
             for tick in range(10):
                 demands = {d.drb_id: rng.choice((0, rng.randint(1, 30), 106))
                            for s in slices for d in s.drbs if rng.random() < 0.9}
                 inp = fssf.TtiInput(tick, 106, rates, demands, slices)
-                # the reference also runs an algorithm on a zero stage-2 grant,
-                # so it only ever gets this tick's starting histories
-                ref = reference_run_tti(inp, frozen, copy.deepcopy(got_h), policy)
-                got = fssf.run_tti(inp, current, got_h, policy)
-                want = fssf.run_tti(inp, frozen, want_h, policy)
+                ref = reference_run_tti(inp, frozen, ref_h)
+                got = fssf.run_tti(inp, current, got_h)
+                want = fssf.run_tti(inp, frozen, want_h)
                 assert got == want, (instance, tick)
                 assert got_h == want_h, (instance, tick)
                 assert got.per_drb_rb == {d: n for d, n in ref.per_drb_rb.items() if n}
                 assert got.plan.shared_pool_remaining == ref.plan.shared_pool_remaining
                 assert got.vrb == ref.vrb
-                # the stages called in their dict form give the same plan
-                st1 = fssf.stage1_slice_specific(inp, current, staged_h)
-                plan = fssf.stage2_shared(st1.s_list, st1.shared_pool, st1.per_drb_rb, inp,
-                                          current, staged_h, remaining=st1.remaining,
-                                          policy=policy)
-                assert plan == got.plan
-                assert fssf.stage3_vrb_assignment(plan, inp, current) == got.vrb
-                assert staged_h == got_h
+                assert ref_h == got_h, (instance, tick)
 
     @staticmethod
     def _run_core(grants):

@@ -1,6 +1,8 @@
 """Scenario harness: script loading, determinism, metrics table, control accounting."""
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -93,6 +95,21 @@ class TestScenarioRun:
         metrics, _ = run_scenario(script)
         cells = metrics.series("cell", "cell", "utilization")
         assert cells and all(u == 0.0 for u in cells)
+
+    def test_a_finished_run_is_freed_by_reference_counting(self):
+        """No reference cycle keeps a finished run's objects alive."""
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            metrics, runner = run_scenario(ScenarioScript.from_dict(MINI_SCRIPT, "mini"))
+            refs = {name: weakref.ref(getattr(runner, name))
+                    for name in ("agent", "pml", "registry", "ric")}
+            del metrics, runner
+            assert [name for name, ref in refs.items() if ref() is not None] == []
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 # sha256 of each deterministic output, pinned so that a change to how the
