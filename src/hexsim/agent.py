@@ -3,10 +3,12 @@
 Inbound frames are reassembled per link, stamped on receipt, and routed by
 message type into bounded per-manager queues (overflow answers a failure
 rather than dropping silently, so received = executed + failed always holds
-for the control path). Queue processing is driven either by an explicit
+for the control path). Each manager has ``CONTROL_SHARDS`` queues, and a link
+keeps to one of them. Queue processing is driven either by an explicit
 :meth:`Agent.pump` (deterministic, virtual time) or by worker threads
-(:class:`~hexsim.transport.ThreadedAgentServer`); per-(peer, type) order is
-preserved in both because one peer's messages of a type land in one queue.
+(:class:`~hexsim.transport.ThreadedAgentServer`, one per control shard and
+one for the other managers); per-(peer, type) order is preserved in both
+because one peer's messages of a type land in one queue.
 
 Controller peers get a separate repository context each. Activating a
 function locks its governed resources to that peer; other peers' control on
@@ -42,12 +44,14 @@ from .errors import (
     ValidationFailed,
 )
 from .e2lite import E2LiteFrame, FrameReader, MsgType
-from .pml import Completion, FsApi, Pml
+from .pml import DEFAULT_LOCKOUT_WINDOW_MS, Completion, FsApi, Pml
 from .slice_model import SliceRegistry, record_to_dict
 
 DEFAULT_QUEUE_DEPTH = 1024
-DEFAULT_MANAGER_INSTANCES = 2
 DEFAULT_UTILIZATION_ALARM = 0.90
+# queues per manager; a link's messages go to shard (attach order % CONTROL_SHARDS).
+# Fixed, because the threaded server's workers take their queue keys at start.
+CONTROL_SHARDS = 2
 
 RIC = "ric"
 SMO = "smo"
@@ -59,31 +63,30 @@ _QUERY = "query"
 _INTERFACE = "interface"
 _BROKER = "broker"
 
-_ROUTE = {
-    MsgType.SETUP_RESPONSE: _INTERFACE,
-    MsgType.SUBSCRIPTION_REQUEST: _SUBSCRIPTION,
-    MsgType.CONTROL_REQUEST: _CONTROL,
-    MsgType.QUERY_REQUEST: _QUERY,
-    MsgType.EDIT_CONFIG: _BROKER,
-}
-
 _KNOWN_TYPES = frozenset(int(t) for t in MsgType)
 
-# the keys edit-config may set: what each value must be, and its check
-_EDIT_CONFIG_RULES = {
-    "lockout_window_ms": ("a number >= 0", lambda v: isinstance(v, (int, float)) and v >= 0),
-    "queue_depth": ("a positive integer", lambda v: isinstance(v, int) and v > 0),
-    "utilization_alarm_threshold": ("a number", lambda v: isinstance(v, (int, float))),
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the AgentConfig fields a configuration document or an edit-config may set:
+# what each value must be, and its check; a value that passes is stored as given
+_SETTINGS = {
+    "lockout_window_ms": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+    "queue_depth": ("a positive integer", lambda v: _is_number(v) and isinstance(v, int) and v > 0),
+    "utilization_alarm_threshold": ("a number", _is_number),
 }
 
-# the AgentConfig fields a configuration document may set, with the
-# conversion each value must survive; edit-config sets a subset of them
-_CONFIG_SCALARS = {
-    "lockout_window_ms": float,
-    "queue_depth": int,
-    "manager_instances": int,
-    "utilization_alarm_threshold": float,
-}
+
+def _check_settings(values: Mapping, error: type[Exception]) -> dict:
+    """Check each value (keyed as in ``_SETTINGS``); a copy of ``values``,
+    or ``error`` raised for the first value that fails."""
+    for key, value in values.items():
+        what, valid = _SETTINGS[key]
+        if not valid(value):
+            raise error(f"{key} must be {what}")
+    return dict(values)
 
 
 def failure_cause(exc: Exception) -> str:
@@ -219,8 +222,7 @@ class PipelineMetrics:
 @dataclass
 class AgentConfig:
     queue_depth: int = DEFAULT_QUEUE_DEPTH
-    manager_instances: int = DEFAULT_MANAGER_INSTANCES
-    lockout_window_ms: float = 100.0
+    lockout_window_ms: float = DEFAULT_LOCKOUT_WINDOW_MS
     utilization_alarm_threshold: float = DEFAULT_UTILIZATION_ALARM
 
 
@@ -304,15 +306,7 @@ class Agent:
             isinstance(p, str) for p in expected_plugins
         ):
             raise MalformedConfig("plugins must be a list of plugin ids")
-        scalars = {}
-        for key, convert in _CONFIG_SCALARS.items():
-            if key in doc:
-                try:
-                    scalars[key] = convert(doc[key])
-                except (TypeError, ValueError) as exc:
-                    raise MalformedConfig(f"bad {key}: {exc}") from None
-        if scalars.get("lockout_window_ms", 0.0) < 0:
-            raise MalformedConfig("lockout_window_ms must be >= 0")
+        settings = _check_settings({k: doc[k] for k in _SETTINGS if k in doc}, MalformedConfig)
         registered = self.pml.plugin_ids()
         catalog: dict[int, CatalogEntry] = {}
         for raw in functions:
@@ -337,7 +331,7 @@ class Agent:
             else:
                 catalog[spec.function_id] = CatalogEntry(spec, True)
         # everything parsed: commit
-        self._apply_config(scalars)
+        self._apply_config(settings)
         with self._state:
             self.repository.ran_state["operational"]["plugins"] = {
                 p: (p in registered) for p in expected_plugins
@@ -419,16 +413,17 @@ class Agent:
     def _dispatch(self, link: _Link, frame: E2LiteFrame) -> None:
         record = MessageRecord(receive_ns=self.clock.now_ns())
         msg = _Pending(link_id=link.link_id, frame=frame, record=record)
-        manager = _ROUTE.get(frame.msg_type)  # IntEnum keys match raw ints
+        route = _INBOUND.get(frame.msg_type)  # IntEnum keys match raw ints
         if frame.msg_type == MsgType.CONTROL_REQUEST:
             with self.metrics.lock:
                 self.metrics.received += 1
-        if manager is None:
+        if route is None:
             cause = "unknown_type" if frame.msg_type not in _KNOWN_TYPES else "invalid_direction"
             self._fail(msg, cause, f"message type {frame.msg_type} not accepted inbound")
             return
+        manager = route[0]
         with self._cv:
-            q = self._queues.setdefault((manager, link.order % self._shards()), deque())
+            q = self._queues.setdefault((manager, link.order % CONTROL_SHARDS), deque())
             overflow = len(q) >= self.config.queue_depth
             if not overflow:
                 msg.seq = next(self._arrivals)
@@ -510,14 +505,11 @@ class Agent:
     # -- manager bodies ------------------------------------------------------------
 
     def process_message(self, msg: _Pending) -> None:
+        """Run a queued message's manager body; only routed types are queued."""
         msg.record.dispatch_ns = self.clock.now_ns()
-        frame = msg.frame
-        handler = _HANDLERS.get(frame.msg_type)
-        if handler is None:
-            self._fail(msg, "unknown_type", f"no handler for {frame.msg_type}")
-            return
+        _, body = _INBOUND[msg.frame.msg_type]
         try:
-            handler(self, msg)
+            body(self, msg)
         except Exception as exc:  # manager failures become failure responses
             self._fail(msg, failure_cause(exc), str(exc))
 
@@ -560,7 +552,8 @@ class Agent:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
         link, ctx = self._require_activation(msg, function_id)
-        validated = e2lite.validate_sm_payload(function_id, payload, self._sm_functions)
+        validated = e2lite.validate_sm_payload(MsgType.CONTROL_REQUEST, function_id, payload,
+                                               self._sm_functions)
         params = self._control_params(validated)
         for resource in self._touched_resources(validated):
             holder = self.repository.lock_holder(resource, exclude=link.peer_id)
@@ -605,7 +598,8 @@ class Agent:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
         link, ctx = self._require_activation(msg, function_id)
-        validated = e2lite.validate_sm_payload(function_id, payload, self._sm_functions)
+        validated = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, function_id, payload,
+                                               self._sm_functions)
         completion = self.fs.fs_telemetry_registration_request(
             link.peer_id, validated["targets"], validated["trigger"]
         )
@@ -639,7 +633,8 @@ class Agent:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
         link, _ = self._require_activation(msg, function_id)
-        validated = e2lite.validate_sm_payload(function_id, payload, self._sm_functions)
+        validated = e2lite.validate_sm_payload(MsgType.QUERY_REQUEST, function_id, payload,
+                                               self._sm_functions)
         report = self._build_report(validated["service"], validated["targets"])
         self._send(
             msg.link_id,
@@ -654,15 +649,11 @@ class Agent:
         config = msg.frame.payload.get("config")
         if not isinstance(config, Mapping):
             raise ValidationFailed("missing config object")
-        unknown = set(config) - set(_EDIT_CONFIG_RULES)
+        unknown = set(config) - set(_SETTINGS)
         if unknown:
             raise ValidationFailed(f"unknown config keys {sorted(unknown)}")
         # every key is checked before any is committed
-        for key, value in config.items():
-            what, valid = _EDIT_CONFIG_RULES[key]
-            if not valid(value):
-                raise ValidationFailed(f"{key} must be {what}")
-        staged = dict(config)
+        staged = _check_settings(config, ValidationFailed)
         # data broker commits, then the config plugin applies via the mediation layer
         with self._state:
             self.repository.ran_state["config"].update(staged)
@@ -676,7 +667,7 @@ class Agent:
     def _apply_config(self, staged: Mapping) -> None:
         """Commit checked AgentConfig values; the Pml takes the lockout window."""
         for key, value in staged.items():
-            setattr(self.config, key, _CONFIG_SCALARS[key](value))
+            setattr(self.config, key, value)
         if "lockout_window_ms" in staged:
             self.pml.set_lockout_window(self.config.lockout_window_ms)
 
@@ -776,13 +767,11 @@ class Agent:
 
     # -- threaded-server support ----------------------------------------------------
 
-    def _shards(self) -> int:
-        return max(1, self.config.manager_instances)
-
-    def worker_keys(self) -> list[list[tuple[str, int]]]:
+    @staticmethod
+    def worker_keys() -> list[list[tuple[str, int]]]:
         """Queue keys per server worker: one list per control shard, then one
         list holding every shard of the other managers."""
-        shards = range(self._shards())
+        shards = range(CONTROL_SHARDS)
         keys = [[(_CONTROL, i)] for i in shards]
         keys.append([(mgr, i) for mgr in (_SUBSCRIPTION, _QUERY, _INTERFACE, _BROKER)
                      for i in shards])
@@ -798,12 +787,12 @@ class Agent:
         return msg
 
 
-# message type -> manager body, called as handler(agent, msg); a module-level
-# table, so an agent holds no bound methods of itself
-_HANDLERS = {
-    int(MsgType.SETUP_RESPONSE): Agent._on_setup_response,
-    int(MsgType.SUBSCRIPTION_REQUEST): Agent._on_subscription,
-    int(MsgType.CONTROL_REQUEST): Agent._on_control,
-    int(MsgType.QUERY_REQUEST): Agent._on_query,
-    int(MsgType.EDIT_CONFIG): Agent._on_edit_config,
+# inbound message type -> (manager, body); a body is called as body(agent,
+# msg). A module-level table, so an agent holds no bound methods of itself.
+_INBOUND = {
+    MsgType.SETUP_RESPONSE: (_INTERFACE, Agent._on_setup_response),
+    MsgType.SUBSCRIPTION_REQUEST: (_SUBSCRIPTION, Agent._on_subscription),
+    MsgType.CONTROL_REQUEST: (_CONTROL, Agent._on_control),
+    MsgType.QUERY_REQUEST: (_QUERY, Agent._on_query),
+    MsgType.EDIT_CONFIG: (_BROKER, Agent._on_edit_config),
 }

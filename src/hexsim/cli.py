@@ -74,20 +74,17 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _cmd_bench_agent(args: argparse.Namespace) -> int:
     if args.config:
         cfg = BenchmarkConfig.from_dict(json.loads(Path(args.config).read_text()))
-        cfg.mode = args.mode
     else:
-        cfg = BenchmarkConfig(mode=args.mode)
+        cfg = BenchmarkConfig()
     cfg.serialized = args.serialized
     cfg.frame_gated = args.frame_gated
     if args.quick:
         cfg.instances = (10, 50, 100)
         cfg.run_s = 0.5
         cfg.duration_s = 10.0
-    if cfg.serialized:
-        cfg.arrival = "burst"
     out_dir = Path(args.out)
-    table = MetricsTable(name=f"bench_{cfg.mode}")
-    if cfg.mode == "delay":
+    table = MetricsTable(name=f"bench_{args.mode}")
+    if args.mode == "delay":
         results = benchmark_delay(cfg)
         for n, stats in sorted(results.items()):
             table.add(MetricRow(
@@ -114,8 +111,8 @@ def _cmd_bench_agent(args: argparse.Namespace) -> int:
     if cfg.frame_gated:
         mode_tags.append("framegated")
     suffix = ("_" + "_".join(mode_tags)) if mode_tags else ""
-    out = table.write(out_dir / f"bench_{cfg.mode}{suffix}.csv")
-    print(f"bench {cfg.mode}{suffix}: -> {out}")
+    out = table.write(out_dir / f"bench_{args.mode}{suffix}.csv")
+    print(f"bench {args.mode}{suffix}: -> {out}")
     return 0
 
 
@@ -229,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--config", default=None, help="benchmark config JSON")
     p.add_argument("--serialized", action="store_true",
-                   help="reference mode: each action blocks its worker until it completes")
+                   help="reference mode: each action blocks its worker until it completes; "
+                        "delay mode sends each period's controls in one burst")
     p.add_argument("--frame-gated", action="store_true", dest="frame_gated",
                    help="reference mode (reliability only): one-message queues, "
                         "one execution per frame")

@@ -60,6 +60,7 @@ BASELINE_SERVICES = {
           + STANDARD_HU_TYPES[3].services,
     "cu": STANDARD_HU_TYPES[4].services + STANDARD_HU_TYPES[5].services,
 }
+UNIT_SERVICES = {t.kind: t.services for t in STANDARD_HU_TYPES.values()} | BASELINE_SERVICES
 
 
 @dataclass
@@ -82,10 +83,6 @@ class NfPool:
         if not self.user_plane or self.total_capacity == 0:
             return 0.0
         return self.load_mbps / self.total_capacity
-
-    @property
-    def per_instance_load(self) -> float:
-        return self.load_mbps / self.instances if self.instances else 0.0
 
 
 @dataclass(frozen=True)
@@ -113,22 +110,15 @@ class HuCluster:
         pools: Mapping[str, NfPool],
         chains: Mapping[str, Sequence[str]],
         autoscale: bool = True,
-        threshold: float = SCALE_OUT_THRESHOLD,
-        services: Optional[Mapping[str, tuple[str, ...]]] = None,
     ):
         self.pools = dict(pools)
         self.chains = {name: tuple(hops) for name, hops in chains.items()}
         self.autoscale_enabled = autoscale
-        self.threshold = threshold
-        service_map = dict(services) if services else {
-            t.kind: t.services for t in STANDARD_HU_TYPES.values()
-        }
-        service_map.update(BASELINE_SERVICES)
         for name, hops in self.chains.items():
             for hop in hops:
                 if hop not in self.pools:
                     raise UnknownChain(f"chain {name!r} references unknown unit {hop!r}")
-            carried = [s for hop in hops for s in service_map.get(hop, ())]
+            carried = [s for hop in hops for s in UNIT_SERVICES.get(hop, ())]
             if "low-phy" not in carried:
                 raise UnknownChain(f"user-plane chain {name!r} lacks a PHY hop")
 
@@ -163,7 +153,7 @@ class HuCluster:
         actions = []
         for kind in sorted(self.pools):
             pool = self.pools[kind]
-            if pool.scalable and pool.user_plane and pool.utilization > self.threshold:
+            if pool.scalable and pool.user_plane and pool.utilization > SCALE_OUT_THRESHOLD:
                 pool.instances += 1
                 actions.append((kind, pool.instances))
         return actions

@@ -274,21 +274,25 @@ def validate_query_payload(payload: Mapping) -> dict:
     return {"service": service, "targets": validate_targets(payload.get("targets", {}))}
 
 
+# the service-model schema of each message type whose payload carries one
+_SCHEMAS = {
+    MsgType.CONTROL_REQUEST: validate_control_payload,
+    MsgType.SUBSCRIPTION_REQUEST: validate_subscription_payload,
+    MsgType.QUERY_REQUEST: validate_query_payload,
+}
+
+
 def validate_sm_payload(
+    msg_type: int,
     ran_function_id: int,
     payload: Mapping,
     functions: Mapping[int, str] = DEFAULT_FUNCTIONS,
 ) -> dict:
-    """Schema-check a function-specific payload; returns the normalized value."""
+    """Check a function-specific payload against the schema of its message
+    type (one of ``_SCHEMAS``); returns the normalized value."""
     model = functions.get(ran_function_id)
     if model is None:
         raise UnknownFunction(f"ran function {ran_function_id}")
     if model != FS_SERVICE_MODEL:
         raise UnknownFunction(f"no service model registered for {model!r}")
-    if "control_message" in payload or "control_header" in payload:
-        return validate_control_payload(payload)
-    if "trigger" in payload:
-        return validate_subscription_payload(payload)
-    if "service" in payload:
-        return validate_query_payload(payload)
-    raise SchemaViolation("payload matches no known service shape")
+    return _SCHEMAS[msg_type](payload)

@@ -117,8 +117,8 @@ class TelemetryRegistration:
 class LockoutRegistry:
     """Last-writer tracking per parameter path inside a sliding window."""
 
-    def __init__(self, window_ms: float = DEFAULT_LOCKOUT_WINDOW_MS):
-        self.window_ms = window_ms
+    def __init__(self):
+        self.window_ms = DEFAULT_LOCKOUT_WINDOW_MS  # set through Pml.set_lockout_window
         self._writes: dict[str, tuple[str, int]] = {}
 
     def check_and_record(self, paths: Sequence[str], caller: str, now_ns: int) -> None:
@@ -142,9 +142,9 @@ class LockoutRegistry:
 class Pml:
     """API dispatcher: one arrival-ordered FIFO, lockout, boundary-published writes."""
 
-    def __init__(self, clock=None, lockout_window_ms: float = DEFAULT_LOCKOUT_WINDOW_MS):
+    def __init__(self, clock=None):
         self.clock = clock or MonotonicClock()
-        self.lockout = LockoutRegistry(lockout_window_ms)
+        self.lockout = LockoutRegistry()
         self._plugins: dict[str, PluginManifest] = {}
         self._handlers: dict[str, Callable[[ApiCall], object]] = {}
         self._queue: deque[Completion] = deque()  # accepted calls; guarded by _lock
@@ -198,17 +198,18 @@ class Pml:
         with self._lock:
             if api_id not in self._handlers:
                 raise UnknownApi(api_id)
+            now_ns = self.clock.now_ns()
             call = ApiCall(
                 call_id=next(self._call_ids),
                 api_id=api_id,
                 caller_id=caller_id,
                 payload=payload,
-                arrival_time_ns=self.clock.now_ns(),
+                arrival_time_ns=now_ns,
                 parameter_paths=tuple(parameter_paths),
             )
             completion = Completion(call)
             try:
-                self.lockout.check_and_record(call.parameter_paths, caller_id, call.arrival_time_ns)
+                self.lockout.check_and_record(call.parameter_paths, caller_id, now_ns)
             except LockedOut as exc:
                 completion._resolve(error=exc)
                 return completion
@@ -484,23 +485,18 @@ class _FsHandlers:
     def control(self, call: ApiCall) -> dict:
         params = call.payload
         trigger = ChangeTrigger("FS Control Request", call.caller_id)
-        slice_actions = list(params.get("slices", []))
         ue_actions = list(params.get("ues", []))
-        self._validate_control(slice_actions, ue_actions)
+        staged = self._validate_control(list(params.get("slices", [])), ue_actions)
         # apply shrinking footprints first so interim sums stay feasible
-        slice_actions.sort(key=self._footprint_delta)
+        staged.sort(key=lambda action: action[2].footprint()
+                    - self.registry.get_slice(action[0]["slice_id"]).rrc.footprint())
         applied = 0
-        for entry in slice_actions:
-            applied += self._apply_slice_action(entry, trigger)
+        for entry, new_state, new_rrc in staged:
+            applied += self._apply_slice_action(entry, new_state, new_rrc, trigger)
         for entry in ue_actions:
             self.registry.set_bearer_priority(entry["drb_id"], entry["bearer_priority"], trigger)
             applied += 1
         return {"applied": applied}
-
-    def _footprint_delta(self, entry: Mapping) -> int:
-        ctx = self.registry.get_slice(entry["slice_id"])
-        new_rrc = self._target_rrc(ctx, entry)
-        return new_rrc.footprint() - ctx.rrc.footprint()
 
     @staticmethod
     def _target_rrc(ctx, entry: Mapping) -> RadioResourceConfig:
@@ -518,16 +514,25 @@ class _FsHandlers:
             shared_priority=entry.get("shared_priority", ctx.rrc.shared_priority),
         )
 
-    def _validate_control(self, slice_actions, ue_actions) -> None:
+    def _validate_control(self, slice_actions, ue_actions
+                          ) -> list[tuple[Mapping, SliceState, RadioResourceConfig]]:
+        """Check every action against live state; each slice action comes back
+        staged as ``(entry, new_state, new_rrc)``, decided from the state before
+        the request."""
         # a request without slice actions changes no footprint, and the
         # registry already keeps the sum within the cell: skip the check
         footprints = {
             sid: self.registry.get_slice(sid).rrc.footprint() for sid in self.registry.slice_ids()
         } if slice_actions else {}
+        staged = []
         for entry in slice_actions:
             sid = entry.get("slice_id")
             if sid is None or not self.registry.has_slice(sid):
                 raise UnknownId(f"slice {sid}")
+            # actions are decided from the state before the request, so a
+            # second one on the same slice would replace the first unchecked
+            if any(staged_entry["slice_id"] == sid for staged_entry, _, _ in staged):
+                raise ValidationFailed(f"slice {sid} appears twice in one request")
             ctx = self.registry.get_slice(sid)
             new_state = SliceState(entry["state"]) if "state" in entry else (
                 ctx.state if ctx.state is not SliceState.IDLE else ctx.default_active_state
@@ -537,6 +542,7 @@ class _FsHandlers:
             if "fd_scheduler" in entry and not self.algorithms.known(entry["fd_scheduler"]):
                 raise ValidationFailed(f"unknown scheduler {entry['fd_scheduler']!r}")
             footprints[sid] = new_rrc.footprint()
+            staged.append((entry, new_state, new_rrc))
         if sum(footprints.values()) > self.registry.total_rb:
             raise OverSubscription(
                 f"request would reserve {sum(footprints.values())} of {self.registry.total_rb} RBs"
@@ -547,18 +553,13 @@ class _FsHandlers:
                 raise UnknownId(f"drb {drb}")
             if entry.get("bearer_priority", 0) < 1:
                 raise ValidationFailed("bearer_priority must be >= 1")
+        return staged
 
-    def _apply_slice_action(self, entry: Mapping, trigger: ChangeTrigger) -> int:
-        ctx = self.registry.get_slice(entry["slice_id"])
+    def _apply_slice_action(self, entry: Mapping, new_state: SliceState,
+                            new_rrc: RadioResourceConfig, trigger: ChangeTrigger) -> int:
         count = 0
-        rrc_fields = {"state", "dedicated_rb", "prioritized_rb", "shared_priority"}
-        if rrc_fields & set(entry):
-            new_state = SliceState(entry["state"]) if "state" in entry else (
-                ctx.state if ctx.state is not SliceState.IDLE else ctx.default_active_state
-            )
-            self.registry.request_state_change(
-                entry["slice_id"], new_state, self._target_rrc(ctx, entry), trigger
-            )
+        if {"state", "dedicated_rb", "prioritized_rb", "shared_priority"} & set(entry):
+            self.registry.request_state_change(entry["slice_id"], new_state, new_rrc, trigger)
             count += 1
         if "fd_scheduler" in entry or "hu_associations" in entry:
             self.registry.update_slice(

@@ -289,7 +289,7 @@ class Cell:
             throughput = previous + alpha * (inst_mbps - previous)
             stats.throughput_mbps = throughput
             stats.buffer_occupancy_bytes = buf
-            # _rtt_from(buf, throughput) inlined: Cell.rtt must read the same value
+            # queueing-delay RTT estimate: monotone in backlog, capped
             if buf <= 0.0:
                 stats.packet_delay_ms = base_rtt_ms
             else:
@@ -344,22 +344,6 @@ class Cell:
                     del ewma[drb]
 
     # -- derived metrics ------------------------------------------------------------
-
-    def _rtt_from(self, buffer_bytes: float, served_mbps: float) -> float:
-        if buffer_bytes <= 0.0:
-            return self.cfg.base_rtt_ms
-        served_bps = served_mbps * 1e6
-        if served_bps < 1.0:
-            return RTT_CAP_MS
-        rtt = self.cfg.base_rtt_ms + buffer_bytes * 8.0 / served_bps * 1000.0
-        return rtt if rtt < RTT_CAP_MS else RTT_CAP_MS
-
-    def rtt(self, drb: int) -> float:
-        """Queueing-delay RTT estimate in ms, monotone in backlog, capped."""
-        if drb not in self.buffers:
-            raise KeyError(f"drb {drb} not attached")
-        stats = self.registry.get_bearer(drb).stats
-        return self._rtt_from(self.buffers[drb], stats.throughput_mbps)
 
     def utilization(self) -> float:
         """Allocated share of the grid averaged over the current window."""

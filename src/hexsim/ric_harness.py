@@ -570,9 +570,11 @@ def run_scenario(script: ScenarioScript) -> tuple[MetricsTable, ScenarioRunner]:
 
 # -- agent benchmarks ------------------------------------------------------------------
 
+RELIABILITY_BURST_MS = 100  # the reliability benchmark's report period
+
+
 @dataclass
 class BenchmarkConfig:
-    mode: str = "delay"
     instances: tuple[int, ...] = tuple(range(10, 101, 10))
     period_ms: float = 50.0
     rates: tuple[int, ...] = tuple(range(10, 101, 10))
@@ -581,7 +583,6 @@ class BenchmarkConfig:
     serialized: bool = False
     frame_gated: bool = False
     exec_cost_us: float = 100.0
-    arrival: str = "uniform"  # or "burst": all instances fire together each period
 
     @staticmethod
     def from_dict(doc: Mapping) -> "BenchmarkConfig":
@@ -676,6 +677,8 @@ def _bench_agent(n_functions: int, cfg: BenchmarkConfig,
 def benchmark_delay(cfg: BenchmarkConfig) -> dict[int, DelayStats]:
     """Wall-clock receive-to-action-invoke latency per function-instance count.
 
+    Each instance sends one control per ``cfg.period_ms``, spread evenly over
+    the period; with ``cfg.serialized`` all of them fire together at its start.
     The frame gate is defined only by the virtual-time driver of
     :func:`benchmark_reliability`, so ``cfg.frame_gated`` is rejected here.
     """
@@ -690,9 +693,9 @@ def benchmark_delay(cfg: BenchmarkConfig) -> dict[int, DelayStats]:
             while not agent.activation("ric-bench") and time.monotonic() < deadline:
                 time.sleep(0.005)
             period_s = cfg.period_ms / 1000.0
-            _send_cycles(ric, n, period_s, cfg.arrival, 2 * period_s)  # warmup
+            _send_cycles(ric, n, period_s, cfg.serialized, 2 * period_s)  # warmup
             agent.metrics.reset()
-            _send_cycles(ric, n, period_s, cfg.arrival, cfg.run_s)
+            _send_cycles(ric, n, period_s, cfg.serialized, cfg.run_s)
             time.sleep(0.1)  # let the pipeline finish the tail
             delays = agent.metrics.delays_us()
         finally:
@@ -709,13 +712,13 @@ def benchmark_delay(cfg: BenchmarkConfig) -> dict[int, DelayStats]:
     return results
 
 
-def _send_cycles(ric: SimulatedPeer, n: int, period_s: float, arrival: str,
+def _send_cycles(ric: SimulatedPeer, n: int, period_s: float, burst: bool,
                  run_s: float) -> None:
     start = time.monotonic()
     cycle = 0
     while time.monotonic() - start < run_s:
         for i in range(1, n + 1):
-            if arrival == "uniform":
+            if not burst:
                 _sleep_until(start + cycle * period_s + (i - 1) * period_s / n)
             ric.control_slice(i, {"slice_id": 1, "shared_priority": 1})
         cycle += 1
@@ -738,27 +741,25 @@ def _percentile(values: Sequence[float], pct: float) -> float:
     return ordered[k]
 
 
-def benchmark_reliability(cfg: BenchmarkConfig,
-                          burst_period_ms: float = 100.0) -> dict[int, ReliabilityStats]:
+def benchmark_reliability(cfg: BenchmarkConfig) -> dict[int, ReliabilityStats]:
     """Executed/received ratio per offered control rate, on virtual time.
 
-    Controls are sent in report-driven bursts (one batch per 100 ms), and the
-    agent is pumped once per 10 ms radio frame. Bursts starve the frame-gated
-    reference, whose queues hold one message, while leaving the default
-    queued pipeline untouched.
+    Controls are sent in report-driven bursts (one batch per
+    ``RELIABILITY_BURST_MS``), and the agent is pumped once per 10 ms radio
+    frame. Bursts starve the frame-gated reference, whose queues hold one
+    message, while leaving the default queued pipeline untouched.
     """
     results: dict[int, ReliabilityStats] = {}
-    burst_every = int(burst_period_ms)
     for rate in cfg.rates:
         clock = VirtualClock()
         agent, ric = _bench_agent(1, cfg, clock=clock)
         agent.pump()  # complete setup
-        burst = max(1, int(round(rate * burst_period_ms / 1000.0)))
+        burst = max(1, int(round(rate * RELIABILITY_BURST_MS / 1000.0)))
         step_ms = 10.0
         steps = int(cfg.duration_s * 1000 / step_ms)
         for step in range(steps):
             now_ms = int(step * step_ms)
-            if now_ms % burst_every == 0:
+            if now_ms % RELIABILITY_BURST_MS == 0:
                 for _ in range(burst):
                     ric.control_slice(e2lite.FS_RAN_FUNCTION_ID,
                                       {"slice_id": 1, "shared_priority": 1})

@@ -595,9 +595,6 @@ class SliceRegistry:
     def slice_ids(self) -> list[int]:
         return sorted(self._slices)
 
-    def ue_ids(self) -> list[int]:
-        return sorted(self._ues)
-
     def has_slice(self, slice_id: int) -> bool:
         return slice_id in self._slices
 

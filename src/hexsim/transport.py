@@ -4,9 +4,11 @@ The agent core is synchronous; this module supplies the two drive modes the
 harness needs: an in-process duplex link (function-call transport, usable from
 both deterministic and threaded drivers) and a TCP listener speaking the same
 framing. :class:`ThreadedAgentServer` runs the core concurrently: its workers,
-sharded by link so per-peer order survives, take the messages in place of
-``Agent.pump``; its ticker calls ``Agent.step``; ``stop`` joins them and then
-calls ``Agent.flush``, so every message received gets its one response.
+one per control shard (``agent.CONTROL_SHARDS``) and one for the other
+managers, so per-peer order survives, take the messages in place of
+``Agent.pump``; its ticker calls ``Agent.step`` every ``TICK_MS``; ``stop``
+joins them and then calls ``Agent.flush``, so every message received gets its
+one response.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import Callable, Optional
 
 from .agent import RIC, Agent
 from .errors import AgentError
+
+TICK_MS = 1.0  # the threaded ticker's step period: one boundary per 1 ms tick
 
 
 class InProcessDuplex:
@@ -38,9 +42,8 @@ class InProcessDuplex:
 class ThreadedAgentServer:
     """Worker pools plus a tick thread driving an agent on wall time."""
 
-    def __init__(self, agent: Agent, tick_ms: float = 1.0):
+    def __init__(self, agent: Agent):
         self.agent = agent
-        self.tick_ms = tick_ms
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
 
@@ -72,7 +75,7 @@ class ThreadedAgentServer:
     def _ticker(self) -> None:
         while not self._stop.is_set():
             self.agent.step(self.agent.clock.now_ns())
-            self._stop.wait(self.tick_ms / 1000.0)
+            self._stop.wait(TICK_MS / 1000.0)
 
 
 class TcpAgentServer:

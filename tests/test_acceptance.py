@@ -156,12 +156,11 @@ def linear_fit(xs, ys):
 
 class TestCriterion4DelayShape:
     def test_default_agent_is_flat_and_serialized_reference_is_linear(self):
-        default = benchmark_delay(BenchmarkConfig(mode="delay", instances=(10, 100),
-                                                  run_s=1.0))
+        default = benchmark_delay(BenchmarkConfig(instances=(10, 100), run_s=1.0))
         ratio = default[100].median_us / default[10].median_us
         serial = benchmark_delay(BenchmarkConfig(
-            mode="delay", instances=tuple(range(10, 101, 10)), run_s=0.6,
-            serialized=True, arrival="burst", exec_cost_us=100.0,
+            instances=tuple(range(10, 101, 10)), run_s=0.6,
+            serialized=True, exec_cost_us=100.0,
         ))
         xs = sorted(serial)
         ys = [serial[n].median_us for n in xs]
@@ -185,16 +184,15 @@ class TestCriterion4DelayShape:
 
     def test_frame_gated_delay_benchmark_is_rejected(self):
         with pytest.raises(ScenarioError):
-            benchmark_delay(BenchmarkConfig(mode="delay", instances=(10,), frame_gated=True))
+            benchmark_delay(BenchmarkConfig(instances=(10,), frame_gated=True))
 
 
 class TestCriterion5Reliability:
     def test_default_is_lossless_and_frame_gated_collapses(self):
         rates = tuple(range(10, 101, 10))
-        default = benchmark_reliability(BenchmarkConfig(mode="reliability", rates=rates,
-                                                        duration_s=60.0))
-        gated = benchmark_reliability(BenchmarkConfig(mode="reliability", rates=(100,),
-                                                      duration_s=60.0, frame_gated=True))
+        default = benchmark_reliability(BenchmarkConfig(rates=rates, duration_s=60.0))
+        gated = benchmark_reliability(BenchmarkConfig(rates=(100,), duration_s=60.0,
+                                                      frame_gated=True))
         ledger_ok = all(s.executed + s.failed == s.received for s in default.values())
         default_ok = all(s.ratio == 1.0 for s in default.values())
         gated_ratio = gated[100].ratio
@@ -209,7 +207,7 @@ class TestCriterion5Reliability:
     def test_frame_gated_ledger_is_exact(self):
         def ledger(frame_gated):
             stats = benchmark_reliability(BenchmarkConfig(
-                mode="reliability", rates=(20, 100), duration_s=2.0, frame_gated=frame_gated))
+                rates=(20, 100), duration_s=2.0, frame_gated=frame_gated))
             return {rate: (s.received, s.executed, s.failed) for rate, s in stats.items()}
 
         assert ledger(True) == {20: (40, 20, 20), 100: (200, 20, 180)}

@@ -234,13 +234,15 @@ class TestConfiguration:
         stack = Stack(doc=doc)
         assert stack.agent.config.queue_depth == 7
         assert stack.pml.lockout.window_ms == 55.0
-        assert stack.agent.config.manager_instances == 3
 
     @pytest.mark.parametrize("bad", [
         {"utilization_alarm_threshold": "high"},
         {"queue_depth": "deep"},
         {"lockout_window_ms": -1},
         {"functions": [{"name": "no-id"}]},
+        {"queue_depth": 0},
+        {"queue_depth": True},
+        {"lockout_window_ms": "7"},
     ])
     def test_a_bad_document_commits_nothing(self, bad):
         stack = Stack()
@@ -322,6 +324,38 @@ class TestDispatch:
         ric._emit(E2LiteFrame(MsgType.INDICATION, 43, {}))
         stack.settle()
         assert ric.responses[43].payload["cause"] == "invalid_direction"
+
+    def test_every_queue_a_message_lands_in_has_a_worker(self):
+        """A threaded server takes its workers' queue keys when it starts; a
+        document loaded after that cannot route a link to a queue none serves."""
+        stack = Stack()
+        served = {key for keys in stack.agent.worker_keys() for key in keys}
+        stack.agent.load_configuration(dict(FS_FUNCTION_DOC, manager_instances=3))
+        for n in range(3):
+            ric = stack.attach(f"ric-{n}")
+            ric.query(1, "slice_context", slice_ids=[1])
+            ric.control_slice(1, {"slice_id": 1, "shared_priority": 2})
+        stack.settle()
+        assert {manager for manager, _ in stack.agent._queues} == {
+            "interface", "query", "control"}
+        assert set(stack.agent._queues) <= served
+
+    @pytest.mark.parametrize("msg_type, payload", [
+        (MsgType.CONTROL_REQUEST, {"service": "slice_context", "targets": {"slice_ids": [1]}}),
+        (MsgType.QUERY_REQUEST, {
+            "control_header": {"target": "slice", "ids": [1]},
+            "control_message": {"routine": "slice_config",
+                                "params": {"slice_id": 1, "shared_priority": 2}},
+        }),
+        (MsgType.SUBSCRIPTION_REQUEST, {"service": "slice_context", "targets": {}}),
+    ], ids=["control", "query", "subscription"])
+    def test_a_payload_is_checked_against_its_own_types_schema(self, msg_type, payload):
+        stack = Stack()
+        ric = stack.attach()
+        ric._emit(E2LiteFrame(msg_type, 44, dict(payload, ran_function_id=1)))
+        stack.settle()
+        assert ric.responses[44].msg_type == MsgType.CONTROL_FAILURE
+        assert ric.responses[44].payload["cause"] == "schema_violation"
 
     def test_codec_garbage_answers_failure_frame(self):
         stack = Stack()
@@ -685,6 +719,15 @@ class TestOamPath:
         assert smo.responses[corr].payload["cause"] == "validation_failed"
         assert stack.agent.repository.ran_state["config"] == config_before
         assert stack.pml.lockout.window_ms == window_before
+
+    def test_a_bool_queue_depth_fails_validation_and_commits_nothing(self):
+        stack = Stack()
+        smo = stack.attach("smo-1", kind=SMO)
+        corr = smo.edit_config({"queue_depth": True})
+        stack.settle()
+        assert smo.responses[corr].payload["cause"] == "validation_failed"
+        assert "queue_depth" not in stack.agent.repository.ran_state["config"]
+        assert stack.agent.config == AgentConfig()
 
     def test_edit_config_from_ric_link_is_rejected(self):
         stack = Stack()

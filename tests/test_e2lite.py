@@ -185,6 +185,9 @@ class TestFuzzDecode:
         assert ok + errors == 2000
 
 
+CONTROL = MsgType.CONTROL_REQUEST
+
+
 class TestServiceModelValidation:
     def control(self, routine, params, target="slice", ids=(2,)):
         return {
@@ -196,43 +199,43 @@ class TestServiceModelValidation:
     def test_valid_slice_config(self):
         payload = self.control("slice_config",
                                {"slice_id": 2, "state": "dedicated", "dedicated_rb": 85})
-        out = e2lite.validate_sm_payload(1, payload)
+        out = e2lite.validate_sm_payload(CONTROL, 1, payload)
         assert out["control_message"]["params"]["dedicated_rb"] == 85
 
     def test_negative_rb_rejected(self):
         payload = self.control("slice_config", {"slice_id": 2, "dedicated_rb": -1})
         with pytest.raises(SchemaViolation):
-            e2lite.validate_sm_payload(1, payload)
+            e2lite.validate_sm_payload(CONTROL, 1, payload)
 
     def test_valid_ue_config(self):
         payload = self.control("ue_config", {"drb_id": 102, "bearer_priority": 5},
                                target="ue", ids=(102,))
-        out = e2lite.validate_sm_payload(1, payload)
+        out = e2lite.validate_sm_payload(CONTROL, 1, payload)
         assert out["control_message"]["params"]["bearer_priority"] == 5
 
     def test_unknown_function(self):
         with pytest.raises(UnknownFunction):
-            e2lite.validate_sm_payload(42, self.control("ue_config", {"drb_id": 1}))
+            e2lite.validate_sm_payload(CONTROL, 42, self.control("ue_config", {"drb_id": 1}))
 
     def test_unknown_routine_state_and_trigger(self):
         with pytest.raises(SchemaViolation):
-            e2lite.validate_sm_payload(1, self.control("reboot", {}))
+            e2lite.validate_sm_payload(CONTROL, 1, self.control("reboot", {}))
         with pytest.raises(SchemaViolation):
             e2lite.validate_sm_payload(
-                1, self.control("slice_config", {"slice_id": 1, "state": "turbo"}))
+                CONTROL, 1, self.control("slice_config", {"slice_id": 1, "state": "turbo"}))
         with pytest.raises(SchemaViolation):
-            e2lite.validate_sm_payload(1, {
+            e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {
                 "service": "slice_context", "targets": {},
                 "trigger": {"kind": "periodic", "period_ms": 0},
             })
 
     def test_subscription_and_query_shapes(self):
-        sub = e2lite.validate_sm_payload(1, {
+        sub = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {
             "service": "ue_context",
             "targets": {"ue_ids": [1, 2]},
             "trigger": {"kind": "event", "event": "context_change"},
         })
         assert sub["trigger"]["kind"] == "event"
-        q = e2lite.validate_sm_payload(1, {"service": "slice_context",
-                                           "targets": {"slice_ids": [1]}})
+        q = e2lite.validate_sm_payload(MsgType.QUERY_REQUEST, 1, {
+            "service": "slice_context", "targets": {"slice_ids": [1]}})
         assert q["targets"]["slice_ids"] == [1]

@@ -15,6 +15,7 @@ from hexsim.errors import (
     OverSubscription,
     UnknownApi,
     UnknownId,
+    ValidationFailed,
 )
 from hexsim.pml import (
     API_CONTROL,
@@ -312,6 +313,20 @@ class TestControlApi:
         pml.tti_boundary(registry)
         assert isinstance(completion.error, OverSubscription)
         assert registry.get_slice(2).state is SliceState.SHARED
+
+    def test_a_slice_named_twice_fails_the_request_and_applies_nothing(self):
+        registry, pml, fs, _ = make_stack()
+        seed_slice(registry, 1, SliceState.HYBRID, drb=11, dedicated_rb=10)
+        seed_slice(registry, 2, SliceState.DEDICATED, drb=21, dedicated_rb=70)
+        completion = fs.fs_control_request("ric-1", {
+            "slices": [
+                {"slice_id": 1, "dedicated_rb": 40},
+                {"slice_id": 1, "prioritized_rb": 20},
+            ]
+        })
+        pml.tti_boundary(registry)
+        assert isinstance(completion.error, ValidationFailed)
+        assert registry.get_slice(1).rrc == RadioResourceConfig(dedicated_rb=10)
 
     def test_shrink_and_grow_in_one_request(self):
         registry, pml, fs, _ = make_stack()
