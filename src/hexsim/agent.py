@@ -10,9 +10,10 @@ keeps to one of them. Queue processing is driven either by an explicit
 one for the other managers); per-(peer, type) order is preserved in both
 because one peer's messages of a type land in one queue.
 
-Controller peers get a separate repository context each. Activating a
-function locks its governed resources to that peer; other peers' control on
-an overlapping resource fails until the holder detaches.
+Each attached link has one record (:class:`PeerContext`), and a peer id
+attaches once. Activated functions lock their resources against other peers'
+control; a detach releases the link's locks, its subscriptions (even one still
+registering) and its queued messages, which fail as ``link_lost``.
 """
 
 from __future__ import annotations
@@ -78,12 +79,22 @@ _SETTINGS = {
     "utilization_alarm_threshold": ("a number", _is_number),
 }
 
+# the fields of a configuration document's function entry, checked the same way
+_STR = ("a string", lambda v: isinstance(v, str))
+_STR_LIST = ("a list of strings",
+             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+_FUNCTION_FIELDS = {
+    "function_id": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "name": _STR, "kind": ("ran or oam", lambda v: v in ("ran", "oam")), "service_model": _STR,
+    "required_pml_plugins": _STR_LIST, "resources": _STR_LIST,
+}
 
-def _check_settings(values: Mapping, error: type[Exception]) -> dict:
-    """Check each value (keyed as in ``_SETTINGS``); a copy of ``values``,
-    or ``error`` raised for the first value that fails."""
+
+def _check(table: Mapping, values: Mapping, error: type[Exception]) -> dict:
+    """Check each value (keyed as in ``table``); a copy of ``values``, or
+    ``error`` raised for the first value that fails."""
     for key, value in values.items():
-        what, valid = _SETTINGS[key]
+        what, valid = table[key]
         if not valid(value):
             raise error(f"{key} must be {what}")
     return dict(values)
@@ -131,46 +142,50 @@ class CatalogEntry:
 @dataclass
 class Subscription:
     sub_id: int
-    peer_id: str
-    link_id: str
+    link: PeerContext
     function_id: int
     service: str
     targets: dict
-    trigger: dict
-    reg_id: int = 0
+    reg_id: int
 
 
 @dataclass
 class PeerContext:
+    """One attached link: its transport, its reader, and its peer's context."""
+
+    link_id: str
     peer_id: str
     kind: str
-    link_id: str
-    endpoint: str = ""
+    send: Callable[[bytes], None]
+    order: int  # attach order; selects the manager shard
+    reader: FrameReader = field(default_factory=FrameReader)
+    pending_setup_corr: Optional[int] = None
     activated: set[int] = field(default_factory=set)
     refused: dict[int, str] = field(default_factory=dict)
     locks: set[str] = field(default_factory=set)
-    subscriptions: dict[int, Subscription] = field(default_factory=dict)
 
 
 class HaRepository:
-    """Per-peer contexts plus RAN configuration/operational data."""
+    """Per-link contexts (changed under the agent's lock; read a copy) plus RAN data."""
 
     def __init__(self):
-        self.ric_contexts: dict[str, PeerContext] = {}
-        self.smo_contexts: dict[str, PeerContext] = {}
+        self.peers: dict[str, PeerContext] = {}  # by link id
         self.ran_state: dict = {"config": {}, "operational": {}}
         self.catalog: dict[int, CatalogEntry] = {}
 
-    def peers(self) -> list[PeerContext]:
-        return list(self.ric_contexts.values()) + list(self.smo_contexts.values())
+    def attached(self, link: PeerContext) -> bool:
+        return self.peers.get(link.link_id) is link
 
-    def context_for(self, peer_id: str) -> Optional[PeerContext]:
-        return self.ric_contexts.get(peer_id) or self.smo_contexts.get(peer_id)
+    def peer(self, peer_id: str) -> Optional[PeerContext]:
+        for ctx in list(self.peers.values()):
+            if ctx.peer_id == peer_id:
+                return ctx
+        return None
 
     def lock_holder(self, resource: str, exclude: str = "") -> Optional[str]:
         """The peer whose lock covers ``resource``, an ancestor or a descendant
         of it, matched on whole ``/``-separated path segments."""
-        for peer in self.peers():
+        for peer in list(self.peers.values()):
             if peer.peer_id == exclude:
                 continue
             for lock in peer.locks:
@@ -227,22 +242,15 @@ class AgentConfig:
 
 
 @dataclass
-class _Link:
-    link_id: str
-    peer_id: str
-    kind: str
-    send: Callable[[bytes], None]
-    order: int  # attach order; selects the manager shard
-    reader: FrameReader = field(default_factory=FrameReader)
-    pending_setup_corr: Optional[int] = None
-
-
-@dataclass
 class _Pending:
-    link_id: str
+    link: PeerContext  # the record it arrived on; a detached one is not served
     frame: E2LiteFrame
     record: MessageRecord
     seq: int = 0  # arrival order across every queue, assigned under Agent._cv
+
+    @property
+    def link_id(self) -> str:
+        return self.link.link_id
 
 
 class Agent:
@@ -269,7 +277,6 @@ class Agent:
         self.repository = HaRepository()
         self.metrics = PipelineMetrics()
         self.failures_by_cause: dict[str, int] = {}
-        self._links: dict[str, _Link] = {}
         self._link_order = itertools.count()
         self._queues: dict[tuple[str, int], deque] = {}
         self._queued = 0  # messages in _queues; guarded by _cv, like the queues
@@ -306,23 +313,23 @@ class Agent:
             isinstance(p, str) for p in expected_plugins
         ):
             raise MalformedConfig("plugins must be a list of plugin ids")
-        settings = _check_settings({k: doc[k] for k in _SETTINGS if k in doc}, MalformedConfig)
+        settings = _check(_SETTINGS, {k: doc[k] for k in _SETTINGS if k in doc}, MalformedConfig)
         registered = self.pml.plugin_ids()
         catalog: dict[int, CatalogEntry] = {}
         for raw in functions:
-            try:
-                spec = FunctionSpec(
-                    function_id=int(raw["function_id"]),
-                    name=str(raw.get("name", f"fn{raw['function_id']}")),
-                    kind=str(raw.get("kind", "ran")),
-                    service_model=str(raw.get("service_model", e2lite.FS_SERVICE_MODEL)),
-                    required_pml_plugins=tuple(raw.get("required_pml_plugins", ())),
-                    resources=tuple(raw.get("resources", ())),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedConfig(f"bad function entry: {exc}") from None
-            if spec.kind not in ("ran", "oam"):
-                raise MalformedConfig(f"bad function kind {spec.kind!r}")
+            if not isinstance(raw, Mapping) or "function_id" not in raw:
+                raise MalformedConfig("a function entry must be an object with a function_id")
+            entry = _check(_FUNCTION_FIELDS, {k: raw[k] for k in _FUNCTION_FIELDS if k in raw},
+                           MalformedConfig)
+            fid = entry["function_id"]
+            spec = FunctionSpec(
+                function_id=fid,
+                name=entry.get("name", f"fn{fid}"),
+                kind=entry.get("kind", "ran"),
+                service_model=entry.get("service_model", e2lite.FS_SERVICE_MODEL),
+                required_pml_plugins=tuple(entry.get("required_pml_plugins", ())),
+                resources=tuple(entry.get("resources", ())),
+            )
             missing = [p for p in spec.required_pml_plugins if p not in registered]
             if missing:
                 catalog[spec.function_id] = CatalogEntry(
@@ -343,26 +350,21 @@ class Agent:
 
     # -- interface manager -------------------------------------------------------
 
-    def attach_link(
-        self, link_id: str, peer_id: str, kind: str, send: Callable[[bytes], None],
-        endpoint: str = "",
-    ) -> None:
+    def attach_link(self, link_id: str, peer_id: str, kind: str,
+                    send: Callable[[bytes], None]) -> None:
         """Register a connected peer; controller links are greeted with a
-        setup request listing the available functions."""
+        setup request listing the available functions. A link id or a peer id
+        that is already attached raises :class:`AgentError`."""
         if kind not in (RIC, SMO):
             raise AgentError(f"unknown peer kind {kind!r}")
-        link = _Link(link_id=link_id, peer_id=peer_id, kind=kind, send=send,
-                     order=next(self._link_order))
+        corr = next(self._corr) if kind == RIC else None
+        link = PeerContext(link_id, peer_id, kind, send, order=next(self._link_order),
+                           pending_setup_corr=corr)
         with self._state:
-            self._links[link_id] = link
-            ctx = PeerContext(peer_id=peer_id, kind=kind, link_id=link_id, endpoint=endpoint)
-            if kind == RIC:
-                self.repository.ric_contexts[peer_id] = ctx
-            else:
-                self.repository.smo_contexts[peer_id] = ctx
+            if link_id in self.repository.peers or self.repository.peer(peer_id) is not None:
+                raise AgentError(f"link {link_id} or peer {peer_id} is already attached")
+            self.repository.peers[link_id] = link
         if kind == RIC:
-            corr = next(self._corr)
-            link.pending_setup_corr = corr
             payload = {
                 "functions": [
                     {"function_id": e.spec.function_id, "name": e.spec.name, "kind": e.spec.kind}
@@ -370,32 +372,28 @@ class Agent:
                     if e.available
                 ]
             }
-            self._send(link_id, E2LiteFrame(MsgType.SETUP_REQUEST, corr, payload))
+            self._send(link, E2LiteFrame(MsgType.SETUP_REQUEST, corr, payload))
 
     def detach_link(self, link_id: str) -> bool:
-        """Drop the peer, its locks and its subscriptions; False if not attached."""
+        """Drop the link, its locks and its subscriptions; False if not attached."""
         with self._state:
-            link = self._links.pop(link_id, None)
+            link = self.repository.peers.pop(link_id, None)
             if link is None:
                 return False
-            ctx = self.repository.context_for(link.peer_id)
-            if ctx is not None and ctx.link_id == link_id:
-                for sub in ctx.subscriptions.values():
-                    self.pml.drop_registration(sub.reg_id)
-                    self._sub_by_reg.pop(sub.reg_id, None)
-                self.repository.ric_contexts.pop(link.peer_id, None)
-                self.repository.smo_contexts.pop(link.peer_id, None)
+            for sub in [s for s in self._sub_by_reg.values() if s.link is link]:
+                self.pml.drop_registration(sub.reg_id)
+                del self._sub_by_reg[sub.reg_id]
         return True
 
     def activation(self, peer_id: str) -> set[int]:
-        ctx = self.repository.context_for(peer_id)
+        ctx = self.repository.peer(peer_id)
         return set(ctx.activated) if ctx else set()
 
     # -- termination / dispatch ----------------------------------------------------
 
     def receive(self, link_id: str, data: bytes) -> int:
         """Feed raw bytes from a link; frames are stamped and queued."""
-        link = self._links.get(link_id)
+        link = self.repository.peers.get(link_id)
         if link is None:
             raise AgentError(f"unknown link {link_id}")
         try:
@@ -406,13 +404,13 @@ class Agent:
             self._dispatch(link, frame)
         if error is not None:
             self._count_failure(failure_cause(error))
-            self._send(link_id, E2LiteFrame(MsgType.CONTROL_FAILURE, 0,
-                                            {"cause": "codec", "detail": str(error)}))
+            self._send(link, E2LiteFrame(MsgType.CONTROL_FAILURE, 0,
+                                         {"cause": "codec", "detail": str(error)}))
         return len(frames)
 
-    def _dispatch(self, link: _Link, frame: E2LiteFrame) -> None:
+    def _dispatch(self, link: PeerContext, frame: E2LiteFrame) -> None:
         record = MessageRecord(receive_ns=self.clock.now_ns())
-        msg = _Pending(link_id=link.link_id, frame=frame, record=record)
+        msg = _Pending(link=link, frame=frame, record=record)
         route = _INBOUND.get(frame.msg_type)  # IntEnum keys match raw ints
         if frame.msg_type == MsgType.CONTROL_REQUEST:
             with self.metrics.lock:
@@ -508,26 +506,25 @@ class Agent:
         """Run a queued message's manager body; only routed types are queued."""
         msg.record.dispatch_ns = self.clock.now_ns()
         _, body = _INBOUND[msg.frame.msg_type]
+        if not self.repository.attached(msg.link):
+            self._fail(msg, "link_lost", f"link {msg.link_id} detached")
+            return
         try:
-            body(self, msg)
+            body(self, msg, msg.link)
         except Exception as exc:  # manager failures become failure responses
             self._fail(msg, failure_cause(exc), str(exc))
 
-    def _on_setup_response(self, msg: _Pending) -> None:
-        link = self._links.get(msg.link_id)
-        if link is None:
-            return
+    def _on_setup_response(self, msg: _Pending, link: PeerContext) -> None:
         if link.pending_setup_corr != msg.frame.correlation_id:
             self._fail(msg, "validation_failed", "unexpected setup response")
             return
+        requested = e2lite.validate_setup_payload(msg.frame.payload)["activate"]
         link.pending_setup_corr = None
-        requested = msg.frame.payload.get("activate", [])
         with self._state:
-            ctx = self.repository.context_for(link.peer_id)
             for fid in requested:
                 entry = self.repository.catalog.get(fid)
                 if entry is None or not entry.available:
-                    ctx.refused[fid] = "unavailable"
+                    link.refused[fid] = "unavailable"
                     continue
                 blocked = None
                 for resource in entry.spec.resources:
@@ -536,22 +533,20 @@ class Agent:
                         blocked = holder
                         break
                 if blocked is not None:
-                    ctx.refused[fid] = f"resource_locked:{blocked}"
+                    link.refused[fid] = f"resource_locked:{blocked}"
                     continue
-                ctx.activated.add(fid)
-                ctx.locks.update(entry.spec.resources)
+                link.activated.add(fid)
+                link.locks.update(entry.spec.resources)
 
-    def _require_activation(self, msg: _Pending, function_id: int) -> tuple[_Link, PeerContext]:
-        link = self._links[msg.link_id]
-        ctx = self.repository.context_for(link.peer_id)
-        if ctx is None or function_id not in ctx.activated:
+    @staticmethod
+    def _require_activation(link: PeerContext, function_id: int) -> None:
+        if function_id not in link.activated:
             raise NotActivated(f"function {function_id} not activated for {link.peer_id}")
-        return link, ctx
 
-    def _on_control(self, msg: _Pending) -> None:
+    def _on_control(self, msg: _Pending, link: PeerContext) -> None:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
-        link, ctx = self._require_activation(msg, function_id)
+        self._require_activation(link, function_id)
         validated = e2lite.validate_sm_payload(MsgType.CONTROL_REQUEST, function_id, payload,
                                                self._sm_functions)
         params = self._control_params(validated)
@@ -570,7 +565,7 @@ class Agent:
             with self.metrics.lock:
                 self.metrics.executed += 1
             self._send(
-                msg.link_id,
+                msg.link,
                 E2LiteFrame(MsgType.CONTROL_ACK, msg.frame.correlation_id,
                             {"result": completion.result}),
             )
@@ -594,10 +589,10 @@ class Agent:
             return [f"slice/{self.registry.get_bearer(drb).slice_id}"]
         return []
 
-    def _on_subscription(self, msg: _Pending) -> None:
+    def _on_subscription(self, msg: _Pending, link: PeerContext) -> None:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
-        link, ctx = self._require_activation(msg, function_id)
+        self._require_activation(link, function_id)
         validated = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, function_id, payload,
                                                self._sm_functions)
         completion = self.fs.fs_telemetry_registration_request(
@@ -608,42 +603,42 @@ class Agent:
             if c.error is not None:
                 self._fail(msg, failure_cause(c.error), str(c.error))
                 return
-            sub = Subscription(
-                sub_id=next(self._sub_ids),
-                peer_id=link.peer_id,
-                link_id=msg.link_id,
-                function_id=function_id,
-                service=validated["service"],
-                targets=validated["targets"],
-                trigger=validated["trigger"],
-                reg_id=c.result["reg_id"],
-            )
             with self._state:
-                ctx.subscriptions[sub.sub_id] = sub
+                if not self.repository.attached(link):  # detached while registering
+                    self.pml.drop_registration(c.result["reg_id"])
+                    self._fail(msg, "link_lost", f"link {msg.link_id} detached")
+                    return
+                sub = Subscription(
+                    sub_id=next(self._sub_ids),
+                    link=link,
+                    function_id=function_id,
+                    service=validated["service"],
+                    targets=validated["targets"],
+                    reg_id=c.result["reg_id"],
+                )
                 self._sub_by_reg[sub.reg_id] = sub
             self._send(
-                msg.link_id,
+                msg.link,
                 E2LiteFrame(MsgType.SUBSCRIPTION_RESPONSE, msg.frame.correlation_id,
                             {"sub_id": sub.sub_id, "reg_id": sub.reg_id}),
             )
 
         completion.add_done_callback(finish)
 
-    def _on_query(self, msg: _Pending) -> None:
+    def _on_query(self, msg: _Pending, link: PeerContext) -> None:
         payload = msg.frame.payload
         function_id = payload.get("ran_function_id")
-        link, _ = self._require_activation(msg, function_id)
+        self._require_activation(link, function_id)
         validated = e2lite.validate_sm_payload(MsgType.QUERY_REQUEST, function_id, payload,
                                                self._sm_functions)
         report = self._build_report(validated["service"], validated["targets"])
         self._send(
-            msg.link_id,
+            msg.link,
             E2LiteFrame(MsgType.QUERY_RESPONSE, msg.frame.correlation_id,
                         {"service": validated["service"], "report": report}),
         )
 
-    def _on_edit_config(self, msg: _Pending) -> None:
-        link = self._links[msg.link_id]
+    def _on_edit_config(self, msg: _Pending, link: PeerContext) -> None:
         if link.kind != SMO:
             raise ValidationFailed("edit-config arrives on management sessions only")
         config = msg.frame.payload.get("config")
@@ -653,13 +648,13 @@ class Agent:
         if unknown:
             raise ValidationFailed(f"unknown config keys {sorted(unknown)}")
         # every key is checked before any is committed
-        staged = _check_settings(config, ValidationFailed)
+        staged = _check(_SETTINGS, config, ValidationFailed)
         # data broker commits, then the config plugin applies via the mediation layer
         with self._state:
             self.repository.ran_state["config"].update(staged)
         self._apply_config(staged)
         self._send(
-            msg.link_id,
+            msg.link,
             E2LiteFrame(MsgType.CONFIG_ACK, msg.frame.correlation_id,
                         {"committed": sorted(staged)}),
         )
@@ -713,7 +708,7 @@ class Agent:
                 "report": report,
             },
         )
-        return self._send(sub.link_id, frame)
+        return self._send(sub.link, frame)
 
     def report_hu_utilization(self, unit: str, utilization: float) -> None:
         """Operational hook: over-threshold capacity utilization raises an alarm."""
@@ -728,23 +723,22 @@ class Agent:
 
     def raise_alarm(self, condition: str, detail: str, severity: str = "warning") -> None:
         payload = {"condition": condition, "detail": detail, "severity": severity}
-        for link in list(self._links.values()):
+        for link in list(self.repository.peers.values()):
             if link.kind == SMO:
-                self._send(link.link_id, E2LiteFrame(MsgType.ALARM_NOTIFICATION,
-                                                     next(self._corr), payload))
+                self._send(link, E2LiteFrame(MsgType.ALARM_NOTIFICATION,
+                                             next(self._corr), payload))
 
     # -- plumbing ---------------------------------------------------------------------
 
-    def _send(self, link_id: str, frame: E2LiteFrame) -> bool:
-        """Send one frame; False if the link is gone. A send that raises
+    def _send(self, link: PeerContext, frame: E2LiteFrame) -> bool:
+        """Send one frame; False if the link is detached. A send that raises
         detaches the link and counts and alarms ``link_lost`` once."""
-        link = self._links.get(link_id)
-        if link is None:
+        if not self.repository.attached(link):
             return False
         try:
             link.send(e2lite.encode(frame))
         except Exception as exc:  # the peer's transport; any failure loses the link
-            if self.detach_link(link_id):
+            if self.detach_link(link.link_id):
                 self._count_failure("link_lost")
                 self.raise_alarm("link_lost", f"{link.peer_id}: {exc!r}")
             return False
@@ -756,7 +750,7 @@ class Agent:
                 self.metrics.failed += 1
         self._count_failure(cause)
         self._send(
-            msg.link_id,
+            msg.link,
             E2LiteFrame(MsgType.CONTROL_FAILURE, msg.frame.correlation_id,
                         {"cause": cause, "detail": detail}),
         )
@@ -788,7 +782,7 @@ class Agent:
 
 
 # inbound message type -> (manager, body); a body is called as body(agent,
-# msg). A module-level table, so an agent holds no bound methods of itself.
+# msg, link). A module-level table, so an agent holds no bound methods of itself.
 _INBOUND = {
     MsgType.SETUP_RESPONSE: (_INTERFACE, Agent._on_setup_response),
     MsgType.SUBSCRIPTION_REQUEST: (_SUBSCRIPTION, Agent._on_subscription),

@@ -274,6 +274,14 @@ def validate_query_payload(payload: Mapping) -> dict:
     return {"service": service, "targets": validate_targets(payload.get("targets", {}))}
 
 
+def validate_setup_payload(payload: Mapping) -> dict:
+    _require(isinstance(payload, Mapping), "setup payload must be an object")
+    ids = payload.get("activate", [])
+    _require(isinstance(ids, list) and all(type(i) is int for i in ids),  # not bool
+             "activate must be a list of integers")
+    return {"activate": ids}
+
+
 # the service-model schema of each message type whose payload carries one
 _SCHEMAS = {
     MsgType.CONTROL_REQUEST: validate_control_payload,

@@ -106,9 +106,7 @@ class Completion:
 @dataclass
 class TelemetryRegistration:
     reg_id: int
-    caller_id: str
     slice_ids: tuple[int, ...]
-    ue_ids: tuple[int, ...]
     trigger: dict
     next_due_ns: int = 0
     change_cursor: dict[int, int] = field(default_factory=dict)
@@ -294,9 +292,7 @@ class Pml:
 
     # -- telemetry registrations -------------------------------------------------
 
-    def add_registration(
-        self, caller_id: str, slice_ids: Sequence[int], ue_ids: Sequence[int], trigger: Mapping
-    ) -> TelemetryRegistration:
+    def add_registration(self, slice_ids: Sequence[int], trigger: Mapping) -> TelemetryRegistration:
         kind = trigger.get("kind")
         if kind == "periodic":
             period = trigger.get("period_ms", 0)
@@ -306,9 +302,7 @@ class Pml:
             raise ValidationFailed(f"unknown trigger kind {kind!r}")
         reg = TelemetryRegistration(
             reg_id=next(self._reg_ids),
-            caller_id=caller_id,
             slice_ids=tuple(slice_ids),
-            ue_ids=tuple(ue_ids),
             trigger=dict(trigger),
             next_due_ns=self.clock.now_ns() + ms_to_ns(trigger.get("period_ms", 0)),
         )
@@ -464,22 +458,20 @@ class _FsHandlers:
         self.registry = registry
         self.algorithms = algorithms
 
-    def _targets(self, payload: Mapping) -> tuple[list[int], list[int]]:
+    def _targets(self, payload: Mapping) -> list[int]:
+        """The target slice ids; every target slice and UE must exist."""
         targets = payload.get("targets", {})
         slice_ids = list(targets.get("slice_ids", []))
-        ue_ids = list(targets.get("ue_ids", []))
         for sid in slice_ids:
             if not self.registry.has_slice(sid):
                 raise UnknownId(f"slice {sid}")
-        for uid in ue_ids:
+        for uid in targets.get("ue_ids", []):
             if not self.registry.has_ue(uid):
                 raise UnknownId(f"ue {uid}")
-        return slice_ids, ue_ids
+        return slice_ids
 
     def registration(self, call: ApiCall) -> dict:
-        slice_ids, ue_ids = self._targets(call.payload)
-        reg = self.pml().add_registration(call.caller_id, slice_ids, ue_ids,
-                                          call.payload["trigger"])
+        reg = self.pml().add_registration(self._targets(call.payload), call.payload["trigger"])
         return {"reg_id": reg.reg_id}
 
     def control(self, call: ApiCall) -> dict:

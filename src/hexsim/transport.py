@@ -8,7 +8,8 @@ one per control shard (``agent.CONTROL_SHARDS``) and one for the other
 managers, so per-peer order survives, take the messages in place of
 ``Agent.pump``; its ticker calls ``Agent.step`` every ``TICK_MS``; ``stop``
 joins them and then calls ``Agent.flush``, so every message received gets its
-one response.
+one response. :class:`TcpAgentServer` closes a connection the agent refuses
+to attach (a link or peer id already attached) and keeps accepting.
 """
 
 from __future__ import annotations
@@ -109,15 +110,18 @@ class TcpAgentServer:
             n += 1
             link_id = f"{self.kind}-tcp-{n}"
             peer_id = f"{self.kind}-{addr[0]}:{addr[1]}"
-            self._conns.add(conn)
             send_lock = threading.Lock()
 
             def sender(data: bytes, c=conn, lk=send_lock):
                 with lk:
                     c.sendall(data)
 
-            self.agent.attach_link(link_id, peer_id, self.kind, send=sender,
-                                   endpoint=f"{addr[0]}:{addr[1]}")
+            try:
+                self.agent.attach_link(link_id, peer_id, self.kind, send=sender)
+            except AgentError:  # a link or peer id already attached: refuse it
+                conn.close()
+                continue
+            self._conns.add(conn)
             t = threading.Thread(target=self._read_loop, args=(conn, link_id), daemon=True)
             t.start()
 

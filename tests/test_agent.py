@@ -20,6 +20,7 @@ from hexsim.agent import RIC, SMO, Agent, AgentConfig, HaRepository, PeerContext
 from hexsim.clocks import VirtualClock
 from hexsim.e2lite import E2LiteFrame, FrameReader, MsgType
 from hexsim.errors import (
+    AgentError,
     BadJson,
     BadMagic,
     MalformedConfig,
@@ -196,6 +197,8 @@ class Stack:
             self.agent.pump()
             self.agent.step(self.clock.now_ns())
             self.clock.advance_ms(1)
+        m = self.agent.metrics
+        assert m.received == m.executed + m.failed
 
     def run_ms(self, ms):
         self.settle(ms)
@@ -243,6 +246,9 @@ class TestConfiguration:
         {"queue_depth": 0},
         {"queue_depth": True},
         {"lockout_window_ms": "7"},
+        {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources="slice/")]},
+        {"functions": [dict(FS_FUNCTION_DOC["functions"][0], required_pml_plugins="fs")]},
+        {"functions": [dict(FS_FUNCTION_DOC["functions"][0], function_id=True)]},
     ])
     def test_a_bad_document_commits_nothing(self, bad):
         stack = Stack()
@@ -267,7 +273,7 @@ class TestSetupAndLocks:
         ric = stack.attach()
         assert [f["function_id"] for f in ric.available_functions] == [1]
         assert stack.agent.activation("ric-1") == {1}
-        ctx = stack.agent.repository.ric_contexts["ric-1"]
+        ctx = stack.agent.repository.peer("ric-1")
         assert "slice/" in ctx.locks
 
     def test_second_ric_is_refused_locked_function(self):
@@ -275,12 +281,13 @@ class TestSetupAndLocks:
         stack.attach("ric-a")
         stack.attach("ric-b")
         assert stack.agent.activation("ric-b") == set()
-        assert "resource_locked" in stack.agent.repository.ric_contexts["ric-b"].refused[1]
+        assert "resource_locked" in stack.agent.repository.peer("ric-b").refused[1]
 
     def test_lock_scopes_match_on_whole_path_segments(self):
         repo = HaRepository()
-        holder = PeerContext(peer_id="ric-a", kind=RIC, link_id="link-a", locks={"slice/1"})
-        repo.ric_contexts["ric-a"] = holder
+        holder = PeerContext("link-a", "ric-a", RIC, send=_raise_on_send, order=0,
+                             locks={"slice/1"})
+        repo.peers["link-a"] = holder
         for resource in ("slice/10", "slice/19", "slice/100", "slice/1x", "slice/2"):
             assert repo.lock_holder(resource) is None, resource
         for resource in ("slice/1", "slice/1/", "slice/1/rrc", "slice", "slice/"):
@@ -297,6 +304,20 @@ class TestSetupAndLocks:
         stack.attach("ric-b")
         assert stack.agent.activation("ric-b") == {1}
 
+    def test_a_bad_setup_response_keeps_its_correlation_id_for_a_retry(self):
+        stack = Stack()
+        sent = []
+        stack.agent.attach_link("link-x", "ric-x", RIC, send=sent.append)
+        (setup,) = FrameReader().feed(b"".join(sent))
+        for activate in (5, [1]):
+            response = E2LiteFrame(MsgType.SETUP_RESPONSE, setup.correlation_id,
+                                   {"activate": activate})
+            stack.agent.receive("link-x", e2lite.encode(response))
+            stack.settle()
+        answers = FrameReader().feed(b"".join(sent))[1:]
+        assert [f.payload["cause"] for f in answers] == ["schema_violation"]
+        assert stack.agent.activation("ric-x") == {1}
+
     def test_subscriptions_dropped_on_disconnect(self):
         stack = Stack()
         ric = stack.attach("ric-a")
@@ -307,6 +328,60 @@ class TestSetupAndLocks:
         before = len(ric.indications)
         stack.run_ms(50)
         assert len(ric.indications) == before
+
+
+class TestOneRecordPerLink:
+    """Each attached link has one record, and a detach releases everything
+    the link owns: locks, subscriptions and queued messages."""
+
+    def test_a_peer_id_attaches_once(self):
+        stack = Stack()
+        stack.attach("ric-a")
+        with pytest.raises(AgentError):
+            connect_inproc(stack.agent, SimulatedPeer("ric-a", RIC), "link-ric-a-again")
+        with pytest.raises(AgentError):
+            connect_inproc(stack.agent, SimulatedPeer("ric-b", RIC), "link-ric-a")
+        assert list(stack.agent.repository.peers) == ["link-ric-a"]
+        assert stack.agent.repository.lock_holder("slice/1") == "ric-a"
+        assert stack.agent.activation("ric-a") == {1}
+
+    def test_a_subscription_whose_link_detaches_before_the_boundary_is_dropped(self):
+        stack = Stack()
+        ric = stack.attach("ric-a")
+        corr = ric.subscribe(1, "slice_context", slice_ids=[1],
+                             trigger={"kind": "periodic", "period_ms": 10})
+        stack.agent.pump()  # the registration waits for the boundary
+        stack.agent.detach_link("link-ric-a")
+        stack.agent.flush()
+        assert not stack.pml._registrations
+        assert not stack.agent._sub_by_reg
+        assert corr not in ric.responses
+        assert stack.agent.failures_by_cause == {"link_lost": 1}
+
+    def test_messages_queued_on_a_detached_link_fail_as_link_lost(self):
+        stack = Stack()
+        ric = stack.attach("ric-a")
+        ric.control_slice(1, {"slice_id": 1, "shared_priority": 3})
+        ric.query(1, "slice_context", slice_ids=[1])
+        stack.agent.detach_link("link-ric-a")
+        stack.settle()
+        assert stack.agent.failures_by_cause == {"link_lost": 2}
+        m = stack.agent.metrics
+        assert (m.received, m.executed, m.failed) == (1, 0, 1)
+        assert stack.registry.get_slice(1).rrc.shared_priority != 3
+
+    def test_a_reused_link_id_serves_none_of_the_old_links_messages(self):
+        stack = Stack()
+        old = stack.attach("ric-a")
+        corr = old.control_slice(1, {"slice_id": 1, "shared_priority": 3})
+        stack.agent.detach_link("link-ric-a")
+        new = SimulatedPeer("ric-c", RIC)
+        connect_inproc(stack.agent, new, "link-ric-a")
+        stack.settle()
+        assert stack.agent.activation("ric-c") == {1}
+        assert corr not in new.responses and corr not in old.responses
+        assert stack.agent.failures_by_cause == {"link_lost": 1}
+        assert stack.registry.get_slice(1).rrc.shared_priority != 3
 
 
 class TestDispatch:
@@ -377,7 +452,7 @@ class TestDispatch:
         assert ric.responses[0].payload["cause"] == "codec"
         stack.settle()
         assert ric.responses[5].msg_type == MsgType.QUERY_RESPONSE
-        assert "ric-1" in stack.agent.repository.ric_contexts
+        assert stack.agent.repository.peer("ric-1") is not None
         assert stack.agent.failures_by_cause == {"codec": 1}
 
     def test_every_codec_error_maps_to_the_codec_cause(self):
@@ -453,7 +528,7 @@ class TestControlPath:
     def test_the_ack_leaves_after_its_epoch_is_published(self):
         stack = Stack()
         ric = stack.attach()
-        link = stack.agent._links["link-ric-1"]
+        link = stack.agent.repository.peers["link-ric-1"]
         send = link.send
         seen_at_send = []
 
@@ -762,11 +837,11 @@ class TestOamPath:
                       trigger={"kind": "periodic", "period_ms": 5})
         stack.settle(2)
         # break the controller's link underneath the subscription
-        stack.agent._links["link-ric-1"].send = _raise_on_send
+        stack.agent.repository.peers["link-ric-1"].send = _raise_on_send
         stack.run_ms(10)
         # the first failed send loses the link, and its subscription with it
         assert [a.payload["condition"] for a in smo.alarms] == ["link_lost"]
-        assert "ric-1" not in stack.agent.repository.ric_contexts
+        assert stack.agent.repository.peer("ric-1") is None
         assert not stack.agent._sub_by_reg
         assert stack.agent.failures_by_cause == {"link_lost": 1}
 

@@ -443,13 +443,12 @@ class TestIdleFastPaths:
         model: dict[int, list[int]] = {}  # reg_id -> [period_ns, next_due_ns]
 
         def add(period_ms):
-            reg = pml.add_registration("ric", [1], [], {"kind": "periodic",
-                                                         "period_ms": period_ms})
+            reg = pml.add_registration([1], {"kind": "periodic", "period_ms": period_ms})
             model[reg.reg_id] = [period_ms * 1_000_000, clock.now_ns() + period_ms * 1_000_000]
             return reg.reg_id
 
         seven = add(7)
-        pml.add_registration("ric", [1], [], {"kind": "event"})  # never periodic-due
+        pml.add_registration([1], {"kind": "event"})  # never periodic-due
         three = None
         seen, expected = [], []
         for tick in range(100):
@@ -476,7 +475,7 @@ class TestIdleFastPaths:
     def test_new_event_registration_catches_up_and_empty_epochs_fire_nothing(self):
         registry, pml, _, _ = make_stack()
         seed_slice(registry, 1)  # the creation record
-        first = pml.add_registration("ric", [1], [], {"kind": "event"})
+        first = pml.add_registration([1], {"kind": "event"})
         assert [rec.seq for _, rec in pml.new_change_records(registry)] == [1]
         n = 4
         for k in range(n - 1):
@@ -484,7 +483,7 @@ class TestIdleFastPaths:
         registry.publish()
         assert len(pml.new_change_records(registry)) == n - 1
         # same epoch, but a new registration: it has seen nothing yet
-        late = pml.add_registration("ric", [1], [], {"kind": "event"})
+        late = pml.add_registration([1], {"kind": "event"})
         fired = pml.new_change_records(registry)
         assert [(reg.reg_id, rec.seq) for reg, rec in fired] == [
             (late.reg_id, seq) for seq in range(1, n + 1)

@@ -157,7 +157,7 @@ class TestDeadLink:
             assert wait_for(lambda: sub in dead.responses)
             dead.gone = True
             dead.query(1, "slice_context", slice_ids=[1])
-            assert wait_for(lambda: agent.repository.context_for("ric-a") is None)
+            assert wait_for(lambda: agent.repository.peer("ric-a") is None)
             query = live.query(2, "slice_context", slice_ids=[2])
             control = live.control_slice(2, {"slice_id": 2, "shared_priority": 3})
             assert wait_for(lambda: query in live.responses and control in live.control_results)
@@ -172,6 +172,45 @@ class TestDeadLink:
             assert m.received == m.executed + m.failed == 1
         finally:
             server.stop()
+
+
+class TestAttachDetachChurn:
+    def test_peers_that_subscribe_and_leave_in_a_loop_leave_nothing_behind(self):
+        """Links attach, subscribe and detach while the server's threads run
+        and another thread reads the repository; every registration goes."""
+        doc = {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources=[])]}
+        agent = make_agent(doc=doc)
+        server = ThreadedAgentServer(agent).start()
+        done, errors = threading.Event(), []
+
+        def read_repository():
+            try:
+                while not done.is_set():
+                    agent.activation("ric-0")
+                    agent.repository.lock_holder("slice/1")
+            except Exception as exc:
+                errors.append(exc)
+
+        reader = threading.Thread(target=read_repository)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            for n in range(100):
+                peer = SimulatedPeer(f"ric-{n % 3}", RIC)
+                duplex = connect_inproc(agent, peer, f"link-{n}")
+                peer.subscribe(1, "slice_context", slice_ids=[1],
+                               trigger={"kind": "periodic", "period_ms": 1})
+                time.sleep(0.001 * (n % 3))
+                duplex.close()
+        finally:
+            done.set()
+            reader.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert not reader.is_alive() and errors == []
+        assert not agent.repository.peers
+        assert not agent.pml._registrations and not agent._sub_by_reg
 
 
 class _AnswerLog(SimulatedPeer):
@@ -217,7 +256,7 @@ class TestTcp:
         try:
             assert wait_for(lambda: ric.setup_complete)
             assert wait_for(lambda: any(
-                ctx.activated for ctx in agent.repository.ric_contexts.values()))
+                ctx.activated for ctx in list(agent.repository.peers.values())))
             corr = ric.control_slice(1, {"slice_id": 2, "state": "dedicated",
                                          "dedicated_rb": 40})
             assert wait_for(lambda: corr in ric.control_results)
@@ -244,14 +283,14 @@ class TestTcp:
         try:
             assert wait_for(lambda: ric_a.setup_complete)
             assert wait_for(lambda: any(
-                ctx.activated for ctx in agent.repository.ric_contexts.values()))
+                ctx.activated for ctx in list(agent.repository.peers.values())))
             close_a()
-            assert wait_for(lambda: not agent.repository.ric_contexts)
+            assert wait_for(lambda: not agent.repository.peers)
             ric_b = SimulatedPeer("ric-b", RIC)
             close_b = connect_tcp(ric_b, tcp.host, tcp.port)
             try:
                 assert wait_for(lambda: any(
-                    ctx.activated for ctx in agent.repository.ric_contexts.values()))
+                    ctx.activated for ctx in list(agent.repository.peers.values())))
             finally:
                 close_b()
         finally:
@@ -269,8 +308,27 @@ class TestTcp:
             for sock in socks:
                 sock.close()
             assert wait_for(lambda: not tcp._conns)
-            assert not agent.repository.ric_contexts
+            assert not agent.repository.peers
         finally:
+            tcp.stop()
+
+    def test_a_refused_connection_is_closed_and_the_listener_keeps_accepting(self):
+        agent = make_agent()
+        # takes the link id the listener gives its first connection
+        agent.attach_link(f"{RIC}-tcp-1", "ric-local", RIC, send=lambda data: None)
+        tcp = TcpAgentServer(agent, kind=RIC).start()
+        refused = socket.create_connection((tcp.host, tcp.port))
+        refused.settimeout(3.0)
+        try:
+            assert refused.recv(64) == b""  # closed without a setup request
+            accepted = socket.create_connection((tcp.host, tcp.port))
+            try:
+                assert wait_for(lambda: len(tcp._conns) == 1)
+                assert len(agent.repository.peers) == 2
+            finally:
+                accepted.close()
+        finally:
+            refused.close()
             tcp.stop()
 
     def test_a_link_the_agent_dropped_ends_its_read_loop_quietly(self):
@@ -279,7 +337,7 @@ class TestTcp:
         sock = socket.create_connection((tcp.host, tcp.port))
         try:
             assert wait_for(lambda: len(tcp._conns) == 1)
-            (ctx,) = agent.repository.ric_contexts.values()
+            (ctx,) = agent.repository.peers.values()
             agent.detach_link(ctx.link_id)  # as after a failed send
             sock.sendall(b"bytes on a dropped link")
             assert wait_for(lambda: not tcp._conns)
