@@ -1,14 +1,13 @@
 """Control-plane agent: terminations, global and functional managers, repository.
 
 Inbound frames are reassembled per link, stamped on receipt, and routed by
-message type into bounded per-manager queues (overflow answers a failure
-rather than dropping silently, so received = executed + failed always holds
-for the control path). Each manager has ``CONTROL_SHARDS`` queues, and a link
-keeps to one of them. Queue processing is driven either by an explicit
-:meth:`Agent.pump` (deterministic, virtual time) or by worker threads
-(:class:`~hexsim.transport.ThreadedAgentServer`, one per control shard and
-one for the other managers); per-(peer, type) order is preserved in both
-because one peer's messages of a type land in one queue.
+message type to a manager. Every manager's messages wait in one FIFO, and
+each manager may hold at most ``queue_depth`` of them, over all links
+(overflow answers a failure rather than dropping silently, so received =
+executed + failed always holds for the control path). One thread drains the
+FIFO with :meth:`Agent.pump`: a single-threaded driver on virtual time, or
+the loop of :class:`~hexsim.transport.ThreadedAgentServer` on wall time.
+Messages therefore run in arrival order, which keeps per-(peer, type) order.
 
 Each attached link has one record (:class:`PeerContext`), and a peer id
 attaches once. Activated functions lock their resources against other peers'
@@ -22,7 +21,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from . import e2lite
 from .clocks import MonotonicClock
@@ -31,6 +30,7 @@ from .errors import (
     BadPeriod,
     CodecError,
     InvalidResourceConfig,
+    LinkLost,
     LockedOut,
     MalformedConfig,
     NotActivated,
@@ -50,9 +50,6 @@ from .slice_model import SliceRegistry, record_to_dict
 
 DEFAULT_QUEUE_DEPTH = 1024
 DEFAULT_UTILIZATION_ALARM = 0.90
-# queues per manager; a link's messages go to shard (attach order % CONTROL_SHARDS).
-# Fixed, because the threaded server's workers take their queue keys at start.
-CONTROL_SHARDS = 2
 
 RIC = "ric"
 SMO = "smo"
@@ -101,6 +98,8 @@ def _check(table: Mapping, values: Mapping, error: type[Exception]) -> dict:
 
 
 def failure_cause(exc: Exception) -> str:
+    if isinstance(exc, LinkLost):
+        return "link_lost"
     if isinstance(exc, LockedOut):
         return "locked_out"
     if isinstance(exc, SchemaViolation):
@@ -157,7 +156,6 @@ class PeerContext:
     peer_id: str
     kind: str
     send: Callable[[bytes], None]
-    order: int  # attach order; selects the manager shard
     reader: FrameReader = field(default_factory=FrameReader)
     pending_setup_corr: Optional[int] = None
     activated: set[int] = field(default_factory=set)
@@ -246,7 +244,7 @@ class _Pending:
     link: PeerContext  # the record it arrived on; a detached one is not served
     frame: E2LiteFrame
     record: MessageRecord
-    seq: int = 0  # arrival order across every queue, assigned under Agent._cv
+    manager: str = ""  # the manager whose queue depth it counts against
 
     @property
     def link_id(self) -> str:
@@ -257,8 +255,9 @@ class Agent:
     """Synchronous agent core, driven by :meth:`pump`, :meth:`step` and :meth:`flush`.
 
     A single-threaded driver calls ``pump()`` then ``step(now)`` on a tick
-    and ends with ``flush()``. On :class:`~hexsim.transport.ThreadedAgentServer`
-    the workers take the messages, the ticker steps, and ``stop()`` flushes.
+    and ends with ``flush()``. :class:`~hexsim.transport.ThreadedAgentServer`
+    makes the same calls from its one loop thread, sleeping in :meth:`wait`
+    between them, and ``stop()`` flushes.
     """
 
     def __init__(
@@ -277,10 +276,11 @@ class Agent:
         self.repository = HaRepository()
         self.metrics = PipelineMetrics()
         self.failures_by_cause: dict[str, int] = {}
-        self._link_order = itertools.count()
-        self._queues: dict[tuple[str, int], deque] = {}
-        self._queued = 0  # messages in _queues; guarded by _cv, like the queues
-        self._arrivals = itertools.count()
+        # every manager's messages in arrival order, the count queued per
+        # manager, and a pending wake; all guarded by _cv
+        self._queue: deque[_Pending] = deque()
+        self._depth: dict[str, int] = {}
+        self._woken = False
         # _cv's lock; pump enters it directly, skipping Condition's Python-level
         # __enter__ on every tick
         self._queue_lock = threading.RLock()
@@ -358,8 +358,7 @@ class Agent:
         if kind not in (RIC, SMO):
             raise AgentError(f"unknown peer kind {kind!r}")
         corr = next(self._corr) if kind == RIC else None
-        link = PeerContext(link_id, peer_id, kind, send, order=next(self._link_order),
-                           pending_setup_corr=corr)
+        link = PeerContext(link_id, peer_id, kind, send, pending_setup_corr=corr)
         with self._state:
             if link_id in self.repository.peers or self.repository.peer(peer_id) is not None:
                 raise AgentError(f"link {link_id} or peer {peer_id} is already attached")
@@ -375,7 +374,8 @@ class Agent:
             self._send(link, E2LiteFrame(MsgType.SETUP_REQUEST, corr, payload))
 
     def detach_link(self, link_id: str) -> bool:
-        """Drop the link, its locks and its subscriptions; False if not attached."""
+        """Drop the link, its locks and its subscriptions, and fail its calls
+        still waiting in mediation as ``link_lost``; False if not attached."""
         with self._state:
             link = self.repository.peers.pop(link_id, None)
             if link is None:
@@ -383,6 +383,7 @@ class Agent:
             for sub in [s for s in self._sub_by_reg.values() if s.link is link]:
                 self.pml.drop_registration(sub.reg_id)
                 del self._sub_by_reg[sub.reg_id]
+            self.pml.cancel_calls(link.peer_id, LinkLost(f"link {link_id} detached"))
         return True
 
     def activation(self, peer_id: str) -> set[int]:
@@ -419,15 +420,14 @@ class Agent:
             cause = "unknown_type" if frame.msg_type not in _KNOWN_TYPES else "invalid_direction"
             self._fail(msg, cause, f"message type {frame.msg_type} not accepted inbound")
             return
-        manager = route[0]
+        manager = msg.manager = route[0]
         with self._cv:
-            q = self._queues.setdefault((manager, link.order % CONTROL_SHARDS), deque())
-            overflow = len(q) >= self.config.queue_depth
+            depth = self._depth.get(manager, 0)
+            overflow = depth >= self.config.queue_depth
             if not overflow:
-                msg.seq = next(self._arrivals)
-                q.append(msg)
-                self._queued += 1
-            self._cv.notify_all()
+                self._depth[manager] = depth + 1
+                self._queue.append(msg)
+                self._cv.notify()
         if overflow:
             self._fail(msg, "overloaded", "manager queue full")
             self.raise_alarm("queue_overflow", f"{manager} queue at depth {self.config.queue_depth}")
@@ -435,25 +435,21 @@ class Agent:
     # -- driving: pump, step, flush ---------------------------------------------------
 
     def pump(self) -> int:
-        """Process everything queued; returns the number of messages handled.
+        """Process the messages queued when it is called, in arrival order;
+        returns how many. :meth:`step` publishes and reports.
 
-        Only the owner of the queues calls it: a single-threaded driver, not
-        the threaded server, whose workers take the messages. Messages run in
-        arrival order across all manager queues; :meth:`step` publishes and
-        reports.
-
-        Every queued message is counted, so a zero count means the queues are
-        empty and the call returns without scanning them.
+        One thread owns the queue and calls it: a single-threaded driver, or
+        the threaded server's loop, which so reaches its next step even while
+        frames keep arriving.
         """
-        processed = 0
-        while True:
+        with self._queue_lock:
+            count = len(self._queue)
+        for _ in range(count):
             with self._queue_lock:
-                if not self._queued:
-                    break
-                msg = self._pop_oldest(self._queues)
+                msg = self._queue.popleft()
+                self._depth[msg.manager] -= 1
             self.process_message(msg)
-            processed += 1
-        return processed
+        return count
 
     def step(self, now_ns: int) -> float:
         """Run the mediation boundary, then :meth:`emit_telemetry`, so reports
@@ -469,7 +465,7 @@ class Agent:
         while True:
             self.pump()
             self.pml.tti_boundary(self.registry)
-            if not self._queued and not self.pml.pending():
+            if not self._queue and not self.pml.pending():
                 return
 
     def next_wake_ns(self) -> float:
@@ -481,24 +477,28 @@ class Agent:
         input, :meth:`pump` and :meth:`step` do nothing, so a driver may skip
         them.
 
-        For single-threaded drivers: it takes no lock, and input that arrives
-        from another thread after it returns is not seen.
+        It takes no lock, and input that arrives from another thread after it
+        returns is not seen. The threaded server's loop reads it too: a stale
+        answer there costs one :meth:`wait`, which the new frame ends.
         """
-        if self._queued:
+        if self._queue:
             return 0
         return self.pml.next_wake_ns(self.registry)
 
-    def _pop_oldest(self, keys: Iterable[tuple[str, int]]) -> Optional[_Pending]:
-        """Pop the earliest-arrived head among the given queues; hold ``_cv``."""
-        oldest = None
-        for key in keys:
-            q = self._queues.get(key)
-            if q and (oldest is None or q[0].seq < oldest[0].seq):
-                oldest = q
-        if oldest is None:
-            return None
-        self._queued -= 1
-        return oldest.popleft()
+    def wait(self, timeout: Optional[float]) -> None:
+        """Block until a message is queued, :meth:`wake` is called, or
+        ``timeout`` seconds pass (``None``: no limit). A message already queued,
+        or a wake since the last wait, returns at once."""
+        with self._cv:
+            if not self._queue and not self._woken:
+                self._cv.wait(timeout)
+            self._woken = False
+
+    def wake(self) -> None:
+        """End the current or the next :meth:`wait`."""
+        with self._cv:
+            self._woken = True
+            self._cv.notify()
 
     # -- manager bodies ------------------------------------------------------------
 
@@ -554,10 +554,14 @@ class Agent:
             holder = self.repository.lock_holder(resource, exclude=link.peer_id)
             if holder is not None:
                 raise ResourceLockedByOther(f"{resource} held by {holder}")
-        msg.record.invoke_ns = self.clock.now_ns()  # RAN function action API entry
+        # a detach comes before the submit, or cancels the call in mediation
+        with self._state:
+            if not self.repository.attached(link):
+                raise LinkLost(f"link {link.link_id} detached")
+            msg.record.invoke_ns = self.clock.now_ns()  # RAN function action API entry
+            completion = self.fs.fs_control_request(link.peer_id, params)
         with self.metrics.lock:
             self.metrics.records.append(msg.record)
-        completion = self.fs.fs_control_request(link.peer_id, params)
         completion.add_done_callback(lambda c: self._control_done(msg, c))
 
     def _control_done(self, msg: _Pending, completion: Completion) -> None:
@@ -758,27 +762,6 @@ class Agent:
     def _count_failure(self, cause: str) -> None:
         with self._state:
             self.failures_by_cause[cause] = self.failures_by_cause.get(cause, 0) + 1
-
-    # -- threaded-server support ----------------------------------------------------
-
-    @staticmethod
-    def worker_keys() -> list[list[tuple[str, int]]]:
-        """Queue keys per server worker: one list per control shard, then one
-        list holding every shard of the other managers."""
-        shards = range(CONTROL_SHARDS)
-        keys = [[(_CONTROL, i)] for i in shards]
-        keys.append([(mgr, i) for mgr in (_SUBSCRIPTION, _QUERY, _INTERFACE, _BROKER)
-                     for i in shards])
-        return keys
-
-    def wait_message(self, keys: Iterable[tuple[str, int]], timeout: float = 0.1):
-        keyset = list(keys)
-        with self._cv:
-            msg = self._pop_oldest(keyset)
-            if msg is None:
-                self._cv.wait(timeout)
-                msg = self._pop_oldest(keyset)
-        return msg
 
 
 # inbound message type -> (manager, body); a body is called as body(agent,

@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--config", default=None, help="benchmark config JSON")
     p.add_argument("--serialized", action="store_true",
-                   help="reference mode: each action blocks its worker until it completes; "
+                   help="reference mode: each action blocks the agent until it completes; "
                         "delay mode sends each period's controls in one burst")
     p.add_argument("--frame-gated", action="store_true", dest="frame_gated",
                    help="reference mode (reliability only): one-message queues, "

@@ -139,6 +139,10 @@ class ResourceLockedByOther(AgentError):
     pass
 
 
+class LinkLost(AgentError):
+    """The call's link detached before it completed."""
+
+
 # -- simulators / harness ----------------------------------------------------
 
 class UnknownChain(HexsimError):

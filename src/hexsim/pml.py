@@ -218,6 +218,14 @@ class Pml:
         with self._lock:
             return len(self._queue)
 
+    def cancel_calls(self, caller_id: str, error: Exception) -> int:
+        """Take the caller's queued calls off the FIFO and resolve each with
+        ``error``; returns how many. A call already taken by a boundary stands."""
+        with self._lock:
+            cancelled = [c for c in self._queue if c.call.caller_id == caller_id]
+            self._queue = deque(c for c in self._queue if c.call.caller_id != caller_id)
+        return self._complete([(c, None, error) for c in cancelled])
+
     def drain(self) -> int:
         """Execute every queued call in arrival order. Returns the number executed.
 

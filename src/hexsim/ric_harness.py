@@ -64,8 +64,9 @@ class SimulatedPeer:
         self._send: Optional[Callable[[bytes], None]] = None
         self._outbox: list[bytes] = []
         self._lock = threading.Lock()
-        # A threaded agent sends on one link from its workers and its ticker,
-        # and a FrameReader fed from two threads decodes frames twice or loses
+        # A threaded agent sends on one link from its loop thread and from the
+        # thread that feeds the link (a codec or overload failure answer), and
+        # a FrameReader fed from two threads decodes frames twice or loses
         # them. Re-entrant, because on a codec error or an unknown type the
         # agent answers synchronously into this peer on the same thread.
         self._feed_lock = threading.RLock()
@@ -618,8 +619,8 @@ class ReliabilityStats:
 
 class _SerializedFsApi(FsApi):
     """Control API of the serialized reference pipeline: after queuing a
-    control, the calling worker blocks for the action's execution cost, so the
-    next message on its queue waits for the whole action."""
+    control, the agent's thread blocks for the action's execution cost, so the
+    next message in its queue waits for the whole action."""
 
     def __init__(self, pml: Pml, registry: SliceRegistry, exec_cost_us: float):
         super().__init__(pml, registry)
@@ -641,8 +642,8 @@ def _bench_agent(n_functions: int, cfg: BenchmarkConfig,
 
     The agent always runs its one queue discipline; the two reference
     pipelines are built around it. ``cfg.serialized`` makes every control
-    block its worker for ``cfg.exec_cost_us`` (the bench has one link, so all
-    its controls share one queue and one worker). ``cfg.frame_gated`` bounds
+    block the agent's thread for ``cfg.exec_cost_us``, so every control
+    waits for the ones queued before it. ``cfg.frame_gated`` bounds
     every queue at one message, so a driver that pumps once per radio frame
     runs at most one control per frame and fails the rest as overloaded.
     """

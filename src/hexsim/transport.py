@@ -3,25 +3,27 @@
 The agent core is synchronous; this module supplies the two drive modes the
 harness needs: an in-process duplex link (function-call transport, usable from
 both deterministic and threaded drivers) and a TCP listener speaking the same
-framing. :class:`ThreadedAgentServer` runs the core concurrently: its workers,
-one per control shard (``agent.CONTROL_SHARDS``) and one for the other
-managers, so per-peer order survives, take the messages in place of
-``Agent.pump``; its ticker calls ``Agent.step`` every ``TICK_MS``; ``stop``
-joins them and then calls ``Agent.flush``, so every message received gets its
+framing. :class:`ThreadedAgentServer` runs the core on one loop thread,
+concurrently with the links' I/O threads: it calls ``Agent.pump``, then
+``Agent.step`` on the ``TICK_MS`` grid when the agent has work, and otherwise
+sleeps until a frame arrives or the next periodic report is due; ``stop``
+joins it and then calls ``Agent.flush``, so every message received gets its
 one response. :class:`TcpAgentServer` closes a connection the agent refuses
 to attach (a link or peer id already attached) and keeps accepting.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 from typing import Callable, Optional
 
 from .agent import RIC, Agent
+from .clocks import ms_to_ns
 from .errors import AgentError
 
-TICK_MS = 1.0  # the threaded ticker's step period: one boundary per 1 ms tick
+TICK_MS = 1.0  # the threaded server's step grid: at most one boundary per 1 ms
 
 
 class InProcessDuplex:
@@ -41,42 +43,40 @@ class InProcessDuplex:
 
 
 class ThreadedAgentServer:
-    """Worker pools plus a tick thread driving an agent on wall time."""
+    """One loop thread driving an agent on wall time."""
 
     def __init__(self, agent: Agent):
         self.agent = agent
-        self._threads: list[threading.Thread] = []
+        self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
     def start(self) -> "ThreadedAgentServer":
-        for n, keys in enumerate(self.agent.worker_keys()):
-            t = threading.Thread(target=self._worker, args=(keys,), name=f"agent-worker-{n}",
-                                 daemon=True)
-            t.start()
-            self._threads.append(t)
-        ticker = threading.Thread(target=self._ticker, name="agent-ticker", daemon=True)
-        ticker.start()
-        self._threads.append(ticker)
+        self._thread = threading.Thread(target=self._loop, name="agent-ticker", daemon=True)
+        self._thread.start()
         return self
 
     def stop(self) -> None:
-        """Join the threads, then ``Agent.flush``: every message gets its response."""
+        """Join the loop, then ``Agent.flush``: every message gets its response."""
         self._stop.set()
-        for t in self._threads:
-            t.join(timeout=2.0)
-        self._threads.clear()
+        self.agent.wake()
+        if self._thread:
+            self._thread.join(timeout=2.0)
         self.agent.flush()
 
-    def _worker(self, keys) -> None:
+    def _loop(self) -> None:
+        """Pump, then step once the agent's wake time and the next tick after
+        the last step are both reached; until then, wait. Controls invoked
+        within a tick of a step are applied together at the next one."""
+        agent, tick_ns, last_step = self.agent, ms_to_ns(TICK_MS), -math.inf
         while not self._stop.is_set():
-            msg = self.agent.wait_message(keys, timeout=0.05)
-            if msg is not None:
-                self.agent.process_message(msg)
-
-    def _ticker(self) -> None:
-        while not self._stop.is_set():
-            self.agent.step(self.agent.clock.now_ns())
-            self._stop.wait(TICK_MS / 1000.0)
+            agent.pump()
+            now = agent.clock.now_ns()
+            due = max(last_step + tick_ns, agent.next_wake_ns())
+            if now >= due:
+                agent.step(now)
+                last_step = now
+            else:
+                agent.wait(None if due == math.inf else (due - now) / 1e9)
 
 
 class TcpAgentServer:

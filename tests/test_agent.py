@@ -285,8 +285,7 @@ class TestSetupAndLocks:
 
     def test_lock_scopes_match_on_whole_path_segments(self):
         repo = HaRepository()
-        holder = PeerContext("link-a", "ric-a", RIC, send=_raise_on_send, order=0,
-                             locks={"slice/1"})
+        holder = PeerContext("link-a", "ric-a", RIC, send=_raise_on_send, locks={"slice/1"})
         repo.peers["link-a"] = holder
         for resource in ("slice/10", "slice/19", "slice/100", "slice/1x", "slice/2"):
             assert repo.lock_holder(resource) is None, resource
@@ -370,6 +369,22 @@ class TestOneRecordPerLink:
         assert (m.received, m.executed, m.failed) == (1, 0, 1)
         assert stack.registry.get_slice(1).rrc.shared_priority != 3
 
+    def test_a_control_in_mediation_fails_when_its_link_detaches(self):
+        stack = Stack()
+        ric = stack.attach("ric-a")
+        before = stack.registry.get_slice(1).rrc.shared_priority
+        corr = ric.control_slice(1, {"slice_id": 1, "shared_priority": 7})
+        stack.agent.pump()  # handed to mediation; it waits for the boundary
+        stack.agent.detach_link("link-ric-a")
+        stack.attach("ric-b")  # takes slice/ and runs a boundary
+        assert stack.agent.repository.lock_holder("slice/1") == "ric-b"
+        stack.settle()
+        assert stack.registry.published.slices[1].rrc.shared_priority == before != 7
+        assert corr not in ric.control_results
+        assert stack.agent.failures_by_cause == {"link_lost": 1}
+        m = stack.agent.metrics
+        assert (m.received, m.executed, m.failed) == (1, 0, 1)
+
     def test_a_reused_link_id_serves_none_of_the_old_links_messages(self):
         stack = Stack()
         old = stack.attach("ric-a")
@@ -400,20 +415,22 @@ class TestDispatch:
         stack.settle()
         assert ric.responses[43].payload["cause"] == "invalid_direction"
 
-    def test_every_queue_a_message_lands_in_has_a_worker(self):
-        """A threaded server takes its workers' queue keys when it starts; a
-        document loaded after that cannot route a link to a queue none serves."""
+    def test_pump_takes_only_what_was_queued_when_it_was_called(self):
+        """A peer that answers each query response with a new query keeps the
+        queue busy; each pump still returns, so a driver reaches its step."""
         stack = Stack()
-        served = {key for keys in stack.agent.worker_keys() for key in keys}
-        stack.agent.load_configuration(dict(FS_FUNCTION_DOC, manager_instances=3))
-        for n in range(3):
-            ric = stack.attach(f"ric-{n}")
-            ric.query(1, "slice_context", slice_ids=[1])
-            ric.control_slice(1, {"slice_id": 1, "shared_priority": 2})
-        stack.settle()
-        assert {manager for manager, _ in stack.agent._queues} == {
-            "interface", "query", "control"}
-        assert set(stack.agent._queues) <= served
+        ric = stack.attach()
+        on_frame = ric.on_frame
+
+        def ask_again(frame):
+            on_frame(frame)
+            if frame.msg_type == MsgType.QUERY_RESPONSE and len(ric.responses) < 5:
+                ric.query(1, "slice_context", slice_ids=[1])
+
+        ric.on_frame = ask_again
+        ric.query(1, "slice_context", slice_ids=[1])
+        assert [stack.agent.pump() for _ in range(6)] == [1, 1, 1, 1, 1, 0]
+        assert len(ric.responses) == 5
 
     @pytest.mark.parametrize("msg_type, payload", [
         (MsgType.CONTROL_REQUEST, {"service": "slice_context", "targets": {"slice_ids": [1]}}),
@@ -626,6 +643,20 @@ class TestControlPath:
         m = stack.agent.metrics
         assert m.received == 10
         assert m.executed + m.failed == m.received
+
+    def test_queue_depth_bounds_each_manager_over_all_links(self):
+        doc = {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources=[])]}
+        stack = Stack(config=AgentConfig(queue_depth=4), doc=doc)
+        rics = [stack.attach("ric-a"), stack.attach("ric-b")]
+        corrs = [(ric, ric.control_slice(1, {"slice_id": 1, "shared_priority": 2}))
+                 for ric in rics for _ in range(5)]
+        query = rics[1].query(1, "slice_context", slice_ids=[1])
+        stack.settle()
+        causes = [ric.control_results[c][1].get("cause") for ric, c in corrs]
+        assert causes.count("overloaded") == 6
+        assert rics[1].responses[query].msg_type == MsgType.QUERY_RESPONSE
+        m = stack.agent.metrics
+        assert (m.received, m.executed, m.failed) == (10, 4, 6)
 
 
 class TestSubscriptionsAndQueries:

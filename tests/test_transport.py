@@ -64,9 +64,35 @@ class TestThreadedServer:
         finally:
             server.stop()
 
+    def test_an_idle_server_sleeps_and_steps_only_for_work(self):
+        """With no input the loop steps about once in 0.5 s, and with a 50 ms
+        periodic subscription about once per indication, not once per 1 ms
+        tick."""
+        agent = make_agent()
+        steps = []
+        step = agent.step
+        agent.step = lambda now: steps.append(now) or step(now)
+        server = ThreadedAgentServer(agent).start()
+        try:
+            time.sleep(0.5)
+            assert len(steps) <= 2
+            ric = SimulatedPeer("ric-1", RIC)
+            connect_inproc(agent, ric, "link-1")
+            assert wait_for(lambda: agent.activation("ric-1") == {1})
+            corr = ric.subscribe(1, "slice_context", slice_ids=[1],
+                                 trigger={"kind": "periodic", "period_ms": 50})
+            assert wait_for(lambda: corr in ric.responses)
+            del steps[:]
+            before = len(ric.indications)
+            assert wait_for(lambda: len(ric.indications) - before >= 5)
+            assert len(steps) <= 3 * (len(ric.indications) - before) + 3
+        finally:
+            server.stop()
+
     def test_peer_decodes_each_frame_once_when_two_threads_feed_it(self):
-        """The server's ticker and workers send on one link from different
-        threads; the peer's reassembly must neither repeat nor lose a frame."""
+        """The server's loop and an I/O thread (a codec failure answer) send on
+        one link from different threads; the peer's reassembly must neither
+        repeat nor lose a frame."""
         per_thread = 4000
         peer = SimulatedPeer("ric-1", RIC)
         seen, errors = [], []
@@ -143,7 +169,7 @@ _TWO_FUNCTIONS = {"functions": [
 
 
 class TestDeadLink:
-    def test_a_failed_query_answer_loses_the_link_and_no_worker(self):
+    def test_a_failed_query_answer_loses_the_link_not_the_loop(self):
         agent = make_agent(doc=_TWO_FUNCTIONS)
         server = ThreadedAgentServer(agent).start()
         try:
@@ -163,8 +189,7 @@ class TestDeadLink:
             assert wait_for(lambda: query in live.responses and control in live.control_results)
             assert live.responses[query].msg_type == MsgType.QUERY_RESPONSE
             assert live.control_results[control][0] == "ack"
-            assert len(server._threads) == 4
-            assert all(t.is_alive() for t in server._threads)
+            assert server._thread.is_alive()
             assert agent.repository.lock_holder("slice/1") is None
             assert not agent._sub_by_reg
             assert agent.failures_by_cause == {"link_lost": 1}
@@ -244,6 +269,44 @@ class TestStop:
         assert sorted(ric.answers) == sorted(sent)
         m = agent.metrics
         assert m.received == m.executed + m.failed == 200
+
+
+class TestSendersOnManyThreads:
+    def test_every_request_is_answered_once_and_every_queue_count_returns_to_zero(self):
+        """Three links send from their own threads while the loop drains the
+        one queue; a lost update to a manager's count would leave it above 0."""
+        doc = {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources=[])]}
+        agent = make_agent(doc=doc)
+        server = ThreadedAgentServer(agent).start()
+        rics = [_AnswerLog(f"ric-{n}", RIC) for n in range(3)]
+        for n, ric in enumerate(rics):
+            connect_inproc(agent, ric, f"link-{n}")
+        assert wait_for(lambda: all(agent.activation(r.peer_id) == {1} for r in rics))
+        sent = {ric.peer_id: [] for ric in rics}
+
+        def send(ric):
+            for k in range(150):
+                sent[ric.peer_id].append(ric.control_slice(1, {"slice_id": 1 + k % 3,
+                                                               "shared_priority": 1 + k % 4}))
+                sent[ric.peer_id].append(ric.query(1, "slice_context", slice_ids=[1]))
+
+        threads = [threading.Thread(target=send, args=(ric,)) for ric in rics]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+        assert not any(t.is_alive() for t in threads)
+        for ric in rics:
+            assert sorted(ric.answers) == sorted(sent[ric.peer_id])
+        assert not agent._queue and not any(agent._depth.values())
+        m = agent.metrics
+        assert m.received == m.executed + m.failed == 450
 
 
 class TestTcp:
