@@ -136,6 +136,13 @@ class LockoutRegistry:
                 p: (w, t) for p, (w, t) in self._writes.items() if now_ns - t < window_ns
             }
 
+    def forget(self, call: ApiCall) -> None:
+        """Drop the writes ``call`` recorded that no later write has replaced."""
+        mine = (call.caller_id, call.arrival_time_ns)
+        for path in call.parameter_paths:
+            if self._writes.get(path) == mine:
+                del self._writes[path]
+
 
 class Pml:
     """API dispatcher: one arrival-ordered FIFO, lockout, boundary-published writes."""
@@ -219,11 +226,14 @@ class Pml:
             return len(self._queue)
 
     def cancel_calls(self, caller_id: str, error: Exception) -> int:
-        """Take the caller's queued calls off the FIFO and resolve each with
-        ``error``; returns how many. A call already taken by a boundary stands."""
+        """Take the caller's queued calls off the FIFO, drop the lockout
+        writes they recorded, and resolve each with ``error``; returns how
+        many. A call already taken by a boundary stands."""
         with self._lock:
             cancelled = [c for c in self._queue if c.call.caller_id == caller_id]
             self._queue = deque(c for c in self._queue if c.call.caller_id != caller_id)
+            for c in cancelled:
+                self.lockout.forget(c.call)
         return self._complete([(c, None, error) for c in cancelled])
 
     def drain(self) -> int:

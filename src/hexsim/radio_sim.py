@@ -12,13 +12,14 @@ one epoch, when every slice's algorithm is stateless, a tick whose demands
 equal the previous tick's reuses the previous decision, which is what keeps
 long steady-state phases cheap.
 
-A memo-hit tick is a fixed point when every bearer with arrivals is in the
-bearer table and, for each one in it, the throughput it writes equals the one
-it read and its drained buffer plus the next arrivals equals the buffer it
-drained. Every later tick then reads the same inputs and writes the same
-values, adding only to the window accumulators, until the epoch, a rate or
-the attached set changes. ``step_tti`` tests this in its drain loop at most
-every ``PROBE_INTERVAL`` ticks; ``repeat_tti`` runs k such ticks.
+A tick is steady when it reuses the previous decision. ``repeat_tti(k)``
+runs up to k more steady ticks and returns how many it ran: it stops before
+the first tick whose demands would miss the memo. It runs them bearer by
+bearer, since under one decision no bearer's values read another's, with the
+float operations of ``step_tti`` in the same order, so the bits are those of
+stepping every tick; what it saves is the demand dict, the memo compare and
+the per-tick dict traffic. A bearer whose buffer and throughput stop changing
+finishes its ticks as adds to its served sum.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .slice_model import BearerStats, SliceRegistry, SliceState
 
 RTT_CAP_MS = 2000.0
 STATS_WINDOW_MS = 100.0
-PROBE_INTERVAL = 64  # ticks from one fixed-point probe to the next
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,6 @@ class Cell:
         self._epoch = _Epoch(-1, (), {}, (), (), (), (), False)
         self._tti_s = cfg.tti_ms / 1000.0
         self._alpha = cfg.tti_ms / STATS_WINDOW_MS
-        # (drb, RBs or None, bytes served) per table bearer of a fixed-point last tick
-        self.fixed_tick: Optional[list[tuple[int, Optional[int], float]]] = None
-        self._probe_at = 0
         # window accumulators (reset by end_window)
         self._win_ttis = 0
         self._win_alloc = 0
@@ -151,7 +148,6 @@ class Cell:
         self._offer(drb, offered_mbps)
 
     def detach_bearer(self, drb: int) -> None:
-        self.fixed_tick = None  # the next tick differs from the last
         self.buffers.pop(drb, None)
         self.offered.pop(drb, None)
         self._arrivals.pop(drb, None)
@@ -164,7 +160,6 @@ class Cell:
         self._offer(drb, mbps)
 
     def _offer(self, drb: int, mbps: float) -> None:
-        self.fixed_tick = None
         self.offered[drb] = mbps
         if mbps:
             self._arrivals[drb] = mbps * 1e6 * self._tti_s / 8.0
@@ -222,8 +217,7 @@ class Cell:
         """Advance one tick: arrivals, schedule, drain, stats.
 
         A decision reused from the previous tick keeps the ``tti_index`` of
-        the tick that computed it. Sets :attr:`fixed_tick` to this tick if
-        it is a fixed point, else to None.
+        the tick that computed it.
         """
         ep = self._epoch
         if ep.number != self.registry.published.epoch:
@@ -245,12 +239,8 @@ class Cell:
                 demands[drb] = need if need < total_rb else total_rb
 
         tti = self.tti_index
-        fixed = None
         if ep.stateless and demands == ep.last_demands:
             decision = ep.last_decision
-            if tti >= self._probe_at:
-                self._probe_at = tti + PROBE_INTERVAL
-                fixed = []
         else:
             inp = fssf.TtiInput(tti, total_rb, ep.ue_rate, demands, ep.slices)
             decision = fssf.run_tti(inp, self.algorithms, self.histories)
@@ -268,7 +258,7 @@ class Cell:
         win_served = self._win_served
         win_alloc_drb = self._win_alloc_drb
         for drb, rb_capacity, stats in zip(drb_ids, ep.rb_capacity, ep.stats):
-            buf = drained = buffers.get(drb, 0.0)
+            buf = buffers.get(drb, 0.0)
             n_rb = per_drb_rb.get(drb)
             if n_rb is None:
                 # nothing served: the rate is exactly 0.0 and the window's
@@ -289,7 +279,7 @@ class Cell:
             throughput = previous + alpha * (inst_mbps - previous)
             stats.throughput_mbps = throughput
             stats.buffer_occupancy_bytes = buf
-            # queueing-delay RTT estimate: monotone in backlog, capped
+            # _packet_delay_ms, inlined: this loop runs per bearer and tick
             if buf <= 0.0:
                 stats.packet_delay_ms = base_rtt_ms
             else:
@@ -299,36 +289,100 @@ class Cell:
                 else:
                     rtt = base_rtt_ms + buf * 8.0 / served_bps * 1000.0
                     stats.packet_delay_ms = rtt if rtt < rtt_cap_ms else rtt_cap_ms
-            if fixed is not None:
-                if throughput == previous and buf + arrivals.get(drb, 0.0) == drained:
-                    fixed.append((drb, n_rb, served))
-                else:
-                    fixed = None
 
         self._win_alloc += alloc
         self._win_ttis += 1
         self.tti_index = tti + 1
-        if fixed is not None and not arrivals.keys() <= {drb for drb, _, _ in fixed}:
-            fixed = None  # a bearer outside the table grows its buffer
-        self.fixed_tick = fixed
         return decision
 
-    def repeat_tti(self, k: int) -> None:
-        """Run ``k`` more ticks of the fixed-point tick just stepped: integer
-        counts add ``k * n``, each served sum takes ``k`` float adds."""
-        if self.fixed_tick is None or self._epoch.number != self.registry.published.epoch:
-            raise RuntimeError("the last tick was not a fixed point")
-        win_served, win_alloc_drb = self._win_served, self._win_alloc_drb
-        for drb, n_rb, served in self.fixed_tick:
-            total = win_served.get(drb, 0.0)
+    def repeat_tti(self, k: int) -> int:
+        """Run up to ``k`` more ticks that reuse the current decision and
+        return how many ran: 0 if the next tick would not hit the memo, else
+        every tick before the first whose demands would differ from it.
+
+        Each table bearer runs its ticks on its own, since under one decision
+        no bearer's values read another's; off-table bearers with arrivals
+        take their adds too. The delay estimate is written once, from the
+        final values, as the last of the ticks would write it.
+        """
+        ep = self._epoch
+        decision = ep.last_decision
+        if k <= 0 or decision is None or ep.number != self.registry.published.epoch:
+            return 0  # nothing to reuse (a stateful epoch sets no memo), or a new epoch
+        buffers, arrivals, last_demands = self.buffers, self._arrivals, ep.last_demands
+        per_drb_rb = decision.plan.per_drb_rb
+        total_rb, alpha, tti_s = self.cfg.total_rb, self._alpha, self._tti_s
+        inf = math.inf
+        n = k
+        table = []
+        for drb, bits_per_rb, rb_capacity in zip(ep.drb_ids, ep.bits_per_rb, ep.rb_capacity):
+            buf, arriving = buffers.get(drb, 0.0), arrivals.get(drb, 0.0)
+            need = last_demands.get(drb)
+            # the demand min(ceil(x), total_rb), x = buf * 8 / bits_per_rb, is
+            # `need` exactly when need - 1 < x <= need, or x > total_rb - 1 at the cap
+            if need is None:
+                if arriving or buf > 0.0:
+                    return 0
+                lo, hi = -inf, inf  # an empty buffer without arrivals stays empty
+            elif need == 0:
+                return 0  # a demand of 0: x underflowed; let a full step take it
+            else:
+                lo, hi = need - 1, (need if need < total_rb else inf)
+            n_rb = per_drb_rb.get(drb)
+            capacity = 0.0 if n_rb is None else n_rb * rb_capacity
+            if hi != inf:
+                # a demand below the cap moves with its buffer: bound n by how
+                # long it holds before any bearer runs
+                n = _steady_ticks(n, buf, arriving, capacity, lo, hi, bits_per_rb)
+                if n == 0:
+                    return 0
+                lo, hi = -inf, inf
+            table.append((buf, arriving, capacity, lo, hi, bits_per_rb))
+        # A demand at the cap (a backlog, which seldom leaves it) is checked as
+        # its bearer runs; should one change, every bearer runs again for fewer
+        # ticks.
+        stats = ep.stats
+        win_served = self._win_served
+        while True:
+            finals = []
+            for (buf, arriving, capacity, lo, hi, bits_per_rb), st, drb in zip(
+                    table, stats, ep.drb_ids):
+                ran, buf, throughput, served_sum = _repeat_bearer(
+                    n, buf, arriving, capacity, st.throughput_mbps, win_served.get(drb, 0.0),
+                    lo, hi, bits_per_rb, alpha, tti_s)
+                if ran < n:
+                    break
+                finals.append((buf, throughput, served_sum))
+            else:
+                break
+            if ran == 0:
+                return 0
+            n = ran
+        base_rtt_ms = self.cfg.base_rtt_ms
+        win_alloc_drb = self._win_alloc_drb
+        alloc = 0
+        for drb, st, (buf, throughput, served_sum) in zip(ep.drb_ids, stats, finals):
+            n_rb = per_drb_rb.get(drb)
             if n_rb is not None:
-                win_alloc_drb[drb] = win_alloc_drb.get(drb, 0) + k * n_rb
-                self._win_alloc += k * n_rb
-                for _ in range(k):
-                    total += served
-            win_served[drb] = total
-        self._win_ttis += k
-        self.tti_index += k
+                win_alloc_drb[drb] = win_alloc_drb.get(drb, 0) + n * n_rb
+                alloc += n_rb
+            if drb in buffers:
+                buffers[drb] = buf
+            win_served[drb] = served_sum
+            st.throughput_mbps = throughput
+            st.buffer_occupancy_bytes = buf
+            st.packet_delay_ms = _packet_delay_ms(buf, throughput, base_rtt_ms)
+        table_drbs = set(ep.drb_ids)
+        for drb, arriving in arrivals.items():
+            if drb not in table_drbs:
+                buf = buffers[drb]
+                for _ in range(n):
+                    buf += arriving
+                buffers[drb] = buf
+        self._win_alloc += n * alloc
+        self._win_ttis += n
+        self.tti_index += n
+        return n
 
     def _prune_pf_histories(self) -> None:
         """Drop proportional-fair averages of bearers no longer attached.
@@ -368,3 +422,88 @@ class Cell:
         self._win_served = {}
         self._win_alloc_drb = {}
         return metrics
+
+
+def _packet_delay_ms(buf: float, throughput_mbps: float, base_rtt_ms: float) -> float:
+    """Queueing-delay RTT estimate: monotone in backlog, capped."""
+    if buf <= 0.0:
+        return base_rtt_ms
+    served_bps = throughput_mbps * 1e6
+    if served_bps < 1.0:
+        return RTT_CAP_MS
+    rtt = base_rtt_ms + buf * 8.0 / served_bps * 1000.0
+    return rtt if rtt < RTT_CAP_MS else RTT_CAP_MS
+
+
+def _steady_ticks(n, buf, arriving, capacity, lo, hi, bits_per_rb):
+    """How many of the next ``n`` ticks, each adding ``arriving`` and serving
+    min(``capacity``, buffer), find one bearer's demand unchanged: its
+    buffer after arrivals, x = buf * 8 / bits_per_rb, in lo < x <= hi.
+
+    Adding ``arriving`` = 0.0 leaves a buffer's bits (a buffer is never -0.0),
+    and x is monotone in the buffer, so a buffer between two that passed
+    passes too.
+    """
+    good_lo, good_hi = math.inf, -math.inf  # the buffers known to pass
+    for i in range(n):
+        drained = buf + arriving
+        if not good_lo <= drained <= good_hi:
+            if not lo < drained * 8.0 / bits_per_rb <= hi:
+                return i
+            good_lo = min(good_lo, drained)
+            good_hi = math.inf if hi == math.inf else max(good_hi, drained)
+        buf = drained - (capacity if capacity < drained else drained)
+        if buf + arriving == drained:
+            break  # every later tick drains this same buffer
+    return n
+
+
+def _repeat_bearer(n, buf, arriving, capacity, throughput, served_sum, lo, hi, bits_per_rb,
+                   alpha, tti_s):
+    """Run up to ``n`` ticks of one bearer granted ``capacity`` bytes a tick,
+    with the float operations of :meth:`Cell.step_tti` in its order; returns
+    (ticks run, buffer, throughput, served sum). It stops before the first
+    tick whose buffer x = buf * 8 / bits_per_rb leaves lo < x <= hi.
+
+    Adding ``arriving`` = 0.0 leaves a buffer's bits (a buffer is never -0.0).
+    x is monotone in the buffer, so a buffer between two that passed passes.
+    """
+    # the buffers known to pass: every one when nothing bounds x
+    good_lo, good_hi = ((-math.inf, math.inf) if lo == -math.inf and hi == math.inf
+                        else (math.inf, -math.inf))
+    i = 0
+    while i < n:
+        drained = buf + arriving
+        if not good_lo <= drained <= good_hi:
+            if not lo < drained * 8.0 / bits_per_rb <= hi:
+                break
+            good_lo = min(good_lo, drained)
+            good_hi = math.inf if hi == math.inf else max(good_hi, drained)
+        served = capacity if capacity < drained else drained
+        buf = drained - served
+        served_sum += served
+        previous = throughput
+        throughput = previous + alpha * (served * 8.0 / tti_s / 1e6 - previous)
+        i += 1
+        if throughput != previous:
+            continue
+        if buf + arriving == drained:
+            # every later tick reads and writes these same values
+            if served:
+                for _ in range(n - i):
+                    served_sum += served
+            return n, buf, throughput, served_sum
+        if served != capacity:
+            continue
+        # a backlog above the capacity is served the capacity again, so the
+        # throughput keeps its value while only the buffer moves
+        for j in range(i, n):
+            drained = buf + arriving
+            if not (capacity < drained and good_lo <= drained <= good_hi):
+                i = j
+                break  # the outer loop takes this tick
+            buf = drained - capacity
+            served_sum += capacity
+        else:
+            return n, buf, throughput, served_sum
+    return i, buf, throughput, served_sum

@@ -471,10 +471,12 @@ class ScenarioRunner:
         skipping it changes no output. ``Agent.flush`` ends the run, and the
         RIC's link is closed after it.
 
-        After a fixed-point tick (:attr:`Cell.fixed_tick`: the next tick reads
-        the same buffers and throughputs), the ticks before the next event,
-        wake tick, window close or end run as one :meth:`Cell.repeat_tti`, and
-        the clock advances by exactly as many ticks.
+        After each stepped tick, the ticks before the next event, wake tick,
+        window close or end are offered to :meth:`Cell.repeat_tti`, which
+        runs those that would reuse the tick's decision (up to the first
+        whose demands would change), and the clock advances by exactly as
+        many ticks. fig15, fig16 and fig17 step under 100 of their 80,000,
+        80,000 and 60,000 ticks in full.
         """
         self._setup()
         clock, cell, tti_ms = self.clock, self.cell, self.script.cell.tti_ms
@@ -499,14 +501,13 @@ class ScenarioRunner:
             cell.step_tti()
             clock.advance_ns(step_ns)
             tick += 1
-            if cell.fixed_tick is not None:
-                end = min(n_ticks, due[next_event], -(-tick // per_s) * per_s)
-                if wake != math.inf:  # ceil: the first tick whose now >= wake
-                    end = min(end, tick - (clock.now_ns() - wake) // step_ns)
-                if end > tick:
-                    cell.repeat_tti(end - tick)
-                    clock.advance_ns((end - tick) * step_ns)
-                    tick = end
+            end = min(n_ticks, due[next_event], -(-tick // per_s) * per_s)
+            if wake != math.inf:  # ceil: the first tick whose now >= wake
+                end = min(end, tick - (clock.now_ns() - wake) // step_ns)
+            if end > tick:
+                ran = cell.repeat_tti(end - tick)
+                clock.advance_ns(ran * step_ns)
+                tick += ran
             if tick % per_s == 0:
                 self._close_window(tick // per_s - 1)
         self.agent.flush()  # so every control sees exactly one response

@@ -385,6 +385,19 @@ class TestOneRecordPerLink:
         m = stack.agent.metrics
         assert (m.received, m.executed, m.failed) == (1, 0, 1)
 
+    def test_a_control_cancelled_by_a_detach_locks_no_one_out(self):
+        stack = Stack()
+        ric_a = stack.attach("ric-a")
+        ric_a.control_slice(1, {"slice_id": 1, "shared_priority": 7})
+        stack.agent.pump()  # invoked: mediation recorded ric-a's write
+        stack.agent.detach_link("link-ric-a")
+        ric_b = stack.attach("ric-b")
+        corr = ric_b.control_slice(1, {"slice_id": 1, "shared_priority": 5})
+        stack.settle()
+        assert ric_b.control_results[corr][0] == "ack"
+        assert stack.registry.published.slices[1].rrc.shared_priority == 5
+        assert stack.agent.failures_by_cause == {"link_lost": 1}
+
     def test_a_reused_link_id_serves_none_of_the_old_links_messages(self):
         stack = Stack()
         old = stack.attach("ric-a")

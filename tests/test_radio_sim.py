@@ -347,9 +347,9 @@ class TestPfHistory:
 
 
 class TestFixedPoint:
-    """A memo-hit tick after which the next tick reads the same buffers and
-    throughputs is recorded in ``fixed_tick``; ``repeat_tti(k)`` then stands
-    for k more such ticks."""
+    """A tick that reuses the previous decision holds the decision at a fixed
+    point: ``repeat_tti(k)`` then runs up to k more ticks that would reuse
+    it, with the bits of stepping them, and returns how many it ran."""
 
     @staticmethod
     def _state(cell):
@@ -357,16 +357,29 @@ class TestFixedPoint:
         return (cell.tti_index, cell._win_ttis, cell._win_alloc,
                 list(cell._win_served.items()), list(cell._win_alloc_drb.items()),
                 list(cell.buffers.items()),
-                [(drb, dataclasses.astuple(b.stats)) for drb, b in bearers.items()])
+                [(drb, list(vars(b.stats).values())) for drb, b in bearers.items()])
 
-    @staticmethod
-    def _settle(cell, reg, limit=20_000):
-        for _ in range(limit):
-            reg.publish()
-            cell.step_tti()
-            if cell.fixed_tick is not None:
-                return
-        raise AssertionError(f"no fixed point in {limit} ticks")
+    @classmethod
+    def _advance(cls, fast, slow, k):
+        """Run ``k`` ticks on both cells: ``fast`` as the scenario runner
+        does (repeat what it can, step the rest), ``slow`` one step a tick.
+        Compares the cells after each repeat or step; returns the ticks
+        ``fast`` repeated."""
+        repeated = 0
+        while k:
+            ran = fast.repeat_tti(k)
+            if ran == 0:
+                fast.registry.publish()
+                fast.step_tti()
+                ran = 1
+            else:
+                repeated += ran
+            for _ in range(ran):
+                slow.registry.publish()
+                slow.step_tti()
+            assert cls._state(fast) == cls._state(slow)
+            k -= ran
+        return repeated
 
     def test_repeat_stands_for_the_ticks_it_skips(self):
         # rates whose bytes per tick are not dyadic, so that k adds of the
@@ -375,42 +388,32 @@ class TestFixedPoint:
             1: (SliceState.DEDICATED, {"dedicated_rb": 20}, [(11, 1, 9.7131)]),
             2: (SliceState.SHARED, {}, [(21, 2, 10.333), (22, 3, 5.1117), (23, 4, 0.0)]),
         }
-        fast, fast_reg = build_cell(slices)
-        slow, slow_reg = build_cell(slices)
-        self._settle(fast, fast_reg)
-        for _ in range(fast.tti_index):
-            slow_reg.publish()
-            slow.step_tti()
-        assert self._state(fast) == self._state(slow)
-        for k in (1, 7, 993):
-            fast.repeat_tti(k)
-            for _ in range(k):
-                slow_reg.publish()
-                slow.step_tti()
-            assert self._state(fast) == self._state(slow)
+        fast, _ = build_cell(slices)
+        slow, _ = build_cell(slices)
+        repeated = sum(self._advance(fast, slow, k) for k in (1, 7, 993))
+        assert repeated > 990
         assert fast.end_window() == slow.end_window()
         # after a window close the sums start afresh, in the same key order
-        fast.repeat_tti(5)
-        for _ in range(5):
-            slow_reg.publish()
-            slow.step_tti()
-        assert self._state(fast) == self._state(slow)
+        assert self._advance(fast, slow, 5) == 5
         assert fast.end_window() == slow.end_window()
 
-    def test_traffic_to_a_bearer_outside_the_table_is_never_fixed(self):
-        cell, reg = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
-        reg.create_slice(2, SliceState.SHARED)  # no bearers: idle, so never scheduled
-        # the cell carries drb 21 while no published slice schedules it, as
-        # for a bearer of slice 2 before a boundary publishes it
-        cell.attach_bearer(21, 5.0)
-        for _ in range(10_000):
-            reg.publish()
-            cell.step_tti()
-            assert cell.fixed_tick is None
-        assert reg.published.slices[2].state is SliceState.IDLE
-        assert cell.buffers[21] == pytest.approx(10_000 * 625.0)
-        cell.set_offered(21, 0.0)  # without arrivals its buffer stays put
-        self._settle(cell, reg, limit=200)
+    def test_traffic_to_a_bearer_outside_the_table_is_repeated(self):
+        cells = []
+        for _ in range(2):
+            cell, reg = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
+            reg.create_slice(2, SliceState.SHARED)  # no bearers: idle, so never scheduled
+            # the cell carries drb 21 while no published slice schedules it, as
+            # for a bearer of slice 2 before a boundary publishes it
+            cell.attach_bearer(21, 5.0)
+            cells.append(cell)
+        fast, slow = cells
+        assert self._advance(fast, slow, 10_000) > 9_990
+        assert fast.registry.published.slices[2].state is SliceState.IDLE
+        assert fast.buffers[21] == pytest.approx(10_000 * 625.0)
+        for cell in cells:
+            cell.set_offered(21, 0.0)  # without arrivals its buffer stays put
+        assert self._advance(fast, slow, 200) == 200
+        assert fast.buffers[21] == slow.buffers[21] == pytest.approx(10_000 * 625.0)
 
     def test_a_stateful_algorithm_is_never_fixed(self):
         cell, reg = TestDecisionMemo._cell()
@@ -418,21 +421,109 @@ class TestFixedPoint:
         for _ in range(5_000):
             reg.publish()
             cell.step_tti()
-            assert cell.fixed_tick is None
+            assert cell.repeat_tti(3) == 0
 
     def test_repeat_needs_an_unchanged_fixed_tick_of_the_published_epoch(self):
-        cell, reg = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
-        cell.step_tti()  # the first tick of an epoch schedules afresh
-        with pytest.raises(RuntimeError):
-            cell.repeat_tti(3)
-        for change in (lambda: cell.set_offered(11, 12.0), lambda: cell.attach_bearer(12),
-                       lambda: cell.detach_bearer(12)):
-            self._settle(cell, reg)
-            change()
-            with pytest.raises(RuntimeError):
-                cell.repeat_tti(3)
-        self._settle(cell, reg)
-        reg.set_bearer_priority(11, 2, T)
-        reg.publish()
-        with pytest.raises(RuntimeError):
-            cell.repeat_tti(3)
+        slices = {1: (SliceState.SHARED, {}, [(11, 1, 10.0)])}
+        fast, fast_reg = build_cell(slices)
+        slow, slow_reg = build_cell(slices)
+        assert fast.repeat_tti(3) == 0  # no tick of this epoch has decided yet
+        assert self._advance(fast, slow, 50) == 49
+        assert fast.repeat_tti(0) == 0
+        # a rate or the attached set changes between ticks: the repeat reads
+        # them afresh, as a step would
+        for change in (lambda cell: cell.set_offered(11, 12.0),
+                       lambda cell: cell.attach_bearer(12, 3.0),
+                       lambda cell: cell.detach_bearer(12)):
+            for cell in (fast, slow):
+                change(cell)
+            assert self._advance(fast, slow, 300) > 250
+        for reg in (fast_reg, slow_reg):
+            reg.set_bearer_priority(11, 2, T)
+            reg.publish()
+        before = self._state(fast)
+        assert fast.repeat_tti(3) == 0  # a new epoch: the next tick schedules afresh
+        assert self._state(fast) == before
+        assert self._advance(fast, slow, 50) == 49
+        for cell in (fast, slow):
+            cell.detach_bearer(11)  # still in the published table, now without a buffer
+        assert self._advance(fast, slow, 50) == 49
+
+    def test_a_demand_that_moves_by_less_than_one_rb_ends_the_repeat(self):
+        # 8 bits per RB and a BLER of 0.5: an RB carries half a byte, and the
+        # demand is the buffer in bytes, rounded up. Whole-byte buffers put
+        # the demand on the edges of its range, and a quarter-byte surplus a
+        # tick moves it by less than one RB. Last, 0.5001 and then 0.4999
+        # bytes a tick against the one RB granted: the buffer grows and then
+        # shrinks below the RB's half byte, long after the throughput settles.
+        cells = []
+        for _ in range(2):
+            cfg = CellConfig(total_rb=106, per_rb_rate_mbps=0.008)
+            registry = SliceRegistry(106)
+            cell = Cell(cfg, registry)
+            registry.create_slice(1, SliceState.SHARED)
+            registry.add_ue(UEContext(ue_id=1, bler=0.5))
+            registry.add_drb(1, Bearer(drb_id=11, ue_id=1, slice_id=1), T)
+            registry.publish()
+            cell.attach_bearer(11)
+            cells.append(cell)
+        fast, slow = cells
+        repeated = 0
+        phases = [(mbps, 300) for mbps in (0.1, 0.02, 0.0, 0.018, 0.022, 0.014, 0.1, 0.0)]
+        for mbps, ticks in phases + [(0.0040008, 4_500), (0.0039992, 5_000)]:
+            for cell in cells:
+                cell.set_offered(11, mbps)
+            repeated += self._advance(fast, slow, ticks)
+        assert repeated > 10_000
+        assert fast.buffers[11] == 0.0  # the last ticks cleared it
+
+    def test_a_48_bearer_cell_repeats_as_it_steps_tick_by_tick(self):
+        rng = random.Random(48)
+        # 48 bearers over four slices: some idle, some light, some backlogged
+        rates = [rng.choice((0.0, rng.uniform(0.2, 2.5), rng.uniform(0.2, 2.5),
+                             rng.uniform(8.0, 30.0))) for _ in range(48)]
+        drbs = [(100 + i, i + 1, rate) for i, rate in enumerate(rates)]
+        slices = {
+            1: (SliceState.DEDICATED, {"dedicated_rb": 20}, drbs[:8]),
+            2: (SliceState.PRIORITIZED, {"prioritized_rb": 15}, drbs[8:16]),
+            3: (SliceState.SHARED, {"shared_priority": 2}, drbs[16:36]),
+            4: (SliceState.SHARED, {}, drbs[36:]),
+        }
+        cells = []
+        for _ in range(3):
+            cell, reg = build_cell(slices)
+            reg.update_slice(3, T, fd_scheduler="max_throughput")
+            cells.append(cell)
+        slow, split, chunked = cells
+        split_repeats = chunked_repeats = 0
+        for phase in range(3):
+            if phase:  # some rates drop to 0, so their throughputs decay; some rise
+                for drb, _, _ in drbs[phase::5]:
+                    for cell in cells:
+                        cell.set_offered(drb, 0.0 if drb % 2 else 25.5)
+            stepped = {}
+            for _ in range(1_000):
+                slow.registry.publish()
+                slow.step_tti()
+                stepped[slow.tti_index] = repr(self._state(slow))
+                # one repeated tick at a time, checked after every tick
+                if split.repeat_tti(1):
+                    split_repeats += 1
+                else:
+                    split.registry.publish()
+                    split.step_tti()
+                assert repr(self._state(split)) == stepped[slow.tti_index]
+            # runs of ticks as the scenario runner offers them
+            for k in (3, 50, 947):
+                while k:
+                    ran = chunked.repeat_tti(k)
+                    if ran == 0:
+                        chunked.registry.publish()
+                        chunked.step_tti()
+                        ran = 1
+                    else:
+                        chunked_repeats += ran
+                    assert repr(self._state(chunked)) == stepped[chunked.tti_index]
+                    k -= ran
+            assert slow.end_window() == split.end_window() == chunked.end_window()
+        assert split_repeats > 2_500 and chunked_repeats > 2_500

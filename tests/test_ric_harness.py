@@ -167,8 +167,9 @@ class TestTickLength:
             return step_tti()
 
         def repeated(k):
-            ticks.append(k)
-            repeat_tti(k)
+            ran = repeat_tti(k)
+            ticks.append(ran)
+            return ran
 
         runner.cell.step_tti, runner.cell.repeat_tti = stepped, repeated
         metrics = runner.run()
@@ -271,6 +272,11 @@ class TestQuietTicks:
 IDLE_DRB = 41
 IDLE_FROM_S, IDLE_UNTIL_S = 13.0, 17.0
 ROUND_ROBIN_FROM_S, ROUND_ROBIN_UNTIL_S = 8.0, 9.5  # slice 3's algorithm keeps state
+# drb 22 offers more than slice 2's 30 dedicated RBs carry, so its buffer
+# grows; then its rate drops to 0, the backlog drains to empty within a
+# window, and its throughput decays to the end of the run
+BACKLOG_FROM_S, BACKLOG_UNTIL_S = 21.0, 23.0
+DECAY_FROM_S = 23.5  # drb 22's buffer is empty from about 23.45 s
 # its reports are due every 333.3 ms, so its wake ticks fall off the window
 # grid and on ticks whose now passes the deadline (1.3335 s and 5.333 s)
 OFF_GRID_PERIOD_MS = 333.3
@@ -279,8 +285,9 @@ OFF_GRID_PERIOD_MS = 333.3
 def _generated_script():
     """Half-millisecond ticks with rates changed mid-window, bearers joining
     and leaving, slice 3 on round_robin for a while, traffic to the idle
-    drb, and events on window-close ticks (t = k - 0.0005 s, the last tick
-    of a window) and on wake ticks."""
+    drb, a backlog that drains to empty and a throughput that decays, and
+    events on window-close ticks (t = k - 0.0005 s, the last tick of a
+    window) and on wake ticks."""
     def join(t, sid, ue, drb):
         return {"t": t, "action": "users_join",
                 "params": {"slice_id": sid, "sessions": [{"ue_id": ue, "drb_id": drb}]}}
@@ -319,6 +326,7 @@ def _generated_script():
             leave(18.0, 1, 11), join(18.5, 1, 4, 12), rate(18.5, 12, 9.1234),
             leave(19.25, 2, 21),
             join(20.0, 2, 5, 22), rate(20.0, 22, 30.0), rate(20.7, 22, 25.6789),
+            rate(BACKLOG_FROM_S, 22, 45.0), rate(BACKLOG_UNTIL_S, 22, 0.0),
         ],
     }, "generated")
 
@@ -345,32 +353,32 @@ def _cell_digest(cell):
 def _replay(script, mode, on_tick):
     """Run ``script`` calling ``on_tick(cell, now_ns)`` after each clock advance.
 
-    ``mode`` "off" clears ``fixed_tick`` after every step, so no tick is
-    repeated; "split" runs each repeat as single-tick repeats, calling
-    ``on_tick(cell, None)`` after each; "on" runs as shipped. Returns the
-    outputs, with the tick and time of every control step, and the (first
-    tti_index, k) of every repeat.
+    ``mode`` "off" repeats no tick, so every tick is stepped; "split" runs
+    each repeat as single-tick repeats, calling ``on_tick(cell, None)``
+    after each; "on" runs as shipped. Returns the outputs, with the tick and
+    time of every control step, and the (first tti_index, ticks run) of
+    every repeat that ran a tick.
     """
     runner = ScenarioRunner(script)
     cell, clock, ric, agent = runner.cell, runner.clock, runner.ric, runner.agent
-    step_tti, repeat_tti, emit = cell.step_tti, cell.repeat_tti, agent.emit_telemetry
+    repeat_tti, emit = cell.repeat_tti, agent.emit_telemetry
     apply_event, subscribe = runner._apply_event, ric.subscribe
     repeats, control_steps = [], []
 
-    def stepped():
-        decision = step_tti()
-        if mode == "off":
-            cell.fixed_tick = None
-        return decision
-
     def repeated(k):
-        repeats.append((cell.tti_index, k))
-        if mode == "split":
-            for _ in range(k):
-                repeat_tti(1)
+        first = cell.tti_index
+        if mode == "off":
+            ran = 0
+        elif mode == "split":
+            ran = 0
+            while ran < k and repeat_tti(1):
+                ran += 1
                 on_tick(cell, None)
         else:
-            repeat_tti(k)
+            ran = repeat_tti(k)
+        if ran:
+            repeats.append((first, ran))
+        return ran
 
     def emitting(now_ns):
         control_steps.append((cell.tti_index, now_ns))
@@ -395,7 +403,7 @@ def _replay(script, mode, on_tick):
         return subscribe(*args, trigger={"kind": "periodic", "period_ms": OFF_GRID_PERIOD_MS},
                          **kwargs)
 
-    cell.step_tti, cell.repeat_tti, agent.emit_telemetry = stepped, repeated, emitting
+    cell.repeat_tti, agent.emit_telemetry = repeated, emitting
     clock.advance_ms, clock.advance_ns = advancing(clock.advance_ms), advancing(clock.advance_ns)
     if script.name == "generated":
         runner._apply_event, ric.subscribe = applied, off_grid
@@ -405,8 +413,10 @@ def _replay(script, mode, on_tick):
 
 
 class TestSteadyTicks:
-    """After a fixed-point tick the runner repeats it up to the next event,
-    wake, window close or the end; patched off, it steps every tick."""
+    """After each stepped tick the runner offers the ticks up to the next
+    event, wake, window close or the end to ``Cell.repeat_tti``, which runs
+    those that would reuse the tick's decision; patched off, it steps every
+    tick."""
 
     @pytest.mark.parametrize("name", ["fig15", "fig16", "fig17", "generated"])
     def test_repeated_ticks_match_stepped_ticks(self, name):
@@ -419,9 +429,7 @@ class TestSteadyTicks:
 
         reference, repeats = _replay(script, "off", record)
         assert repeats == [] and sorted(stepped) == list(range(1, n_ticks + 1))
-        # fig17 repeats no tick (its buffers stay backlogged), so its split
-        # run would be its "on" run again
-        for mode in ("on",) if name == "fig17" else ("on", "split"):
+        for mode in ("on", "split"):
             seen = set()
 
             def check(cell, now):
@@ -436,20 +444,50 @@ class TestSteadyTicks:
             assert max(seen) == n_ticks
             if mode == "split":
                 assert seen == set(stepped)  # every tick, repeated or not
-            assert bool(repeats) == (name != "fig17")
+            assert repeats
 
-    def test_no_repeats_while_the_idle_drb_has_traffic_or_round_robin_runs(self):
+    @staticmethod
+    def _stepped_share(repeats, start_s, stop_s, per_s):
+        """The share of the ticks in [start_s, stop_s) that no repeat ran."""
+        start, stop = round(start_s * per_s), round(stop_s * per_s)
+        repeated = sum(max(0, min(i + k, stop) - max(i, start)) for i, k in repeats)
+        return 1 - repeated / (stop - start)
+
+    def test_no_repeats_while_round_robin_runs(self):
         script = _generated_script()
         per_s = round(1000 / script.cell.tti_ms)
         outputs, repeats = _replay(script, "on", lambda cell, now: None)
         assert all(kind == "ack" for kind, _ in outputs[1].values())
-        for start_s, stop_s in ((IDLE_FROM_S, IDLE_UNTIL_S), (ROUND_ROBIN_FROM_S, ROUND_ROBIN_UNTIL_S)):
-            start, stop = start_s * per_s, stop_s * per_s
-            assert not [(i, k) for i, k in repeats if i < stop and i + k > start]
-            assert any(i + k <= start for i, k in repeats)
-            assert any(i >= stop for i, k in repeats)
+        start, stop = ROUND_ROBIN_FROM_S * per_s, ROUND_ROBIN_UNTIL_S * per_s
+        assert not [(i, k) for i, k in repeats if i < stop and i + k > start]
+        assert any(i + k <= start for i, k in repeats)
+        assert any(i >= stop for i, k in repeats)
 
-    def test_steady_figures_step_under_half_their_ticks(self, monkeypatch):
+    def test_off_table_traffic_a_backlog_and_a_decay_are_repeated(self):
+        script = _generated_script()
+        per_s = round(1000 / script.cell.tti_ms)
+        decays = []  # drb 22's throughput after each clock advance of the decay phase
+
+        def on_tick(cell, now):
+            if now is not None and cell.tti_index > DECAY_FROM_S * per_s:
+                stats = cell.registry.published.bearers[22].stats
+                assert stats.buffer_occupancy_bytes == 0.0
+                decays.append(stats.throughput_mbps)
+
+        outputs, repeats = _replay(script, "on", on_tick)
+        for start_s, stop_s in ((IDLE_FROM_S, IDLE_UNTIL_S),
+                                (BACKLOG_FROM_S, BACKLOG_UNTIL_S),
+                                (DECAY_FROM_S, script.duration_s)):
+            assert self._stepped_share(repeats, start_s, stop_s, per_s) < 0.01, start_s
+        assert decays == sorted(decays, reverse=True) and 0.0 < decays[-1] < decays[0]
+        # the drain leaves the cap inside a repeat: one stops on a changed
+        # demand, short of the event, wake or window close it was offered
+        control_ticks = {tick for tick, _ in outputs[2]}
+        ends = [i + k for i, k in repeats
+                if BACKLOG_UNTIL_S * per_s < i + k < DECAY_FROM_S * per_s]
+        assert [end for end in ends if end % per_s and end not in control_ticks]
+
+    def test_steady_figures_step_under_one_percent_of_their_ticks(self, monkeypatch):
         counts = {}
         step_tti, repeat_tti = Cell.step_tti, Cell.repeat_tti
 
@@ -458,8 +496,9 @@ class TestSteadyTicks:
             return step_tti(cell)
 
         def repeated(cell, k):
-            counts["repeated"] += k
-            repeat_tti(cell, k)
+            ran = repeat_tti(cell, k)
+            counts["repeated"] += ran
+            return ran
 
         monkeypatch.setattr(Cell, "step_tti", stepped)
         monkeypatch.setattr(Cell, "repeat_tti", repeated)
@@ -469,7 +508,4 @@ class TestSteadyTicks:
             run_scenario(script)
             ticks = round(script.duration_s * 1000)
             assert counts["stepped"] + counts["repeated"] == ticks
-            if name == "fig17":  # its buffers stay backlogged
-                assert counts["repeated"] == 0
-            else:
-                assert counts["stepped"] < ticks / 2
+            assert counts["stepped"] < ticks / 100
