@@ -81,6 +81,11 @@ class E2LiteFrame:
     version: int = VERSION
 
 
+# what json.dumps(payload, sort_keys=True, separators=(",", ":")) would build
+# on every call; an encoder keeps no state between calls
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode(frame: E2LiteFrame) -> bytes:
     if not isinstance(frame.payload, dict):
         raise BadJson("payload must be a JSON object")
@@ -88,33 +93,35 @@ def encode(frame: E2LiteFrame) -> bytes:
         raise ValueError(f"msg_type out of range: {frame.msg_type}")
     if not 0 <= frame.correlation_id <= 0xFFFFFFFF:
         raise ValueError(f"correlation_id out of range: {frame.correlation_id}")
-    body = json.dumps(frame.payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = _JSON.encode(frame.payload).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameTooLarge(f"payload of {len(body)} bytes exceeds {MAX_FRAME}")
     return HEADER.pack(MAGIC, frame.version, frame.msg_type, frame.correlation_id, len(body)) + body
 
 
-def decode_first(data: bytes) -> tuple[E2LiteFrame, int]:
-    """Decode one frame off the front of ``data``; returns (frame, bytes consumed)."""
-    if len(data) < HEADER_LEN:
-        raise ShortFrame(f"need {HEADER_LEN} header bytes, have {len(data)}")
-    magic, version, msg_type, corr, length = HEADER.unpack_from(data)
+def decode_first(data: bytes, offset: int = 0) -> tuple[E2LiteFrame, int]:
+    """Decode one frame of ``data`` starting at ``offset``; returns (frame,
+    bytes consumed)."""
+    have = len(data) - offset
+    if have < HEADER_LEN:
+        raise ShortFrame(f"need {HEADER_LEN} header bytes, have {have}")
+    magic, version, msg_type, corr, length = HEADER.unpack_from(data, offset)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported version {version}")
     if length > MAX_FRAME:
         raise FrameTooLarge(f"declared payload of {length} bytes exceeds {MAX_FRAME}")
-    end = HEADER_LEN + length
-    if len(data) < end:
-        raise ShortFrame(f"payload truncated: declared {length}, have {len(data) - HEADER_LEN}")
+    used = HEADER_LEN + length
+    if have < used:
+        raise ShortFrame(f"payload truncated: declared {length}, have {have - HEADER_LEN}")
     try:
-        payload = json.loads(data[HEADER_LEN:end].decode("utf-8"))
+        payload = json.loads(data[offset + HEADER_LEN:offset + used].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadJson(str(exc)) from None
     if not isinstance(payload, dict):
         raise BadJson("payload is not a JSON object")
-    return E2LiteFrame(msg_type=msg_type, correlation_id=corr, payload=payload, version=version), end
+    return E2LiteFrame(msg_type=msg_type, correlation_id=corr, payload=payload, version=version), used
 
 
 def decode(data: bytes) -> E2LiteFrame:
@@ -131,21 +138,27 @@ class FrameReader:
 
     def feed(self, data: bytes) -> list[E2LiteFrame]:
         """The frames ``data`` completes. A :class:`CodecError` clears the
-        buffer and carries the frames decoded before it as ``exc.frames``."""
-        self._buf.extend(data)
+        buffer and carries the frames decoded before it as ``exc.frames``.
+
+        The frames are read off the buffer by offset, and the bytes they used
+        are dropped once, so a chunk of many frames costs linear time.
+        """
+        buf = self._buf
+        buf.extend(data)
         frames = []
-        while True:
-            try:
-                frame, used = decode_first(bytes(self._buf))
-            except ShortFrame:
-                break
-            except CodecError as exc:
-                # the rejected bytes would fail every later feed on this link
-                self._buf.clear()
-                exc.frames = frames
-                raise
-            del self._buf[:used]
-            frames.append(frame)
+        at = 0
+        try:
+            while True:
+                frame, used = decode_first(buf, at)
+                frames.append(frame)
+                at += used
+        except ShortFrame:
+            del buf[:at]
+        except CodecError as exc:
+            # the rejected bytes would fail every later feed on this link
+            buf.clear()
+            exc.frames = frames
+            raise
         return frames
 
     def pending(self) -> int:

@@ -18,8 +18,11 @@ the first tick whose demands would miss the memo. It runs them bearer by
 bearer, since under one decision no bearer's values read another's, with the
 float operations of ``step_tti`` in the same order, so the bits are those of
 stepping every tick; what it saves is the demand dict, the memo compare and
-the per-tick dict traffic. A bearer whose buffer and throughput stop changing
-finishes its ticks as adds to its served sum.
+the per-tick dict traffic. Once a bearer serves the same amount every tick,
+its ticks run as exact closed forms: within one float binade every add rounds
+onto the same ulp grid, so a run of adds to the served sum, or of a backlog's
+arrive-and-drain, is one integer step per binade, and the throughput's
+smoothing runs alone until it stops changing.
 """
 
 from __future__ import annotations
@@ -53,6 +56,19 @@ class LinkState:
     the calibrated per-RB rate (identity keeps the single-scalar model)."""
 
     mcs_rate_fraction: Callable[[int], float] = lambda mcs: 1.0
+
+
+def offered_bytes_per_tick(mbps: float, tti_s: float) -> float:
+    """The bytes an offered rate of ``mbps`` adds to a buffer each tick.
+
+    Raises ValueError for a rate that is negative or NaN, or whose bytes per
+    tick are not finite: the buffers, and the closed forms that repeat their
+    ticks, take finite arrivals >= 0 only.
+    """
+    arriving = mbps * 1e6 * tti_s / 8.0
+    if not 0.0 <= arriving < math.inf:
+        raise ValueError(f"offered rate must be finite and >= 0, not {mbps!r} Mbps")
+    return arriving
 
 
 class TrafficProfile:
@@ -144,8 +160,8 @@ class Cell:
         return drb in self.buffers
 
     def attach_bearer(self, drb: int, offered_mbps: float = 0.0) -> None:
-        self.buffers.setdefault(drb, 0.0)
         self._offer(drb, offered_mbps)
+        self.buffers.setdefault(drb, 0.0)
 
     def detach_bearer(self, drb: int) -> None:
         self.buffers.pop(drb, None)
@@ -153,16 +169,15 @@ class Cell:
         self._arrivals.pop(drb, None)
 
     def set_offered(self, drb: int, mbps: float) -> None:
-        if mbps < 0:
-            raise ValueError("offered rate must be >= 0")
         if drb not in self.buffers:
             raise KeyError(f"drb {drb} not attached")
         self._offer(drb, mbps)
 
     def _offer(self, drb: int, mbps: float) -> None:
+        arriving = offered_bytes_per_tick(mbps, self._tti_s)
         self.offered[drb] = mbps
         if mbps:
-            self._arrivals[drb] = mbps * 1e6 * self._tti_s / 8.0
+            self._arrivals[drb] = arriving
         else:
             self._arrivals.pop(drb, None)
 
@@ -375,10 +390,7 @@ class Cell:
         table_drbs = set(ep.drb_ids)
         for drb, arriving in arrivals.items():
             if drb not in table_drbs:
-                buf = buffers[drb]
-                for _ in range(n):
-                    buf += arriving
-                buffers[drb] = buf
+                buffers[drb] = _add_repeated(buffers[drb], arriving, n)
         self._win_alloc += n * alloc
         self._win_ttis += n
         self.tti_index += n
@@ -467,6 +479,9 @@ def _repeat_bearer(n, buf, arriving, capacity, throughput, served_sum, lo, hi, b
 
     Adding ``arriving`` = 0.0 leaves a buffer's bits (a buffer is never -0.0).
     x is monotone in the buffer, so a buffer between two that passed passes.
+    Once every tick serves the same amount, because the buffer stopped
+    changing or a backlog is served the capacity, the ticks run as kernels:
+    the served adds and the backlog by closed forms, the smoothing alone.
     """
     # the buffers known to pass: every one when nothing bounds x
     good_lo, good_hi = ((-math.inf, math.inf) if lo == -math.inf and hi == math.inf
@@ -482,28 +497,133 @@ def _repeat_bearer(n, buf, arriving, capacity, throughput, served_sum, lo, hi, b
         served = capacity if capacity < drained else drained
         buf = drained - served
         served_sum += served
-        previous = throughput
-        throughput = previous + alpha * (served * 8.0 / tti_s / 1e6 - previous)
+        inst_mbps = served * 8.0 / tti_s / 1e6
+        throughput = throughput + alpha * (inst_mbps - throughput)
         i += 1
-        if throughput != previous:
-            continue
+        if i == n:
+            break
         if buf + arriving == drained:
-            # every later tick reads and writes these same values
-            if served:
-                for _ in range(n - i):
-                    served_sum += served
-            return n, buf, throughput, served_sum
-        if served != capacity:
-            continue
-        # a backlog above the capacity is served the capacity again, so the
-        # throughput keeps its value while only the buffer moves
-        for j in range(i, n):
-            drained = buf + arriving
-            if not (capacity < drained and good_lo <= drained <= good_hi):
-                i = j
-                break  # the outer loop takes this tick
-            buf = drained - capacity
-            served_sum += capacity
+            ran = n - i  # every later tick drains this same buffer
+        elif served == capacity:
+            ran, buf = _drain_backlog(n - i, buf, arriving, capacity, lo, hi, bits_per_rb)
         else:
-            return n, buf, throughput, served_sum
+            continue
+        served_sum = _add_repeated(served_sum, served, ran)
+        throughput = _smooth(throughput, inst_mbps, alpha, ran)
+        i += ran
     return i, buf, throughput, served_sum
+
+
+# Every float in one binade [2**(e-1), 2**e) is a multiple of its ulp
+# u = 2**(e-53), from 2**52 u up to 2**53 u, and an add whose exact result lies
+# strictly inside the binade rounds to the nearest multiple of u. Counts of
+# ulps are integers below 2**53, so they are exact as floats.
+_TWO52, _TWO53 = 2.0 ** 52, 2.0 ** 53
+
+
+def _ulps(x, u):
+    """``x / u`` rounded to the nearest integer, or None at an exact tie,
+    for 0 <= x <= 2**53 u (so that the quotient is exact)."""
+    q = x / u
+    whole = q // 1.0
+    rest = q - whole
+    return None if rest == 0.5 else whole + (rest > 0.5)
+
+
+def _add_repeated(s, c, m):
+    """``s += c`` run ``m`` times, rounding as that loop does (s >= 0 and
+    never -0.0; c >= 0 and finite).
+
+    While s stays in its binade, each add moves it by d = round(c / u) ulps,
+    so the adds that keep it below the binade's top are one integer step.
+    The add that crosses into the next binade, an add to an s below c, and
+    an exact half-ulp tie run as plain float adds.
+    """
+    while m > 0:
+        if s >= c:
+            u = math.ulp(s)
+            d = _ulps(c, u)
+            if d == 0.0:
+                return s  # c is under half an ulp: every add rounds back to s
+            if d is not None:
+                units = s / u
+                t = (_TWO53 - 1.0 - units) // d
+                if t >= m:
+                    return (units + m * d) * u
+                s = (units + t * d) * u
+                m -= int(t)
+        s += c
+        m -= 1
+    return s
+
+
+def _drain_backlog(m, buf, arriving, capacity, lo, hi, bits_per_rb):
+    """Run up to ``m`` ticks of a backlog, ``buf = (buf + arriving) -
+    capacity``, stopping before the first whose drained value ``buf +
+    arriving`` is not above ``capacity`` or whose x = drained * 8 /
+    bits_per_rb leaves lo < x <= hi; returns (ticks run, buffer).
+
+    While the buffer and the drained value stay strictly inside one binade,
+    both operations round onto its ulp grid u, so a tick moves the buffer by
+    D = round(arriving / u) - round(capacity / u) ulps. The drained value
+    then moves one way, and both checks are monotone in it, so a bisection
+    finds the first tick that fails them. A tick that leaves the binade or
+    starts on its edge, and a half-ulp tie, run as a plain step.
+    """
+    def holds(drained):
+        return capacity < drained and lo < drained * 8.0 / bits_per_rb <= hi
+
+    i = 0
+    while i < m:
+        run = 0
+        if arriving <= buf and capacity <= buf:  # so that _ulps is exact
+            u = math.ulp(buf)
+            a, c = _ulps(arriving, u), _ulps(capacity, u)
+            if a is not None and c is not None:
+                units = buf / u
+                drained, step = units + a, a - c  # in ulps
+                if drained < _TWO53 and drained - c > _TWO52:
+                    if step > 0:  # the drained value rises to the binade's top
+                        run = int((_TWO53 - 1.0 - drained) // step) + 1
+                    elif step < 0:  # the buffer falls to its bottom
+                        run = int((drained - c - _TWO52 - 1.0) // -step) + 1
+                    else:
+                        run = m
+                    run = min(run, m - i)
+        if not run:
+            drained = buf + arriving
+            if not holds(drained):
+                return i, buf
+            buf = drained - capacity
+            i += 1
+            continue
+        # tick j of the run drains (drained + j * step) * u; the ticks that
+        # hold are the run's first ones, as both checks pass on an interval
+        if not holds(drained * u):
+            return i, buf
+        if holds((drained + (run - 1) * step) * u):
+            ok = run
+        else:
+            ok, bad = 1, run - 1  # the ticks before ok hold, tick bad fails
+            while ok < bad:
+                mid = (ok + bad) // 2
+                if holds((drained + mid * step) * u):
+                    ok = mid + 1
+                else:
+                    bad = mid
+        buf = (units + ok * step) * u
+        i += ok
+        if ok < run:
+            return i, buf
+    return i, buf
+
+
+def _smooth(throughput, inst_mbps, alpha, m):
+    """The throughput smoothing step run ``m`` times at one served rate; it
+    stops early once a step leaves the value unchanged."""
+    for _ in range(m):
+        nxt = throughput + alpha * (inst_mbps - throughput)
+        if nxt == throughput:
+            break
+        throughput = nxt
+    return throughput

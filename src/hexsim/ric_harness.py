@@ -29,7 +29,7 @@ from .clocks import VirtualClock, ms_to_ns
 from .errors import ScenarioError
 from .e2lite import E2LiteFrame, FrameReader, MsgType
 from .pml import Completion, FsApi, Pml
-from .radio_sim import Cell, CellConfig
+from .radio_sim import Cell, CellConfig, offered_bytes_per_tick
 from .slice_model import (
     Bearer,
     ChangeTrigger,
@@ -258,6 +258,9 @@ class ScenarioScript:
                 tti_ms=float(raw_cell.get("tti_ms", 1.0)),
                 base_rtt_ms=float(raw_cell.get("base_rtt_ms", 20.0)),
             )
+            if not 0.0 < cell.per_rb_rate_mbps < math.inf:
+                raise ScenarioError(f"cell rate (max_dl_mbps or per_rb_rate_mbps) must be a "
+                                    f"positive finite number, not {cell.per_rb_rate_mbps!r} per RB")
             # the runner closes a one-second window every 1000 / tti_ms ticks
             per_s = 1000 / cell.tti_ms if cell.tti_ms > 0 else 0.0
             if per_s < 1 or not math.isclose(per_s, round(per_s)):
@@ -268,7 +271,10 @@ class ScenarioScript:
                 action = raw["action"]
                 if action not in EVENT_ACTIONS:
                     raise ScenarioError(f"unknown event action {action!r}")
-                events.append(ScenarioEvent(float(raw["t"]), action, dict(raw.get("params", {}))))
+                params = dict(raw.get("params", {}))
+                if action == "traffic":  # a bad rate raises its ValueError here, at load
+                    offered_bytes_per_tick(float(params["rate_mbps"]), cell.tti_ms / 1000.0)
+                events.append(ScenarioEvent(float(raw["t"]), action, params))
             events.sort(key=lambda e: e.t)
             script = ScenarioScript(
                 duration_s=duration,
@@ -279,7 +285,7 @@ class ScenarioScript:
                 events=events,
                 name=name,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ScenarioError(f"bad scenario script: {exc}") from None
         if any(e.t > script.duration_s for e in script.events):
             raise ScenarioError("event scheduled past scenario duration")

@@ -1,5 +1,6 @@
 """Wire codec: framing, round trips, totality under fuzz, payload schemas."""
 
+import json
 import random
 
 import pytest
@@ -157,6 +158,67 @@ class TestRoundTripProperty:
         decoded, used = decode_first(encode(frame))
         assert used == len(encode(frame))
         assert decoded == frame
+
+
+class TestStreamReader:
+    """The reader walks one buffer by offset: however the bytes are cut
+    into chunks, it returns the same frames."""
+
+    @staticmethod
+    def _frames(n):
+        return [E2LiteFrame(MsgType.CONTROL_REQUEST, i, {"i": i, "pad": "x" * (i % 7)})
+                for i in range(n)]
+
+    def test_one_chunk_of_16384_frames_reads_as_16384_feeds(self):
+        frames = self._frames(16_384)
+        wires = [encode(f) for f in frames]
+        one = FrameReader()
+        assert one.feed(b"".join(wires)) == frames
+        many = FrameReader()
+        assert [f for w in wires for f in many.feed(w)] == frames
+        assert one.pending() == many.pending() == 0
+
+    def test_a_byte_at_a_time_reads_the_same_frames(self):
+        frames = self._frames(200)
+        blob = b"".join(encode(f) for f in frames)
+        reader = FrameReader()
+        got = [f for i in range(len(blob)) for f in reader.feed(blob[i:i + 1])]
+        assert got == frames and reader.pending() == 0
+
+    def test_a_partial_frame_waits_for_the_rest(self):
+        frames = self._frames(300)
+        blob = b"".join(encode(f) for f in frames)
+        cut = len(blob) - 5
+        reader = FrameReader()
+        assert reader.feed(blob[:cut]) == frames[:-1]
+        assert reader.pending() == len(encode(frames[-1])) - 5
+        assert reader.feed(blob[cut:]) == frames[-1:]
+        assert reader.pending() == 0
+
+    def test_a_bad_header_after_good_frames_still_returns_them(self):
+        frames = self._frames(1_000)
+        blob = b"".join(encode(f) for f in frames)
+        reader = FrameReader()
+        assert reader.feed(blob[:100]) == frames[:3]  # frames before the chunk, too
+        with pytest.raises(BadMagic) as err:
+            reader.feed(blob[100:] + b"XX" + bytes(10) + blob)
+        assert err.value.frames == frames[3:]
+        assert reader.pending() == 0
+        assert reader.feed(blob) == frames
+
+    def test_decode_first_reads_at_an_offset(self):
+        a, b = self._frames(2)
+        wire = encode(a) + encode(b)
+        frame, used = decode_first(wire, len(encode(a)))
+        assert frame == b and used == len(encode(b))
+        with pytest.raises(ShortFrame):
+            decode_first(wire, len(wire) - 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=8), payloads, max_size=6))
+    def test_encode_writes_the_bytes_of_json_dumps(self, payload):
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert encode(E2LiteFrame(MsgType.INDICATION, 1, payload))[e2lite.HEADER_LEN:] == body
 
 
 class TestFuzzDecode:

@@ -1,11 +1,14 @@
 """Cell emulation: service rates, RTT model, utilization, determinism."""
 
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hexsim import fssf
+from hexsim import fssf, radio_sim
 from hexsim.radio_sim import RTT_CAP_MS, Cell, CellConfig, LinkState, TrafficProfile
 from hexsim.slice_model import (
     Bearer,
@@ -198,6 +201,29 @@ class TestDeterminismAndProfiles:
         })
         w = run_seconds(cell, reg, 2)[-1]
         assert w.utilization == pytest.approx(1.0, abs=0.001)
+
+
+class TestOfferedRates:
+    """A rate enters the cell at attach or at set_offered; a negative, NaN or
+    infinite one is refused there, as is one whose bytes per tick overflow."""
+
+    BAD = [-5.0, math.nan, math.inf, 1e307]
+
+    @pytest.mark.parametrize("mbps", BAD)
+    def test_attach_refuses_a_bad_rate_and_attaches_nothing(self, mbps):
+        cell, _ = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
+        with pytest.raises(ValueError, match="offered rate"):
+            cell.attach_bearer(12, mbps)
+        assert not cell.has_bearer(12) and 12 not in cell.offered
+
+    @pytest.mark.parametrize("mbps", BAD)
+    def test_set_offered_refuses_a_bad_rate_and_keeps_the_old_one(self, mbps):
+        cell, _ = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
+        with pytest.raises(ValueError, match="offered rate"):
+            cell.set_offered(11, mbps)
+        assert cell.offered[11] == 10.0
+        cell.step_tti()
+        assert cell.buffers[11] == 0.0  # 1,250 bytes arrived and were served
 
 
 class TestBearerTable:
@@ -527,3 +553,179 @@ class TestFixedPoint:
                     k -= ran
             assert slow.end_window() == split.end_window() == chunked.end_window()
         assert split_repeats > 2_500 and chunked_repeats > 2_500
+
+
+def _plain_adds(s, c, m):
+    for _ in range(m):
+        s += c
+    return s
+
+
+def _plain_backlog(m, buf, arriving, capacity, lo, hi, bits_per_rb):
+    for i in range(m):
+        drained = buf + arriving
+        if not (capacity < drained and lo < drained * 8.0 / bits_per_rb <= hi):
+            return i, buf
+        buf = drained - capacity
+    return m, buf
+
+
+def _plain_smooth(throughput, inst_mbps, alpha, m):
+    for _ in range(m):
+        throughput = throughput + alpha * (inst_mbps - throughput)
+    return throughput
+
+
+def _plain_bearer(n, buf, arriving, capacity, throughput, served_sum, lo, hi, bits_per_rb,
+                  alpha, tti_s):
+    """One bearer's ticks as step_tti runs them, one tick at a time."""
+    for i in range(n):
+        drained = buf + arriving
+        if not lo < drained * 8.0 / bits_per_rb <= hi:
+            return i, buf, throughput, served_sum
+        served = capacity if capacity < drained else drained
+        buf = drained - served
+        served_sum += served
+        throughput = throughput + alpha * (served * 8.0 / tti_s / 1e6 - throughput)
+    return n, buf, throughput, served_sum
+
+
+def _same(a, b):
+    """Equal to the bit: repr tells 0.0 from -0.0 and compares nan."""
+    return repr(a) == repr(b)
+
+
+_SUM = st.floats(min_value=0.0, max_value=1e15)
+_TICKS = st.integers(0, 3_000)
+
+
+class TestRepeatKernels:
+    """Each closed-form kernel of ``repeat_tti`` returns the bits of the
+    plain loop it stands for."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(s=_SUM, c=st.floats(min_value=0.0, max_value=1e7), m=_TICKS)
+    @example(s=0.0, c=0.0, m=10)
+    @example(s=0.0, c=4_600.123, m=3_000)  # from empty across a dozen binades
+    @example(s=2.0 ** 20, c=3.0, m=3_000)  # starting on a binade edge
+    @example(s=5.0, c=7.0, m=3)  # s below c
+    def test_adds_match_the_loop(self, s, c, m):
+        assert _same(radio_sim._add_repeated(s, c, m), _plain_adds(s, c, m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(min_value=1e-310, max_value=1e15), share=st.floats(0.0, 0.4999),
+           m=_TICKS)
+    def test_adds_under_half_an_ulp_leave_the_sum(self, s, share, m):
+        c = math.ulp(s) * share
+        assert _same(radio_sim._add_repeated(s, c, m), _plain_adds(s, c, m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(min_value=1.0, max_value=1e12), odd=st.integers(0, 5_000),
+           shift=st.integers(-1, 3), m=_TICKS)
+    def test_half_ulp_ties_round_as_the_loop_does(self, s, odd, shift, m):
+        # an odd multiple of half an ulp: a tie in s's binade (shift -1), or
+        # in one the sum reaches later
+        c = (2 * odd + 1) * math.ulp(s) * 2.0 ** shift
+        assert _same(radio_sim._add_repeated(s, c, m), _plain_adds(s, c, m))
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=st.floats(min_value=1e-3, max_value=1e6), start=st.floats(0.0, 1.0),
+           m=st.integers(1_000, 20_000))
+    def test_sums_that_cross_many_binades(self, c, start, m):
+        s = c * start
+        assert _same(radio_sim._add_repeated(s, c, m), _plain_adds(s, c, m))
+
+    @settings(max_examples=400, deadline=None)
+    @given(buf=st.floats(min_value=1.0, max_value=1e10),
+           capacity=st.floats(min_value=0.0, max_value=1e5),
+           trend=st.sampled_from(["grow", "shrink", "flat", "near"]),
+           ratio=st.floats(min_value=0.0, max_value=3.0),
+           bits_per_rb=st.floats(min_value=8.0, max_value=4_000.0),
+           cut=st.sampled_from(["none", "lo", "hi", "first"]),
+           edge=st.floats(min_value=0.5, max_value=1.5),
+           m=_TICKS)
+    @example(buf=2.0 ** 20, capacity=1_000.0, trend="shrink", ratio=0.5, bits_per_rb=8.0,
+             cut="none", edge=1.0, m=3_000)  # starts on a binade edge
+    @example(buf=1e6, capacity=1_533.0, trend="flat", ratio=1.0, bits_per_rb=1_226.4,
+             cut="lo", edge=1.0, m=3_000)
+    def test_backlog_matches_the_loop(self, buf, capacity, trend, ratio, bits_per_rb, cut,
+                                      edge, m):
+        if trend == "grow":
+            arriving = capacity * (1.0 + ratio)
+        elif trend == "shrink":
+            arriving = capacity * ratio / 3.0
+        elif trend == "flat":
+            arriving = capacity
+        else:  # differs from the capacity by a few of the buffer's ulps
+            arriving = capacity + math.ulp(buf) * (ratio - 1.5) * 4.0
+        arriving = max(arriving, 0.0)
+        x = (buf + arriving) * 8.0 / bits_per_rb
+        # a demand range the buffer leaves part way through the run, or one
+        # that its first tick misses (a growing backlog would enter it later)
+        lo, hi = {"none": (-math.inf, math.inf), "lo": (x * edge * 0.5, math.inf),
+                  "hi": (-math.inf, x * (1.0 + edge)), "first": (x * (1.0 + edge), math.inf)}[cut]
+        args = (m, buf, arriving, capacity, lo, hi, bits_per_rb)
+        assert _same(radio_sim._drain_backlog(*args), _plain_backlog(*args))
+
+    # u = 2**-32 is the ulp of [2**20, 2**21); under 2**20 the grid is u / 2
+    @pytest.mark.parametrize("buf, arriving, capacity", [
+        # five ticks drain the buffer to 2**20, off by a share of u: 0.3 u
+        # under it lands half an ulp under
+        (2.0 ** 20 + 5_000.0, 0.0, 1_000.0 + 0.3 * 2.0 ** -32),
+        (2.0 ** 20 + 5_000.0, 0.0, 1_000.0 + 0.2 * 2.0 ** -32),
+        (2.0 ** 20 + 5_000.0, 0.0, 1_000.0 - 0.3 * 2.0 ** -32),
+        (2.0 ** 20 + 5_000.0, 500.0, 1_500.0 + 0.3 * 2.0 ** -32),
+        # a flat backlog on the edge: both round to 1,000 / u, yet the buffer moves
+        (2.0 ** 20, 1_000.0 - 0.2 * 2.0 ** -32, 1_000.0 + 0.3 * 2.0 ** -32),
+    ])
+    def test_a_backlog_that_drains_onto_a_binade_edge(self, buf, arriving, capacity):
+        args = (8, buf, arriving, capacity, -math.inf, math.inf, 8.0)
+        assert _same(radio_sim._drain_backlog(*args), _plain_backlog(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(buf=st.floats(min_value=1.0, max_value=1e9), odd=st.integers(0, 1_000),
+           shift=st.integers(-1, 2), capacity=st.floats(min_value=0.0, max_value=1e4),
+           m=_TICKS)
+    def test_backlog_with_half_ulp_ties(self, buf, odd, shift, capacity, m):
+        arriving = (2 * odd + 1) * math.ulp(buf) * 2.0 ** shift
+        for a, c in ((arriving, capacity), (capacity, arriving), (arriving, arriving / 3.0)):
+            args = (m, buf, a, c, -math.inf, math.inf, 1_000.0)
+            assert _same(radio_sim._drain_backlog(*args), _plain_backlog(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(throughput=st.floats(min_value=0.0, max_value=200.0),
+           inst_mbps=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=200.0)),
+           alpha=st.one_of(st.just(0.01), st.floats(min_value=1e-4, max_value=1.0)),
+           m=st.integers(0, 6_000))
+    def test_smoothing_matches_the_loop(self, throughput, inst_mbps, alpha, m):
+        assert _same(radio_sim._smooth(throughput, inst_mbps, alpha, m),
+                     _plain_smooth(throughput, inst_mbps, alpha, m))
+
+    def test_smoothing_decays_to_its_last_subnormal_and_stays(self):
+        # a rate dropped to 0: 74,000-odd ticks to a value that no longer moves
+        decayed = _plain_smooth(10.0, 0.0, 0.01, 80_000)
+        assert 0.0 < decayed < 1e-300
+        assert _same(radio_sim._smooth(10.0, 0.0, 0.01, 80_000), decayed)
+        settled = _plain_smooth(10.0, 12.5, 0.01, 10_000)
+        assert settled + 0.01 * (12.5 - settled) == settled  # already settled
+        assert _same(radio_sim._smooth(settled, 12.5, 0.01, 10**9), settled)
+
+    @settings(max_examples=400, deadline=None)
+    @given(n=_TICKS,
+           buf=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e8)),
+           arriving=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2e4)),
+           n_rb=st.integers(0, 106),
+           throughput=st.floats(min_value=0.0, max_value=150.0),
+           served_sum=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e9)),
+           need=st.one_of(st.none(), st.integers(1, 106)))
+    def test_a_bearer_repeats_as_it_steps(self, n, buf, arriving, n_rb, throughput, served_sum,
+                                          need):
+        rb_capacity, bits_per_rb = 153.3, 1_226.4
+        capacity = n_rb * rb_capacity
+        if need is None:
+            lo, hi = -math.inf, math.inf
+        else:
+            lo, hi = need - 1, (need if need < 106 else math.inf)
+        args = (n, buf, arriving, capacity, throughput, served_sum, lo, hi, bits_per_rb,
+                0.01, 0.001)
+        assert _same(radio_sim._repeat_bearer(*args), _plain_bearer(*args))

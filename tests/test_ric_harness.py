@@ -2,6 +2,8 @@
 
 import gc
 import hashlib
+import json
+import math
 import weakref
 
 import pytest
@@ -58,6 +60,33 @@ class TestScriptLoading:
                                          "params": {"drb_id": 1, "rate_mbps": 1}}])
         with pytest.raises(ScenarioError):
             ScenarioScript.from_dict(bad)
+
+    @pytest.mark.parametrize("rate", [-5.0, math.nan, math.inf, 1e307])
+    def test_a_traffic_event_with_a_bad_rate_is_rejected(self, rate):
+        # drb 31 never joins: the rate alone is wrong (1e307 Mbps overflows
+        # its bytes per tick)
+        event = {"t": 1.0, "action": "traffic", "params": {"drb_id": 31, "rate_mbps": rate}}
+        with pytest.raises(ScenarioError, match="offered rate"):
+            ScenarioScript.from_dict(dict(MINI_SCRIPT, events=MINI_SCRIPT["events"] + [event]))
+
+    def test_a_rate_of_1e309_in_a_file_is_rejected(self, tmp_path):
+        # JSON reads 1e309 as infinity
+        text = json.dumps(MINI_SCRIPT).replace('"rate_mbps": 30.0', '"rate_mbps": 1e309')
+        assert "1e309" in text
+        path = tmp_path / "overflow.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="offered rate"):
+            ScenarioScript.load(path)
+
+    @pytest.mark.parametrize("key", ["max_dl_mbps", "per_rb_rate_mbps"])
+    @pytest.mark.parametrize("value", [0, -130.0, math.nan, math.inf, "fast"])
+    def test_a_cell_rate_that_is_not_positive_and_finite_is_rejected(self, key, value):
+        with pytest.raises(ScenarioError):
+            ScenarioScript.from_dict(dict(MINI_SCRIPT, cell={"total_rb": 106, key: value}))
+
+    def test_a_cell_without_resource_blocks_is_rejected(self):
+        with pytest.raises(ScenarioError):
+            ScenarioScript.from_dict(dict(MINI_SCRIPT, cell={"total_rb": 0, "max_dl_mbps": 130.0}))
 
     def test_bundled_scripts_load(self):
         from hexsim.cli import bundled_scenario_path
