@@ -30,7 +30,7 @@ from .fssf import (  # noqa: F401
 from .e2lite import E2LiteFrame, MsgType, decode, encode  # noqa: F401
 from .pml import FsApi, Pml, PluginManifest  # noqa: F401
 from .agent import Agent, AgentConfig  # noqa: F401
-from .radio_sim import Cell, CellConfig, LinkState, TrafficProfile  # noqa: F401
+from .radio_sim import Cell, CellConfig, LinkState  # noqa: F401
 from .composition_sim import HuCluster, run_scaling_experiment  # noqa: F401
 from .ric_harness import (  # noqa: F401
     BenchmarkConfig,

@@ -49,7 +49,6 @@ from .pml import DEFAULT_LOCKOUT_WINDOW_MS, Completion, FsApi, Pml
 from .slice_model import SliceRegistry, record_to_dict
 
 DEFAULT_QUEUE_DEPTH = 1024
-DEFAULT_UTILIZATION_ALARM = 0.90
 
 RIC = "ric"
 SMO = "smo"
@@ -73,7 +72,6 @@ def _is_number(v) -> bool:
 _SETTINGS = {
     "lockout_window_ms": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
     "queue_depth": ("a positive integer", lambda v: _is_number(v) and isinstance(v, int) and v > 0),
-    "utilization_alarm_threshold": ("a number", _is_number),
 }
 
 # the fields of a configuration document's function entry, checked the same way
@@ -236,7 +234,6 @@ class PipelineMetrics:
 class AgentConfig:
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     lockout_window_ms: float = DEFAULT_LOCKOUT_WINDOW_MS
-    utilization_alarm_threshold: float = DEFAULT_UTILIZATION_ALARM
 
 
 @dataclass
@@ -713,17 +710,6 @@ class Agent:
             },
         )
         return self._send(sub.link, frame)
-
-    def report_hu_utilization(self, unit: str, utilization: float) -> None:
-        """Operational hook: over-threshold capacity utilization raises an alarm."""
-        with self._state:
-            self.repository.ran_state["operational"][f"util:{unit}"] = utilization
-        if utilization > self.config.utilization_alarm_threshold:
-            self.raise_alarm(
-                "hu_utilization",
-                f"{unit} at {utilization:.2f}",
-                severity="major",
-            )
 
     def raise_alarm(self, condition: str, detail: str, severity: str = "warning") -> None:
         payload = {"condition": condition, "detail": detail, "severity": severity}

@@ -19,17 +19,19 @@ ascending order, UE ids, integer weights). Registering an algorithm
 invalidates the plan. :func:`run_tti` looks the plan up once per tick and
 hands it to each stage.
 
-The plan also lays every drb out once, in one flat bearer order: slices by
-ascending id, each slice's drbs in its prepared order (as given, for a custom
-algorithm), so each slice owns a ``[lo, hi)`` range. A tick works on one list
-in that order, the demand each bearer has left, which stages 1 and 2 take
-their grants off. They hand each slice its range; a built-in core returns its
-grants as a list aligned to it, and the grants are contract-checked and taken
-off the list by index. Dicts appear only at the edges: ``TtiInput.demands``
-comes in as one, and the decision's per-drb grants are built once, after
-stage 2, as the difference between the demand and what is left. Custom algorithms keep the
-``AlgoDrb`` contract: they get a fresh ``AlgoDrb`` list on every call, and
-every algorithm's output goes through the same contract check.
+The plan also lays every scheduled drb out once, in one flat bearer order:
+slices by ascending id, each slice's drbs in its prepared order (as given, for
+a custom algorithm), so each slice owns a ``[lo, hi)`` range. A tick works on
+one list in that order, the demand each bearer has left, which stages 1 and 2
+take their grants off. They hand each slice its range; a built-in core returns
+its grants as a list aligned to it. Custom algorithms keep the ``AlgoDrb``
+contract: they get a fresh ``AlgoDrb`` list on every call, and the per-drb
+dict they return is laid onto their slice's range, so a nonzero grant to any
+bearer outside the slice breaks the contract. Either way one loop then
+contract-checks the grants and takes them off the list by index. Dicts appear
+only at the edges: ``TtiInput.demands`` comes in as one, and the decision's
+per-drb grants are built once, after stage 2, as the difference between the
+demand and what is left.
 
 Rounding and tie-break conventions (fixed for determinism):
 
@@ -475,7 +477,6 @@ class _EpochPlan:
     owner: dict[int, int]              # drb -> UE
     ues: tuple[int, ...]               # the UEs owning ids, ascending
     ue_slot: dict[int, int]            # drb -> position of its UE in ues
-    index: dict[int, int]              # drb -> position in ids
 
     def aligned(self, per_drb: Mapping[int, int]) -> list[int]:
         """``per_drb``'s values in the flat bearer order, 0 where a drb is absent."""
@@ -498,10 +499,7 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
     for s in sorted(slices, key=_by_slice_id):
         lo = len(ids)
         if s.state is SliceState.IDLE:
-            # not scheduled, but its drbs keep a place: every drb of slices
-            # has an index
-            ids.extend(d.drb_id for d in s.drbs)
-            continue
+            continue  # not scheduled
         algo = registry.get(s.fd_scheduler)
         prepared = algo.prepare(s.drbs) if isinstance(algo, BuiltinAlgorithm) else None
         ids.extend(prepared.ids if prepared is not None else (d.drb_id for d in s.drbs))
@@ -521,7 +519,6 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
         owner=owner,
         ues=ues,
         ue_slot={drb: slot[owner[drb]] for drb in ids},
-        index={drb: i for i, drb in enumerate(ids)},
     )
     registry._plan = plan
     return plan
@@ -534,7 +531,8 @@ def _grant(run: _SliceRun, budget: int, left: list[int], ep: _EpochPlan, rates: 
     """Run one slice's algorithm on its demand left and take the grants off it.
 
     Enforces the algorithm contract: no bearer gets more than its demand
-    left, none a negative grant, and the slice no more than ``budget``.
+    left, none a negative grant, none outside the slice a grant at all, and
+    the slice no more than ``budget``.
     Returns the RBs used.
     """
     s, algo, prepared, lo, hi = run
@@ -545,9 +543,17 @@ def _grant(run: _SliceRun, budget: int, left: list[int], ep: _EpochPlan, rates: 
     if prepared is None:
         drbs = [AlgoDrb(d.drb_id, d.ue_id, n, d.bearer_priority, rates.get(d.ue_id, 0.0))
                 for d, n in zip(s.drbs, demands)]
-        return _fold_dict(algo(budget, drbs, history), budget, left, ep, s.fd_scheduler)
-    per_drb_rates = [rates.get(u, 0.0) for u in prepared.ues] if algo.uses_rates else None
-    grants = algo.core(budget, prepared, demands, per_drb_rates, history)
+        # lay the algorithm's dict (a copy, which the pops empty) onto the
+        # slice's range; what is left names bearers outside the slice
+        out = dict(algo(budget, drbs, history))
+        grants = [out.pop(drb, 0) for drb in ep.ids[lo:hi]]
+        for drb, n in out.items():
+            if n:
+                raise AlgorithmContractViolation(
+                    f"{s.fd_scheduler} gave drb {drb} {n} RBs outside its slice")
+    else:
+        per_drb_rates = [rates.get(u, 0.0) for u in prepared.ues] if algo.uses_rates else None
+        grants = algo.core(budget, prepared, demands, per_drb_rates, history)
     if len(grants) != hi - lo:
         raise AlgorithmContractViolation(
             f"{s.fd_scheduler} returned {len(grants)} grants for {hi - lo} bearers")
@@ -561,24 +567,6 @@ def _grant(run: _SliceRun, budget: int, left: list[int], ep: _EpochPlan, rates: 
     used = sum(grants)
     if used > budget:
         raise AlgorithmContractViolation(f"{s.fd_scheduler} exceeded budget {budget} with {used}")
-    return used
-
-
-def _fold_dict(out: dict[int, int], budget: int, left: list[int], ep: _EpochPlan,
-               who: str) -> int:
-    """:func:`_grant` for an ``AlgoDrb`` algorithm's per-drb dict."""
-    index = ep.index
-    used = 0
-    for drb, n in out.items():
-        if n:
-            i = index.get(drb)
-            want = 0 if i is None else left[i]
-            if n < 0 or n > want:
-                raise AlgorithmContractViolation(f"{who} gave drb {drb} {n} RBs (demand {want})")
-            left[i] = want - n
-            used += n
-    if used > budget:
-        raise AlgorithmContractViolation(f"{who} exceeded budget {budget} with {used}")
     return used
 
 

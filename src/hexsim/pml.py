@@ -182,9 +182,6 @@ class Pml:
     def plugin_ids(self) -> set[str]:
         return set(self._plugins)
 
-    def api_ids(self) -> list[str]:
-        return sorted(self._handlers)
-
     def set_lockout_window(self, window_ms: float) -> None:
         if window_ms < 0:
             raise ValidationFailed("lockout window must be >= 0")

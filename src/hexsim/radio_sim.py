@@ -15,7 +15,9 @@ long steady-state phases cheap.
 A tick is steady when it reuses the previous decision. ``repeat_tti(k)``
 runs up to k more steady ticks and returns how many it ran: it stops before
 the first tick whose demands would miss the memo. It runs them bearer by
-bearer, since under one decision no bearer's values read another's, with the
+bearer, since under one decision no bearer's values read another's, each
+bearer checking its own demand as its ticks run (a bearer whose demand
+changes first cuts the run, and every bearer runs again up to there), with the
 float operations of ``step_tti`` in the same order, so the bits are those of
 stepping every tick; what it saves is the demand dict, the memo compare and
 the per-tick dict traffic. Once a bearer serves the same amount every tick,
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional
 
 from . import fssf
 from .slice_model import BearerStats, SliceRegistry, SliceState
@@ -69,30 +71,6 @@ def offered_bytes_per_tick(mbps: float, tti_s: float) -> float:
     if not 0.0 <= arriving < math.inf:
         raise ValueError(f"offered rate must be finite and >= 0, not {mbps!r} Mbps")
     return arriving
-
-
-class TrafficProfile:
-    """Piecewise-constant offered rate per bearer: {drb: [(t_s, mbps), ...]}."""
-
-    def __init__(self, schedule: Mapping[int, Sequence[tuple[float, float]]]):
-        self.schedule = {drb: sorted(steps) for drb, steps in schedule.items()}
-        for steps in self.schedule.values():
-            if any(rate < 0 for _, rate in steps):
-                raise ValueError("offered rates must be >= 0")
-
-    def rate_at(self, drb: int, t_s: float) -> float:
-        rate = 0.0
-        for t, r in self.schedule.get(drb, ()):
-            if t <= t_s:
-                rate = r
-            else:
-                break
-        return rate
-
-    def apply(self, cell: "Cell", t_s: float) -> None:
-        for drb in self.schedule:
-            if cell.has_bearer(drb):
-                cell.set_offered(drb, self.rate_at(drb, t_s))
 
 
 @dataclass
@@ -328,7 +306,6 @@ class Cell:
         per_drb_rb = decision.plan.per_drb_rb
         total_rb, alpha, tti_s = self.cfg.total_rb, self._alpha, self._tti_s
         inf = math.inf
-        n = k
         table = []
         for drb, bits_per_rb, rb_capacity in zip(ep.drb_ids, ep.bits_per_rb, ep.rb_capacity):
             buf, arriving = buffers.get(drb, 0.0), arrivals.get(drb, 0.0)
@@ -345,19 +322,12 @@ class Cell:
                 lo, hi = need - 1, (need if need < total_rb else inf)
             n_rb = per_drb_rb.get(drb)
             capacity = 0.0 if n_rb is None else n_rb * rb_capacity
-            if hi != inf:
-                # a demand below the cap moves with its buffer: bound n by how
-                # long it holds before any bearer runs
-                n = _steady_ticks(n, buf, arriving, capacity, lo, hi, bits_per_rb)
-                if n == 0:
-                    return 0
-                lo, hi = -inf, inf
             table.append((buf, arriving, capacity, lo, hi, bits_per_rb))
-        # A demand at the cap (a backlog, which seldom leaves it) is checked as
-        # its bearer runs; should one change, every bearer runs again for fewer
-        # ticks.
+        # Each bearer checks its demand as it runs; should one change, every
+        # bearer runs again for fewer ticks.
         stats = ep.stats
         win_served = self._win_served
+        n = k
         while True:
             finals = []
             for (buf, arriving, capacity, lo, hi, bits_per_rb), st, drb in zip(
@@ -447,29 +417,6 @@ def _packet_delay_ms(buf: float, throughput_mbps: float, base_rtt_ms: float) -> 
     return rtt if rtt < RTT_CAP_MS else RTT_CAP_MS
 
 
-def _steady_ticks(n, buf, arriving, capacity, lo, hi, bits_per_rb):
-    """How many of the next ``n`` ticks, each adding ``arriving`` and serving
-    min(``capacity``, buffer), find one bearer's demand unchanged: its
-    buffer after arrivals, x = buf * 8 / bits_per_rb, in lo < x <= hi.
-
-    Adding ``arriving`` = 0.0 leaves a buffer's bits (a buffer is never -0.0),
-    and x is monotone in the buffer, so a buffer between two that passed
-    passes too.
-    """
-    good_lo, good_hi = math.inf, -math.inf  # the buffers known to pass
-    for i in range(n):
-        drained = buf + arriving
-        if not good_lo <= drained <= good_hi:
-            if not lo < drained * 8.0 / bits_per_rb <= hi:
-                return i
-            good_lo = min(good_lo, drained)
-            good_hi = math.inf if hi == math.inf else max(good_hi, drained)
-        buf = drained - (capacity if capacity < drained else drained)
-        if buf + arriving == drained:
-            break  # every later tick drains this same buffer
-    return n
-
-
 def _repeat_bearer(n, buf, arriving, capacity, throughput, served_sum, lo, hi, bits_per_rb,
                    alpha, tti_s):
     """Run up to ``n`` ticks of one bearer granted ``capacity`` bytes a tick,
@@ -477,23 +424,18 @@ def _repeat_bearer(n, buf, arriving, capacity, throughput, served_sum, lo, hi, b
     (ticks run, buffer, throughput, served sum). It stops before the first
     tick whose buffer x = buf * 8 / bits_per_rb leaves lo < x <= hi.
 
-    Adding ``arriving`` = 0.0 leaves a buffer's bits (a buffer is never -0.0).
-    x is monotone in the buffer, so a buffer between two that passed passes.
     Once every tick serves the same amount, because the buffer stopped
     changing or a backlog is served the capacity, the ticks run as kernels:
     the served adds and the backlog by closed forms, the smoothing alone.
+    Each plain tick checks x, and the backlog kernel checks it too. Plain
+    ticks are few: after one, the buffer has stopped changing, is a backlog
+    served the capacity, or is empty.
     """
-    # the buffers known to pass: every one when nothing bounds x
-    good_lo, good_hi = ((-math.inf, math.inf) if lo == -math.inf and hi == math.inf
-                        else (math.inf, -math.inf))
     i = 0
     while i < n:
         drained = buf + arriving
-        if not good_lo <= drained <= good_hi:
-            if not lo < drained * 8.0 / bits_per_rb <= hi:
-                break
-            good_lo = min(good_lo, drained)
-            good_hi = math.inf if hi == math.inf else max(good_hi, drained)
+        if not lo < drained * 8.0 / bits_per_rb <= hi:
+            break
         served = capacity if capacity < drained else drained
         buf = drained - served
         served_sum += served

@@ -176,45 +176,6 @@ class SimulatedPeer:
         return out
 
 
-def connect_tcp(peer: SimulatedPeer, host: str, port: int):
-    """Attach a peer to a TCP agent endpoint; returns a closer callable."""
-    import socket
-
-    sock = socket.create_connection((host, port))
-    lock = threading.Lock()
-
-    def send(data: bytes) -> None:
-        with lock:
-            sock.sendall(data)
-
-    stop = threading.Event()
-
-    def read_loop() -> None:
-        sock.settimeout(0.2)
-        while not stop.is_set():
-            try:
-                data = sock.recv(65536)
-            except OSError:
-                break
-            if not data:
-                break
-            peer.on_bytes(data)
-
-    thread = threading.Thread(target=read_loop, daemon=True)
-    peer.wire(send)
-    thread.start()
-
-    def close() -> None:
-        stop.set()
-        try:
-            sock.close()
-        except OSError:
-            pass
-        thread.join(timeout=1.0)
-
-    return close
-
-
 def connect_inproc(agent: Agent, peer: SimulatedPeer, link_id: str) -> InProcessDuplex:
     duplex = InProcessDuplex(agent, link_id, peer.peer_id, peer.kind, on_peer_rx=peer.on_bytes)
     peer.wire(duplex.to_agent)

@@ -94,7 +94,7 @@ print(json.dumps([contend(["ric-a", "ric-b"]), contend(["ric-b", "ric-a"])]))
 # controller with pump and prints, in order, every chunk of bytes the agent
 # sent them, hex-encoded: a setup request, four subscription responses, a
 # query response per service, periodic and event indications, a control ack
-# and failure, a config ack and an alarm.
+# and failure, config acks and a queue-overflow alarm.
 _WIRE_SCRIPT = """
 import json
 from hexsim.agent import RIC, SMO, Agent
@@ -151,10 +151,13 @@ ric.query(1, "ue_context", ue_ids=[30, 10])
 ric.query(1, "context_change")
 ric.control_slice(1, {"slice_id": 2, "hu_associations": ["hu-z", "hu-y", "hu-x"]})
 ric.control_slice(1, {"slice_id": 9, "shared_priority": 2})
-smo.edit_config({"utilization_alarm_threshold": 0.8, "queue_depth": 512,
-                 "lockout_window_ms": 50.0})
+smo.edit_config({"queue_depth": 512, "lockout_window_ms": 50.0})
 step(6)
-agent.report_hu_utilization("hu-a", 0.95)
+smo.edit_config({"queue_depth": 1})
+step()
+ric.query(1, "context_change")
+ric.query(1, "context_change")  # over the queue depth: a failure and an alarm
+step()
 print(json.dumps(sent))
 """
 
@@ -239,7 +242,6 @@ class TestConfiguration:
         assert stack.pml.lockout.window_ms == 55.0
 
     @pytest.mark.parametrize("bad", [
-        {"utilization_alarm_threshold": "high"},
         {"queue_depth": "deep"},
         {"lockout_window_ms": -1},
         {"functions": [{"name": "no-id"}]},
@@ -827,17 +829,18 @@ class TestOamPath:
         assert smo.responses[corr].msg_type == MsgType.CONTROL_FAILURE
         assert "warp_factor" not in stack.agent.repository.ran_state["config"]
 
-    def test_bad_threshold_fails_validation_and_commits_nothing(self):
+    def test_one_bad_setting_fails_validation_and_commits_nothing(self):
         stack = Stack()
         smo = stack.attach("smo-1", kind=SMO)
         config_before = dict(stack.agent.repository.ran_state["config"])
         window_before = stack.pml.lockout.window_ms
-        corr = smo.edit_config({"lockout_window_ms": 5, "utilization_alarm_threshold": "high"})
+        corr = smo.edit_config({"lockout_window_ms": 5, "queue_depth": "deep"})
         stack.settle()
         assert smo.responses[corr].msg_type == MsgType.CONTROL_FAILURE
         assert smo.responses[corr].payload["cause"] == "validation_failed"
         assert stack.agent.repository.ran_state["config"] == config_before
         assert stack.pml.lockout.window_ms == window_before
+        assert stack.agent.config == AgentConfig()
 
     def test_a_bool_queue_depth_fails_validation_and_commits_nothing(self):
         stack = Stack()
@@ -855,23 +858,16 @@ class TestOamPath:
         stack.settle()
         assert ric.responses[corr].msg_type == MsgType.CONTROL_FAILURE
 
-    def test_utilization_alarm_reaches_all_smos(self):
-        stack = Stack()
-        smo1 = stack.attach("smo-1", kind=SMO)
-        smo2 = stack.attach("smo-2", kind=SMO)
-        stack.agent.report_hu_utilization("hu4", 0.95)
-        assert len(smo1.alarms) == 1 and len(smo2.alarms) == 1
-        assert smo1.alarms[0].payload["condition"] == "hu_utilization"
-        stack.agent.report_hu_utilization("hu4", 0.5)
-        assert len(smo1.alarms) == 1
-
     def test_queue_overflow_raises_alarm(self):
         stack = Stack(config=AgentConfig(queue_depth=2))
-        smo = stack.attach("smo-1", kind=SMO)
+        smo1 = stack.attach("smo-1", kind=SMO)
+        smo2 = stack.attach("smo-2", kind=SMO)
         ric = stack.attach()
         for _ in range(5):
             ric.control_slice(1, {"slice_id": 1, "shared_priority": 2})
-        assert any(a.payload["condition"] == "queue_overflow" for a in smo.alarms)
+        # every attached SMO gets the alarm
+        for smo in (smo1, smo2):
+            assert any(a.payload["condition"] == "queue_overflow" for a in smo.alarms)
 
     def test_indication_delivery_failure_raises_alarm(self):
         stack = Stack()

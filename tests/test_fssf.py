@@ -487,6 +487,15 @@ class TestAlignedPath:
                         drbs=[(13, 3, 1), (11, 1, 1), (12, 2, 1)])
         return fssf.run_tti(tti(10, [s], {11: 4, 12: 4, 13: 4}), registry)
 
+    @staticmethod
+    def _run_dict(grants):
+        """``_run_core``'s cell with an ``AlgoDrb`` algorithm returning ``grants``."""
+        registry = fssf.AlgorithmRegistry()
+        registry.register("fixed", lambda budget, drbs, history: dict(grants))
+        s = slice_input(1, SliceState.SHARED, sched="fixed",
+                        drbs=[(13, 3, 1), (11, 1, 1), (12, 2, 1)])
+        return fssf.run_tti(tti(10, [s], {11: 4, 12: 4, 13: 4}), registry)
+
     @pytest.mark.parametrize("grants, message", [
         ([1, -1, 0], "fixed gave drb 12 -1 RBs (demand 4)"),
         ([0, 0, 5], "fixed gave drb 13 5 RBs (demand 4)"),
@@ -497,6 +506,24 @@ class TestAlignedPath:
         with pytest.raises(AlgorithmContractViolation) as err:
             self._run_core(grants)
         assert str(err.value) == message
+        if len(grants) == 3:
+            # the same grants as a per-drb dict, laid onto the slice's range
+            # (a dict cannot miss a bearer: an absent one is granted 0)
+            with pytest.raises(AlgorithmContractViolation) as err:
+                self._run_dict(zip((11, 12, 13), grants))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("drb", [22, 99], ids=["another_slice", "unknown"])
+    def test_a_dict_grant_outside_the_slice_is_a_violation(self, drb):
+        # slice 1's algorithm hands its dedicated RBs to a bearer it does not
+        # own: slice 2's drb 22, or a drb no slice has
+        registry = fssf.AlgorithmRegistry()
+        registry.register("fixed", lambda budget, drbs, history: {11: 4, drb: budget - 4})
+        s1 = slice_input(1, SliceState.DEDICATED, ded=10, sched="fixed", drbs=[(11, 1, 1)])
+        s2 = slice_input(2, SliceState.SHARED, drbs=[(22, 2, 1)])
+        with pytest.raises(AlgorithmContractViolation) as err:
+            fssf.run_tti(tti(30, [s1, s2], {11: 4, 22: 20}), registry)
+        assert str(err.value) == f"fixed gave drb {drb} 6 RBs outside its slice"
 
     def test_a_builtin_core_within_its_contract_is_applied(self):
         assert self._run_core([4, 4, 2]).per_drb_rb == {11: 4, 12: 4, 13: 2}

@@ -63,7 +63,12 @@ def seed_slice(registry, slice_id=1, state=SliceState.SHARED, drb=None, **rrc):
 class TestRegistration:
     def test_fs_plugin_exposes_two_apis(self):
         _, pml, _, _ = make_stack()
-        assert pml.api_ids() == ["fs.control", "fs.telemetry_registration"]
+        assert pml.plugin_ids() == {"fs"}
+        # each of its two APIs is taken: a second plugin cannot provide it
+        for api_id in ("fs.control", "fs.telemetry_registration"):
+            with pytest.raises(DuplicateApi):
+                pml.register_plugin(PluginManifest("again", (api_id,)),
+                                    {api_id: lambda call: None})
 
     def test_empty_manifest_is_fine(self):
         _, pml, _, _ = make_stack()

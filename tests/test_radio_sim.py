@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexsim import fssf, radio_sim
-from hexsim.radio_sim import RTT_CAP_MS, Cell, CellConfig, LinkState, TrafficProfile
+from hexsim.radio_sim import RTT_CAP_MS, Cell, CellConfig, LinkState
 from hexsim.slice_model import (
     Bearer,
     ChangeTrigger,
@@ -174,25 +174,16 @@ class TestDeterminismAndProfiles:
                 1: (SliceState.SHARED, {}, [(11, 1, 60.0)]),
                 2: (SliceState.SHARED, {}, [(21, 2, 90.0)]),
             })
-            profile = TrafficProfile({11: [(0.0, 60.0), (1.0, 120.0)],
-                                      21: [(0.0, 90.0), (2.0, 10.0)]})
+            changes = {1: (11, 120.0), 2: (21, 10.0)}  # second -> (drb, Mbps)
             out = []
             for second in range(3):
-                profile.apply(cell, second)
+                if second in changes:
+                    cell.set_offered(*changes[second])
                 out.append(run_seconds(cell, reg, 1)[0])
             return out
         a, b = one_run(), one_run()
         assert [w.served_mbps for w in a] == [w.served_mbps for w in b]
         assert [w.utilization for w in a] == [w.utilization for w in b]
-
-    def test_profile_rate_lookup(self):
-        p = TrafficProfile({5: [(0.0, 10.0), (3.0, 30.0)]})
-        assert p.rate_at(5, 0.0) == 10.0
-        assert p.rate_at(5, 2.999) == 10.0
-        assert p.rate_at(5, 3.0) == 30.0
-        assert p.rate_at(7, 1.0) == 0.0
-        with pytest.raises(ValueError):
-            TrafficProfile({1: [(0.0, -5.0)]})
 
     def test_work_conservation_when_demand_saturates(self):
         cell, reg = build_cell({

@@ -10,7 +10,7 @@ from hexsim.agent import RIC, Agent, AgentConfig
 from hexsim.e2lite import E2LiteFrame, MsgType
 from hexsim.errors import CodecError
 from hexsim.pml import FsApi, Pml
-from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc, connect_tcp
+from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc
 from hexsim.slice_model import SliceRegistry, SliceState
 from hexsim.transport import TcpAgentServer, ThreadedAgentServer
 
@@ -25,6 +25,43 @@ def make_agent(n_slices=3, doc=FS_FUNCTION_DOC):
         registry.create_slice(sid, SliceState.SHARED)
     registry.publish()
     return agent
+
+
+def connect_tcp(peer: SimulatedPeer, host: str, port: int):
+    """Attach a peer to a TCP agent endpoint; returns a closer callable."""
+    sock = socket.create_connection((host, port))
+    lock = threading.Lock()
+
+    def send(data: bytes) -> None:
+        with lock:
+            sock.sendall(data)
+
+    stop = threading.Event()
+
+    def read_loop() -> None:
+        sock.settimeout(0.2)
+        while not stop.is_set():
+            try:
+                data = sock.recv(65536)
+            except OSError:
+                break
+            if not data:
+                break
+            peer.on_bytes(data)
+
+    thread = threading.Thread(target=read_loop, daemon=True)
+    peer.wire(send)
+    thread.start()
+
+    def close() -> None:
+        stop.set()
+        try:
+            sock.close()
+        except OSError:
+            pass
+        thread.join(timeout=1.0)
+
+    return close
 
 
 def wait_for(predicate, timeout=3.0):
