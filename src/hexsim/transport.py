@@ -107,6 +107,8 @@ class TcpAgentServer:
                 continue
             except OSError:
                 break
+            # set before stop() can close the connection under its read loop
+            conn.settimeout(0.2)
             n += 1
             link_id = f"{self.kind}-tcp-{n}"
             peer_id = f"{self.kind}-{addr[0]}:{addr[1]}"
@@ -126,7 +128,6 @@ class TcpAgentServer:
             t.start()
 
     def _read_loop(self, conn: socket.socket, link_id: str) -> None:
-        conn.settimeout(0.2)
         try:
             while not self._stop.is_set():
                 try:

@@ -251,6 +251,8 @@ class TestConfiguration:
         {"functions": [dict(FS_FUNCTION_DOC["functions"][0], resources="slice/")]},
         {"functions": [dict(FS_FUNCTION_DOC["functions"][0], required_pml_plugins="fs")]},
         {"functions": [dict(FS_FUNCTION_DOC["functions"][0], function_id=True)]},
+        {"plugins": "fs"},
+        {"functions": [dict(FS_FUNCTION_DOC["functions"][0], kind="rt")]},
     ])
     def test_a_bad_document_commits_nothing(self, bad):
         stack = Stack()

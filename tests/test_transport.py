@@ -30,6 +30,7 @@ def make_agent(n_slices=3, doc=FS_FUNCTION_DOC):
 def connect_tcp(peer: SimulatedPeer, host: str, port: int):
     """Attach a peer to a TCP agent endpoint; returns a closer callable."""
     sock = socket.create_connection((host, port))
+    sock.settimeout(0.2)  # before close() can run under the read loop
     lock = threading.Lock()
 
     def send(data: bytes) -> None:
@@ -39,7 +40,6 @@ def connect_tcp(peer: SimulatedPeer, host: str, port: int):
     stop = threading.Event()
 
     def read_loop() -> None:
-        sock.settimeout(0.2)
         while not stop.is_set():
             try:
                 data = sock.recv(65536)
@@ -429,6 +429,28 @@ class TestTcp:
                 accepted.close()
         finally:
             refused.close()
+            tcp.stop()
+
+    def test_a_connection_stop_closed_before_its_read_loop_ran_ends_quietly(self):
+        agent = make_agent()
+        stopped = threading.Event()
+
+        class LateReader(TcpAgentServer):
+            def _read_loop(self, conn, link_id):
+                stopped.wait(3.0)  # stop() closes the connection first
+                super()._read_loop(conn, link_id)
+
+        tcp = LateReader(agent, kind=RIC).start()
+        sock = socket.create_connection((tcp.host, tcp.port))
+        try:
+            assert wait_for(lambda: len(tcp._conns) == 1)
+            tcp.stop()
+            stopped.set()
+            assert wait_for(lambda: not tcp._conns)
+            assert not agent.repository.peers
+        finally:
+            stopped.set()
+            sock.close()
             tcp.stop()
 
     def test_a_link_the_agent_dropped_ends_its_read_loop_quietly(self):
