@@ -44,9 +44,9 @@ from .errors import (
     UnknownUe,
     ValidationFailed,
 )
-from .e2lite import E2LiteFrame, FrameReader, MsgType
+from .e2lite import JSON_ENCODER, E2LiteFrame, FrameReader, MsgType
 from .pml import DEFAULT_LOCKOUT_WINDOW_MS, Completion, FsApi, Pml
-from .slice_model import SliceRegistry, record_to_dict
+from .slice_model import SliceRegistry, fill_report, record_to_dict
 
 DEFAULT_QUEUE_DEPTH = 1024
 
@@ -144,6 +144,13 @@ class Subscription:
     service: str
     targets: dict
     reg_id: int
+    plan: Optional[tuple] = None  # its last SliceRegistry.report_plan, kept for that epoch
+    envelope: str = field(init=False)  # its indication payload, a %s where the report goes
+
+    def __post_init__(self) -> None:
+        encode = JSON_ENCODER.encode
+        self.envelope = '{"ran_function_id":%s,"report":%%s,"service":%s,"sub_id":%s}' % (
+            encode(self.function_id), encode(self.service), encode(self.sub_id))
 
 
 @dataclass
@@ -632,12 +639,10 @@ class Agent:
         self._require_activation(link, function_id)
         validated = e2lite.validate_sm_payload(MsgType.QUERY_REQUEST, function_id, payload,
                                                self._sm_functions)
-        report = self._build_report(validated["service"], validated["targets"])
-        self._send(
-            msg.link,
-            E2LiteFrame(MsgType.QUERY_RESPONSE, msg.frame.correlation_id,
-                        {"service": validated["service"], "report": report}),
-        )
+        service = validated["service"]
+        report = self._build_report(service, validated["targets"])
+        self._send(msg.link, E2LiteFrame(MsgType.QUERY_RESPONSE, msg.frame.correlation_id),
+                   '{"report":%s,"service":%s}' % (report, JSON_ENCODER.encode(service)))
 
     def _on_edit_config(self, msg: _Pending, link: PeerContext) -> None:
         if link.kind != SMO:
@@ -669,15 +674,24 @@ class Agent:
 
     # -- telemetry / alarms --------------------------------------------------------
 
-    def _build_report(self, service: str, targets: Mapping) -> dict:
-        """A query's or a periodic indication's report, from the published epoch."""
-        if service == "slice_context":
-            return self.registry.snapshot(slice_ids=targets.get("slice_ids", []))
-        if service == "ue_context":
-            return self.registry.snapshot(ue_ids=targets.get("ue_ids", []))
+    def _build_report(self, service: str, targets: Mapping,
+                      sub: Optional[Subscription] = None) -> str:
+        """The JSON text of a query's or a periodic indication's report, from
+        the published epoch. A subscription keeps its slice or UE report's
+        plan until the epoch changes; a query's plan is not kept."""
         if service == "context_change":
-            return self.registry.change_report(targets.get("slice_ids", []))
-        raise SchemaViolation(f"unknown service {service!r}")
+            return JSON_ENCODER.encode(self.registry.change_report(targets.get("slice_ids", [])))
+        plan = sub.plan if sub is not None else None
+        if plan is None or plan[0] is not self.registry.published:
+            if service == "slice_context":
+                plan = self.registry.report_plan(slice_ids=targets.get("slice_ids", []))
+            elif service == "ue_context":
+                plan = self.registry.report_plan(ue_ids=targets.get("ue_ids", []))
+            else:
+                raise SchemaViolation(f"unknown service {service!r}")
+            if sub is not None:
+                sub.plan = plan
+        return fill_report(plan[1], plan[2])
 
     def emit_telemetry(self, now_ns: int) -> int:
         """Send due periodic reports and event-triggered change reports."""
@@ -687,7 +701,7 @@ class Agent:
             if sub is None:
                 continue
             try:
-                report = self._build_report(sub.service, sub.targets)
+                report = self._build_report(sub.service, sub.targets, sub)
             except SliceModelError:
                 continue
             emitted += self._send_indication(sub, report)
@@ -695,21 +709,12 @@ class Agent:
             sub = self._sub_by_reg.get(reg.reg_id)
             if sub is None:
                 continue
-            emitted += self._send_indication(sub, {"records": [record_to_dict(record)]})
+            emitted += self._send_indication(
+                sub, JSON_ENCODER.encode({"records": [record_to_dict(record)]}))
         return emitted
 
-    def _send_indication(self, sub: Subscription, report: dict) -> bool:
-        frame = E2LiteFrame(
-            MsgType.INDICATION,
-            0,
-            {
-                "ran_function_id": sub.function_id,
-                "sub_id": sub.sub_id,
-                "service": sub.service,
-                "report": report,
-            },
-        )
-        return self._send(sub.link, frame)
+    def _send_indication(self, sub: Subscription, report: str) -> bool:
+        return self._send(sub.link, E2LiteFrame(MsgType.INDICATION, 0), sub.envelope % report)
 
     def raise_alarm(self, condition: str, detail: str, severity: str = "warning") -> None:
         payload = {"condition": condition, "detail": detail, "severity": severity}
@@ -720,13 +725,16 @@ class Agent:
 
     # -- plumbing ---------------------------------------------------------------------
 
-    def _send(self, link: PeerContext, frame: E2LiteFrame) -> bool:
-        """Send one frame; False if the link is detached. A send that raises
-        detaches the link and counts and alarms ``link_lost`` once."""
+    def _send(self, link: PeerContext, frame: E2LiteFrame, text: Optional[str] = None) -> bool:
+        """Send one frame; False if the link is detached. ``text``, when
+        given, is the payload's JSON, built already (a report); the frame's
+        payload is then not read. A send that raises (an oversized frame
+        too) detaches the link and counts and alarms ``link_lost`` once."""
         if not self.repository.attached(link):
             return False
         try:
-            link.send(e2lite.encode(frame))
+            link.send(e2lite.encode(frame) if text is None
+                      else e2lite.pack(frame.msg_type, frame.correlation_id, text))
         except Exception as exc:  # the peer's transport; any failure loses the link
             if self.detach_link(link.link_id):
                 self._count_failure("link_lost")

@@ -82,8 +82,9 @@ class E2LiteFrame:
 
 
 # what json.dumps(payload, sort_keys=True, separators=(",", ":")) would build
-# on every call; an encoder keeps no state between calls
-_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# on every call; an encoder keeps no state between calls. Every payload, and
+# every report text built ahead of its frame, is this compact sorted-key JSON.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def encode(frame: E2LiteFrame) -> bytes:
@@ -93,10 +94,18 @@ def encode(frame: E2LiteFrame) -> bytes:
         raise ValueError(f"msg_type out of range: {frame.msg_type}")
     if not 0 <= frame.correlation_id <= 0xFFFFFFFF:
         raise ValueError(f"correlation_id out of range: {frame.correlation_id}")
-    body = _JSON.encode(frame.payload).encode("utf-8")
+    return pack(frame.msg_type, frame.correlation_id, JSON_ENCODER.encode(frame.payload),
+                frame.version)
+
+
+def pack(msg_type: int, correlation_id: int, text: str, version: int = VERSION) -> bytes:
+    """The frame carrying payload JSON ``text``: the one place a header is
+    packed and ``MAX_FRAME`` enforced, for :func:`encode` and for report text
+    the agent builds itself."""
+    body = text.encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameTooLarge(f"payload of {len(body)} bytes exceeds {MAX_FRAME}")
-    return HEADER.pack(MAGIC, frame.version, frame.msg_type, frame.correlation_id, len(body)) + body
+    return HEADER.pack(MAGIC, version, msg_type, correlation_id, len(body)) + body
 
 
 def decode_first(data: bytes, offset: int = 0) -> tuple[E2LiteFrame, int]:
@@ -181,7 +190,7 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaViolation(msg)
 
 
-def _opt_uint(params: Mapping, key: str, minimum: int = 0) -> Optional[int]:
+def _opt_uint(params: dict, key: str, minimum: int = 0) -> Optional[int]:
     if key not in params:
         return None
     v = params[key]
@@ -190,8 +199,8 @@ def _opt_uint(params: Mapping, key: str, minimum: int = 0) -> Optional[int]:
     return v
 
 
-def validate_slice_config(params: Mapping) -> dict:
-    _require(isinstance(params, Mapping), "slice_config params must be an object")
+def validate_slice_config(params: dict) -> dict:
+    _require(isinstance(params, dict), "slice_config params must be an object")
     _require("slice_id" in params, "slice_config requires slice_id")
     out: dict = {"slice_id": params["slice_id"]}
     _require(isinstance(out["slice_id"], int), "slice_id must be an integer")
@@ -213,8 +222,8 @@ def validate_slice_config(params: Mapping) -> dict:
     return out
 
 
-def validate_ue_config(params: Mapping) -> dict:
-    _require(isinstance(params, Mapping), "ue_config params must be an object")
+def validate_ue_config(params: dict) -> dict:
+    _require(isinstance(params, dict), "ue_config params must be an object")
     _require("drb_id" in params, "ue_config requires drb_id")
     _require(isinstance(params["drb_id"], int), "drb_id must be an integer")
     bp = _opt_uint(params, "bearer_priority", 1)
@@ -225,16 +234,16 @@ def validate_ue_config(params: Mapping) -> dict:
 ROUTINES = {"slice_config": validate_slice_config, "ue_config": validate_ue_config}
 
 
-def validate_control_payload(payload: Mapping) -> dict:
-    _require(isinstance(payload, Mapping), "control payload must be an object")
+def validate_control_payload(payload: dict) -> dict:
+    _require(isinstance(payload, dict), "control payload must be an object")
     header = payload.get("control_header")
     message = payload.get("control_message")
-    _require(isinstance(header, Mapping), "missing control_header")
+    _require(isinstance(header, dict), "missing control_header")
     _require(header.get("target") in ("slice", "ue"), "control_header.target must be slice or ue")
     ids = header.get("ids")
     _require(isinstance(ids, list) and all(isinstance(i, int) for i in ids),
              "control_header.ids must be a list of integers")
-    _require(isinstance(message, Mapping), "missing control_message")
+    _require(isinstance(message, dict), "missing control_message")
     routine = message.get("routine")
     _require(routine in ROUTINES, f"unknown routine {routine!r}")
     params = ROUTINES[routine](message.get("params", {}))
@@ -244,8 +253,8 @@ def validate_control_payload(payload: Mapping) -> dict:
     }
 
 
-def validate_targets(targets: Mapping) -> dict:
-    _require(isinstance(targets, Mapping), "targets must be an object")
+def validate_targets(targets: dict) -> dict:
+    _require(isinstance(targets, dict), "targets must be an object")
     out = {}
     for key in ("slice_ids", "ue_ids"):
         ids = targets.get(key, [])
@@ -255,8 +264,8 @@ def validate_targets(targets: Mapping) -> dict:
     return out
 
 
-def validate_trigger(trigger: Mapping) -> dict:
-    _require(isinstance(trigger, Mapping), "trigger must be an object")
+def validate_trigger(trigger: dict) -> dict:
+    _require(isinstance(trigger, dict), "trigger must be an object")
     kind = trigger.get("kind")
     if kind == "periodic":
         period = trigger.get("period_ms")
@@ -269,8 +278,8 @@ def validate_trigger(trigger: Mapping) -> dict:
     raise SchemaViolation(f"unknown trigger kind {kind!r}")
 
 
-def validate_subscription_payload(payload: Mapping) -> dict:
-    _require(isinstance(payload, Mapping), "subscription payload must be an object")
+def validate_subscription_payload(payload: dict) -> dict:
+    _require(isinstance(payload, dict), "subscription payload must be an object")
     service = payload.get("service")
     _require(service in REPORT_SERVICES, f"unknown report service {service!r}")
     return {
@@ -280,15 +289,15 @@ def validate_subscription_payload(payload: Mapping) -> dict:
     }
 
 
-def validate_query_payload(payload: Mapping) -> dict:
-    _require(isinstance(payload, Mapping), "query payload must be an object")
+def validate_query_payload(payload: dict) -> dict:
+    _require(isinstance(payload, dict), "query payload must be an object")
     service = payload.get("service")
     _require(service in REPORT_SERVICES, f"unknown report service {service!r}")
     return {"service": service, "targets": validate_targets(payload.get("targets", {}))}
 
 
-def validate_setup_payload(payload: Mapping) -> dict:
-    _require(isinstance(payload, Mapping), "setup payload must be an object")
+def validate_setup_payload(payload: dict) -> dict:
+    _require(isinstance(payload, dict), "setup payload must be an object")
     ids = payload.get("activate", [])
     _require(isinstance(ids, list) and all(type(i) is int for i in ids),  # not bool
              "activate must be a list of integers")
@@ -306,7 +315,7 @@ _SCHEMAS = {
 def validate_sm_payload(
     msg_type: int,
     ran_function_id: int,
-    payload: Mapping,
+    payload: dict,
     functions: Mapping[int, str] = DEFAULT_FUNCTIONS,
 ) -> dict:
     """Check a function-specific payload against the schema of its message

@@ -16,15 +16,25 @@ UE ids they touched; a publish copies only those objects and shares every
 other object (and every map with no touched id) with the previous snapshot,
 so a one-change epoch costs one copy whatever the registry's size. A
 published object is never mutated afterwards, so sharing it is safe.
+
+Reports are compact sorted-key JSON text (:meth:`SliceRegistry.report_plan`).
+Because a published object never changes, its static text is built once and
+kept with it: a bearer's as a format string with a hole per statistic, a
+slice's or UE's as the keys after its bearer list. An entry is reused only for
+the identical published object, and a publish drops the entries of the ids it
+removes, so the store never outgrows the live registry.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
+from .e2lite import JSON_ENCODER
 from .errors import (
     DuplicateDrb,
     DuplicateSliceId,
@@ -214,9 +224,10 @@ def _copy_ue(ue: UEContext) -> UEContext:
     return replace(ue, bearers=list(ue.bearers))
 
 
-def _copy_on_write(previous: dict, live: dict, dirty: set[int], copy) -> dict:
+def _copy_on_write(previous: dict, live: dict, dirty: set[int], copy, texts: dict) -> dict:
     """``previous`` with each dirty id re-copied from ``live`` (or dropped if
-    gone); ``previous`` itself when nothing is dirty. Clears ``dirty``."""
+    gone, with its entry in ``texts``); ``previous`` itself when nothing is
+    dirty. Clears ``dirty``."""
     if not dirty:
         return previous
     out = dict(previous)
@@ -224,10 +235,50 @@ def _copy_on_write(previous: dict, live: dict, dirty: set[int], copy) -> dict:
         obj = live.get(key)
         if obj is None:
             out.pop(key, None)
+            texts.pop(key, None)
         else:
             out[key] = copy(obj)
     dirty.clear()
     return out
+
+
+# the BearerStats fields a report carries, in the sorted order of their keys
+_STATS = ("buffer_occupancy_bytes", "packet_delay_ms", "packet_loss_rate", "throughput_mbps")
+_stat_values = attrgetter(*_STATS)
+_HOLE = JSON_ENCODER.encode("\0")  # the placeholder value a hole replaces
+
+
+def _static_text(doc: dict) -> str:
+    """``doc`` as report JSON, with "%" escaped so it can be a format string."""
+    return JSON_ENCODER.encode(doc).replace("%", "%%")
+
+
+def _bearer_text(b: Bearer) -> str:
+    doc = {"drb_id": b.drb_id, "ue_id": b.ue_id, "slice_id": b.slice_id,
+           "bearer_priority": b.bearer_priority, "qos_5qi": b.qos_5qi}
+    doc.update(dict.fromkeys(_STATS, "\0"))
+    return _static_text(doc).replace(_HOLE, "%s")
+
+
+# a slice's or UE's keys after "bearers", which sorts first in both
+def _slice_tail(s: SliceContext) -> str:
+    return _static_text({"slice_id": s.slice_id, "state": s.state.value,
+                         "hu_associations": sorted(s.hu_associations),
+                         "fd_scheduler": s.fd_scheduler, "rrc": _rrc_dict(s.rrc)})[1:]
+
+
+def _ue_tail(ue: UEContext) -> str:
+    return _static_text({"ue_id": ue.ue_id, "mcs": ue.mcs, "cqi": ue.cqi, "bler": ue.bler})[1:]
+
+
+def fill_report(fmt: str, stats: Sequence[BearerStats]) -> str:
+    """The report text of a :meth:`SliceRegistry.report_plan`. Every
+    statistic is formatted by one encode of them all, so each reads exactly
+    as the encoder writes it (NaN, Infinity and ints included)."""
+    values = [v for s in stats for v in _stat_values(s)]
+    if not values:
+        return fmt % ()
+    return fmt % tuple(JSON_ENCODER.encode(values)[1:-1].split(","))
 
 
 @dataclass(frozen=True)
@@ -267,6 +318,9 @@ class SliceRegistry:
         self._dirty_bearers: set[int] = set()
         self._dirty_ues: set[int] = set()
         self._published = RegistrySnapshot(0, total_rb, {}, {}, {}, {})
+        # report text per published object: kind -> id -> (object, text)
+        self._texts: dict[str, dict[int, tuple[object, str]]] = {
+            "slices": {}, "bearers": {}, "ues": {}}
 
     # -- read side ----------------------------------------------------------
 
@@ -286,66 +340,58 @@ class SliceRegistry:
         """
         if not self.has_unpublished():
             return self._published
-        prev = self._published
+        prev, texts = self._published, self._texts
         snap = RegistrySnapshot(
             epoch=prev.epoch + 1,
             total_rb=self.total_rb,
-            slices=_copy_on_write(prev.slices, self._slices, self._dirty_slices, _copy_slice),
+            slices=_copy_on_write(prev.slices, self._slices, self._dirty_slices, _copy_slice,
+                                  texts["slices"]),
             # replace() keeps .stats: a bearer copy aliases the live telemetry
-            bearers=_copy_on_write(prev.bearers, self._bearers, self._dirty_bearers, replace),
-            ues=_copy_on_write(prev.ues, self._ues, self._dirty_ues, _copy_ue),
+            bearers=_copy_on_write(prev.bearers, self._bearers, self._dirty_bearers, replace,
+                                   texts["bearers"]),
+            ues=_copy_on_write(prev.ues, self._ues, self._dirty_ues, _copy_ue, texts["ues"]),
             record_watermark=dict(self._seq),
         )
         self._published = snap
         return snap
 
     def snapshot(self, slice_ids: Iterable[int] = (), ue_ids: Iterable[int] = ()) -> dict:
-        """Point-in-time report for the given targets, from the published epoch."""
-        snap = self._published
-        report: dict = {"slices": [], "ues": []}
-        for sid in slice_ids:
-            s = snap.slices.get(sid)
-            if s is None:
-                raise UnknownId(f"slice {sid}")
-            report["slices"].append(
-                {
-                    "slice_id": s.slice_id,
-                    "state": s.state.value,
-                    "hu_associations": sorted(s.hu_associations),
-                    "fd_scheduler": s.fd_scheduler,
-                    "rrc": _rrc_dict(s.rrc),
-                    "bearers": [self._bearer_report(snap, d) for d in sorted(s.bearers)],
-                }
-            )
-        for uid in ue_ids:
-            ue = snap.ues.get(uid)
-            if ue is None:
-                raise UnknownId(f"ue {uid}")
-            report["ues"].append(
-                {
-                    "ue_id": ue.ue_id,
-                    "mcs": ue.mcs,
-                    "cqi": ue.cqi,
-                    "bler": ue.bler,
-                    "bearers": [self._bearer_report(snap, d) for d in sorted(ue.bearers)],
-                }
-            )
-        return report
+        """Point-in-time report for the given targets, from the published
+        epoch: the decoded text of :meth:`report_plan`, as the agent sends it."""
+        _, fmt, stats = self.report_plan(slice_ids, ue_ids)
+        return json.loads(fill_report(fmt, stats))
 
-    @staticmethod
-    def _bearer_report(snap: RegistrySnapshot, drb_id: int) -> dict:
-        b = snap.bearers[drb_id]
-        return {
-            "drb_id": b.drb_id,
-            "ue_id": b.ue_id,
-            "slice_id": b.slice_id,
-            "bearer_priority": b.bearer_priority,
-            "qos_5qi": b.qos_5qi,
-            "throughput_mbps": b.stats.throughput_mbps,
-            "packet_delay_ms": b.stats.packet_delay_ms,
-            "packet_loss_rate": b.stats.packet_loss_rate,
-            "buffer_occupancy_bytes": b.stats.buffer_occupancy_bytes,
-        }
+    def report_plan(self, slice_ids: Iterable[int] = (), ue_ids: Iterable[int] = ()
+                    ) -> tuple[RegistrySnapshot, str, list[BearerStats]]:
+        """The report of the given targets in the published epoch, unfilled:
+        the snapshot read, a format string with a ``%s`` hole per bearer
+        statistic, and the live stats that fill the holes, in order (see
+        :func:`fill_report`). Raises :class:`UnknownId` for an id not in it."""
+        snap = self._published
+        stats: list[BearerStats] = []
+        lists = []
+        for kind, ids, table, tail_of in (("slices", slice_ids, snap.slices, _slice_tail),
+                                          ("ues", ue_ids, snap.ues, _ue_tail)):
+            entries = []
+            for i in ids:
+                obj = table.get(i)
+                if obj is None:
+                    raise UnknownId(f"{kind[:-1]} {i}")
+                bearers = [snap.bearers[d] for d in sorted(obj.bearers)]
+                stats.extend(b.stats for b in bearers)
+                entries.append('{"bearers":[' + ",".join(
+                    self._text("bearers", b.drb_id, b, _bearer_text) for b in bearers)
+                    + "]," + self._text(kind, i, obj, tail_of))
+            lists.append(",".join(entries))
+        return snap, '{"slices":[%s],"ues":[%s]}' % tuple(lists), stats
+
+    def _text(self, kind: str, key: int, obj, make) -> str:
+        """``make(obj)``, kept under ``key`` while ``obj`` is the object asked for."""
+        store = self._texts[kind]
+        hit = store.get(key)
+        if hit is None or hit[0] is not obj:
+            hit = store[key] = (obj, make(obj))
+        return hit[1]
 
     def change_report(self, slice_ids: Sequence[int] = ()) -> dict:
         """Every published change record of ``slice_ids`` (of all slices, in

@@ -1,15 +1,19 @@
 """Agent pipeline: catalog, setup/locks, dispatch, managers, telemetry, alarms."""
 
 import copy
+import gc
+import hashlib
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
+import _report_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +31,7 @@ from hexsim.errors import (
     SchemaViolation,
     ShortFrame,
     UnknownFunction,
+    UnknownId,
 )
 from hexsim.pml import Completion, FsApi, Pml
 from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc
@@ -160,6 +165,11 @@ ric.query(1, "context_change")  # over the queue depth: a failure and an alarm
 step()
 print(json.dumps(sent))
 """
+
+# sha256 of _WIRE_SCRIPT's output (UTF-8), recorded while the agent still built
+# every report as a dict tree and encoded it whole: report text assembled from
+# cached fragments must leave every byte as it was
+WIRE_SHA256 = "0736c97e4fe8141d923da7cf2990899ccb58af6565f970242a73dfa53b9cc5b3"
 
 
 def _run_under_hash_seed(script: str, seed: int) -> str:
@@ -804,6 +814,131 @@ class TestOneReportBuilder:
         assert [(r["slice_id"], r["seq"]) for r in records] == [(3, 1)]
         records = ric.responses[every].payload["report"]["records"]
         assert {r["slice_id"] for r in records} == {1, 2, 3}
+
+
+# text JSON escapes, or a format string would misread
+_AWKWARD_TEXT = st.text(st.sampled_from('ab"\\%\u00e9\u4e2d\U0001f600\n\x00'), max_size=5)
+# st.floats() draws NaN and both infinities too
+_STAT = st.one_of(st.floats(), st.integers(-2**70, 2**70))
+_EVERY_MS = {"kind": "periodic", "period_ms": 1}
+
+
+class _RawPeer(SimulatedPeer):
+    """A controller that also keeps every frame the agent sent it, as bytes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.raw: list[bytes] = []
+
+    def on_bytes(self, data: bytes) -> None:
+        self.raw.append(data)
+        super().on_bytes(data)
+
+    def sent(self, msg_type: int) -> list[bytes]:
+        return [data for data in self.raw
+                if e2lite.HEADER.unpack_from(data)[2] == msg_type]
+
+
+class TestReportText:
+    """Reports are assembled from text cached per published object; every
+    byte on the wire stays what encoding the whole report as dicts gives."""
+
+    def test_the_wire_bytes_match_the_digest_pinned_before_report_text(self):
+        out = _run_under_hash_seed(_WIRE_SCRIPT, 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == WIRE_SHA256
+
+    @settings(max_examples=60, deadline=None)
+    @given(slices=st.lists(st.tuples(st.frozensets(_AWKWARD_TEXT, max_size=3), _AWKWARD_TEXT),
+                           min_size=1, max_size=3),
+           blers=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           bearers=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=5),
+           data=st.data())
+    def test_report_frames_match_the_oracle_byte_for_byte(self, slices, blers, bearers, data):
+        stack = Stack(n_slices=0)
+        reg = stack.registry
+        for sid, (hus, scheduler) in enumerate(slices, start=1):
+            reg.create_slice(sid, SliceState.SHARED, fd_scheduler=scheduler,
+                             hu_associations=hus)
+        for uid, bler in enumerate(blers, start=1):
+            reg.add_ue(UEContext(ue_id=uid, bler=bler))
+        # added in falling drb order, so a report's sorting shows; some slices
+        # and UEs are left with no bearer
+        for k, (s, u) in enumerate(bearers):
+            sid = s % len(slices) + 1
+            reg.add_drb(sid, Bearer(drb_id=100 - k, ue_id=u % len(blers) + 1, slice_id=sid), T)
+        reg.publish()
+        ric = _RawPeer("ric-1", RIC)
+        connect_inproc(stack.agent, ric, "link-ric-1")
+        stack.settle()
+        snap = reg.published
+        targets = {
+            "slice_context": {"slice_ids": data.draw(
+                st.lists(st.sampled_from(sorted(snap.slices)), max_size=4))},
+            "ue_context": {"ue_ids": data.draw(
+                st.lists(st.sampled_from(sorted(snap.ues)), max_size=4))},
+        }
+        subs = {service: ric.subscribe(1, service, trigger=_EVERY_MS, **t)
+                for service, t in targets.items()}
+        stack.settle()
+        sub_ids = {service: ric.responses[corr].payload["sub_id"]
+                   for service, corr in subs.items()}
+        # twice in one epoch: the second report reuses the first's plan
+        for _ in range(2):
+            for drb in snap.bearers:
+                stats = data.draw(st.tuples(_STAT, _STAT, _STAT, _STAT))
+                reg.get_bearer(drb).stats.__init__(*stats)
+            ric.raw.clear()
+            queries = {service: ric.query(1, service, **t) for service, t in targets.items()}
+            stack.settle()
+            assert reg.published is snap
+            expected = []
+            for service, t in targets.items():
+                report = oracle.report(snap, **t)
+                expected.append(oracle.frame_bytes(
+                    MsgType.QUERY_RESPONSE, queries[service],
+                    {"service": service, "report": report}))
+                expected.append(oracle.frame_bytes(
+                    MsgType.INDICATION, 0, {"ran_function_id": 1, "sub_id": sub_ids[service],
+                                            "service": service, "report": report}))
+            got = ric.sent(MsgType.QUERY_RESPONSE) + ric.sent(MsgType.INDICATION)
+            assert sorted(got) == sorted(expected)
+
+    def test_an_unknown_id_raises_before_anything_is_sent(self):
+        stack = Stack()
+        ric = _RawPeer("ric-1", RIC)
+        connect_inproc(stack.agent, ric, "link-ric-1")
+        stack.settle()
+        with pytest.raises(UnknownId):
+            stack.registry.report_plan(slice_ids=[1, 9])
+        ric.subscribe(1, "ue_context", ue_ids=[10, 20], trigger=_EVERY_MS)
+        stack.settle(2)
+        assert ric.sent(MsgType.INDICATION)
+        stack.registry.remove_drb(2, 20, T)
+        stack.registry.remove_ue(20)
+        stack.registry.publish()
+        corr = ric.query(1, "ue_context", ue_ids=[10, 20])
+        ric.raw.clear()
+        stack.settle(3)
+        assert ric.sent(MsgType.INDICATION) == []
+        assert ric.sent(MsgType.QUERY_RESPONSE) == []
+        assert ric.responses[corr].payload == {"cause": "unknown_id", "detail": "ue 20"}
+
+    def test_detaching_a_link_drops_its_subscriptions_plans(self):
+        stack = Stack()
+        ric = stack.attach()
+        ric.subscribe(1, "slice_context", slice_ids=[1, 2], trigger=_EVERY_MS)
+        ric.subscribe(1, "ue_context", ue_ids=[10], trigger=_EVERY_MS)
+        stack.settle(3)
+        subs = list(stack.agent._sub_by_reg.values())
+        assert len(subs) == 2 and all(s.plan is not None for s in subs)
+        built_on = weakref.ref(stack.registry.published)
+        del subs
+        stack.agent.detach_link("link-ric-1")
+        assert stack.agent._sub_by_reg == {}
+        stack.registry.update_slice(1, T, hu_associations={"hu-x"})
+        stack.registry.publish()
+        gc.collect()
+        assert built_on() is None  # no plan still holds the epoch it was built on
 
 
 class TestOamPath:

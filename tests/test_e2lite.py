@@ -301,3 +301,29 @@ class TestServiceModelValidation:
         q = e2lite.validate_sm_payload(MsgType.QUERY_REQUEST, 1, {
             "service": "slice_context", "targets": {"slice_ids": [1]}})
         assert q["targets"]["slice_ids"] == [1]
+
+    @pytest.mark.parametrize("not_an_object", [[], ["slice_id", 2], "x", "", 7, None])
+    def test_a_list_or_string_where_an_object_belongs_is_a_schema_violation(
+            self, not_an_object):
+        """The validators check for dict, which is what a decoded payload holds."""
+        control = self.control("slice_config", {"slice_id": 2})
+        cases = [
+            (CONTROL, not_an_object),
+            (CONTROL, dict(control, control_header=not_an_object)),
+            (CONTROL, dict(control, control_message=not_an_object)),
+            (CONTROL, self.control("slice_config", not_an_object)),
+            (CONTROL, self.control("ue_config", not_an_object, target="ue")),
+            (MsgType.SUBSCRIPTION_REQUEST, not_an_object),
+            (MsgType.SUBSCRIPTION_REQUEST, {"service": "ue_context", "targets": not_an_object,
+                                            "trigger": {"kind": "event",
+                                                        "event": "context_change"}}),
+            (MsgType.SUBSCRIPTION_REQUEST, {"service": "ue_context", "targets": {},
+                                            "trigger": not_an_object}),
+            (MsgType.QUERY_REQUEST, not_an_object),
+            (MsgType.QUERY_REQUEST, {"service": "ue_context", "targets": not_an_object}),
+        ]
+        for msg_type, payload in cases:
+            with pytest.raises(SchemaViolation):
+                e2lite.validate_sm_payload(msg_type, 1, payload)
+        with pytest.raises(SchemaViolation):
+            e2lite.validate_setup_payload(not_an_object)

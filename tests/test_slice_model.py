@@ -305,6 +305,34 @@ class TestRecordsAndSnapshots:
         with pytest.raises(UnknownId):
             reg.snapshot(ue_ids=[4])
 
+    def test_the_report_text_store_never_outgrows_the_published_registry(self):
+        reg = make_registry()
+        reg.create_slice(1, SliceState.SHARED)
+        reg.add_ue(UEContext(ue_id=5))
+        for drb in range(1, 301):  # a fresh drb id per epoch, three bearers live
+            reg.add_drb(1, Bearer(drb_id=drb, ue_id=5, slice_id=1), T)
+            if drb > 3:
+                reg.remove_drb(1, drb - 3, T)
+            snap = reg.publish()
+            reg.report_plan(slice_ids=[1], ue_ids=[5])
+            live = len(snap.slices) + len(snap.bearers) + len(snap.ues)
+            assert sum(len(store) for store in reg._texts.values()) <= live
+        assert set(reg._texts["bearers"]) == set(snap.bearers) == {298, 299, 300}
+
+    def test_a_republished_object_gets_fresh_report_text(self):
+        reg = make_registry()
+        reg.create_slice(1, SliceState.SHARED, hu_associations={"50%"})
+        add_session(reg, 1, 11, ue_id=5)
+        reg.publish()
+        assert reg.snapshot(slice_ids=[1])["slices"][0]["hu_associations"] == ["50%"]
+        reg.set_bearer_priority(11, 4, T)
+        reg.update_slice(1, T, hu_associations={"60%"})
+        reg.publish()
+        report = reg.snapshot(slice_ids=[1], ue_ids=[5])
+        assert report["slices"][0]["hu_associations"] == ["60%"]
+        assert [b["bearer_priority"] for b in report["slices"][0]["bearers"]] == [4]
+        assert [b["bearer_priority"] for b in report["ues"][0]["bearers"]] == [4]
+
     def test_snapshot_reads_published_epoch_not_live_state(self):
         reg = make_registry()
         reg.create_slice(1, SliceState.SHARED)

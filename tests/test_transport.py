@@ -32,17 +32,24 @@ def connect_tcp(peer: SimulatedPeer, host: str, port: int):
     sock = socket.create_connection((host, port))
     sock.settimeout(0.2)  # before close() can run under the read loop
     lock = threading.Lock()
+    stop = threading.Event()
 
     def send(data: bytes) -> None:
+        # the read loop may still be answering a frame (a setup request, say)
+        # when close() shuts the socket under it
         with lock:
-            sock.sendall(data)
-
-    stop = threading.Event()
+            try:
+                sock.sendall(data)
+            except OSError:
+                if not stop.is_set():
+                    raise
 
     def read_loop() -> None:
         while not stop.is_set():
             try:
                 data = sock.recv(65536)
+            except socket.timeout:  # an OSError too: a quiet link, not a closed one
+                continue
             except OSError:
                 break
             if not data:
