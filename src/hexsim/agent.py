@@ -714,7 +714,14 @@ class Agent:
         return emitted
 
     def _send_indication(self, sub: Subscription, report: str) -> bool:
-        return self._send(sub.link, E2LiteFrame(MsgType.INDICATION, 0), sub.envelope % report)
+        try:
+            return self._send(sub.link, E2LiteFrame(MsgType.INDICATION, 0), sub.envelope % report)
+        except CodecError as exc:  # too large for one frame: end the subscription, keep the link
+            with self._state:
+                if self._sub_by_reg.pop(sub.reg_id, None) is not None:
+                    self.pml.drop_registration(sub.reg_id)
+            self._count_failure(failure_cause(exc))
+            return False
 
     def raise_alarm(self, condition: str, detail: str, severity: str = "warning") -> None:
         payload = {"condition": condition, "detail": detail, "severity": severity}
@@ -726,15 +733,15 @@ class Agent:
     # -- plumbing ---------------------------------------------------------------------
 
     def _send(self, link: PeerContext, frame: E2LiteFrame, text: Optional[str] = None) -> bool:
-        """Send one frame; False if the link is detached. ``text``, when
-        given, is the payload's JSON, built already (a report); the frame's
-        payload is then not read. A send that raises (an oversized frame
-        too) detaches the link and counts and alarms ``link_lost`` once."""
+        """Send one frame; False if the link is detached. ``text``, a report's
+        JSON built already, replaces the frame's payload and raises
+        ``FrameTooLarge`` over ``MAX_FRAME``; any other failure detaches the
+        link and counts and alarms ``link_lost`` once."""
         if not self.repository.attached(link):
             return False
+        packed = None if text is None else e2lite.pack(frame.msg_type, frame.correlation_id, text)
         try:
-            link.send(e2lite.encode(frame) if text is None
-                      else e2lite.pack(frame.msg_type, frame.correlation_id, text))
+            link.send(e2lite.encode(frame) if packed is None else packed)
         except Exception as exc:  # the peer's transport; any failure loses the link
             if self.detach_link(link.link_id):
                 self._count_failure("link_lost")

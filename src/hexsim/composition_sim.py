@@ -105,15 +105,9 @@ class RouteResult:
 class HuCluster:
     """Instances, chains, routing, and threshold autoscaling for one deployment."""
 
-    def __init__(
-        self,
-        pools: Mapping[str, NfPool],
-        chains: Mapping[str, Sequence[str]],
-        autoscale: bool = True,
-    ):
+    def __init__(self, pools: Mapping[str, NfPool], chains: Mapping[str, Sequence[str]]):
         self.pools = dict(pools)
         self.chains = {name: tuple(hops) for name, hops in chains.items()}
-        self.autoscale_enabled = autoscale
         for name, hops in self.chains.items():
             for hop in hops:
                 if hop not in self.pools:
@@ -147,9 +141,7 @@ class HuCluster:
 
     def autoscale_tick(self) -> list[tuple[str, int]]:
         """Add one instance to each over-threshold scalable kind; rebalance is
-        implicit in the equal-split load model. No-op when autoscaling is off."""
-        if not self.autoscale_enabled:
-            return []
+        implicit in the equal-split load model."""
         actions = []
         for kind in sorted(self.pools):
             pool = self.pools[kind]
@@ -172,13 +164,13 @@ def build_cluster(mode: str, capacities: Optional[Mapping[str, float]] = None) -
             for kind in USER_PLANE_CHAIN
         }
         pools["hu6"] = NfPool("hu6", 0.0, instances=1, scalable=False, user_plane=False)
-        return HuCluster(pools, {"user": USER_PLANE_CHAIN}, autoscale=True)
+        return HuCluster(pools, {"user": USER_PLANE_CHAIN})
     if mode == "baseline":
         pools = {
             "du": NfPool("du", caps["du"], instances=1, scalable=False),
             "cu": NfPool("cu", caps["cu"], instances=1, scalable=False),
         }
-        return HuCluster(pools, {"user": BASELINE_CHAIN}, autoscale=False)
+        return HuCluster(pools, {"user": BASELINE_CHAIN})
     raise ValueError(f"unknown mode {mode!r}")
 
 

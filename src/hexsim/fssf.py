@@ -430,6 +430,10 @@ class AlgorithmRegistry:
         self._algos[name] = algo
         self._generation += 1
 
+    @property
+    def generation(self) -> int:  # moved by every register
+        return self._generation
+
     def get(self, name: str) -> Algorithm:
         try:
             return self._algos[name]

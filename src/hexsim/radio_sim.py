@@ -82,6 +82,7 @@ class _Epoch:
     """
 
     number: int
+    generation: int  # the AlgorithmRegistry's: a re-registered name takes effect
     slices: tuple[fssf.SliceInput, ...]
     ue_rate: dict[int, float]
     drb_ids: tuple[int, ...]
@@ -120,10 +121,9 @@ class Cell:
         self.link = link_state or LinkState()
         self.tti_index = 0
         self.buffers: dict[int, float] = {}
-        self.offered: dict[int, float] = {}
         self._arrivals: dict[int, float] = {}  # bytes per tick, for each non-zero offered rate
         self.histories: dict[int, dict] = {}
-        self._epoch = _Epoch(-1, (), {}, (), (), (), (), False)
+        self._epoch = _Epoch(-1, -1, (), {}, (), (), (), (), False)
         self._tti_s = cfg.tti_ms / 1000.0
         self._alpha = cfg.tti_ms / STATS_WINDOW_MS
         # window accumulators (reset by end_window)
@@ -143,7 +143,6 @@ class Cell:
 
     def detach_bearer(self, drb: int) -> None:
         self.buffers.pop(drb, None)
-        self.offered.pop(drb, None)
         self._arrivals.pop(drb, None)
 
     def set_offered(self, drb: int, mbps: float) -> None:
@@ -153,7 +152,6 @@ class Cell:
 
     def _offer(self, drb: int, mbps: float) -> None:
         arriving = offered_bytes_per_tick(mbps, self._tti_s)
-        self.offered[drb] = mbps
         if mbps:
             self._arrivals[drb] = arriving
         else:
@@ -203,8 +201,8 @@ class Cell:
         stateless = all(
             getattr(self.algorithms.get(s.fd_scheduler), "stateless", False) for s in slices
         )
-        return _Epoch(snap.epoch, tuple(slices), ue_rate, tuple(drb_ids), tuple(bits),
-                      tuple(capacity), tuple(stats), stateless)
+        return _Epoch(snap.epoch, self.algorithms.generation, tuple(slices), ue_rate,
+                      tuple(drb_ids), tuple(bits), tuple(capacity), tuple(stats), stateless)
 
     def step_tti(self) -> fssf.ScheduleDecision:
         """Advance one tick: arrivals, schedule, drain, stats.
@@ -213,7 +211,7 @@ class Cell:
         the tick that computed it.
         """
         ep = self._epoch
-        if ep.number != self.registry.published.epoch:
+        if ep.number != self.registry.published.epoch or ep.generation != self.algorithms.generation:
             ep = self._epoch = self._rebuild_structure()
             self._prune_pf_histories()
         buffers = self.buffers
@@ -300,7 +298,8 @@ class Cell:
         """
         ep = self._epoch
         decision = ep.last_decision
-        if k <= 0 or decision is None or ep.number != self.registry.published.epoch:
+        if (k <= 0 or decision is None or ep.number != self.registry.published.epoch
+                or ep.generation != self.algorithms.generation):
             return 0  # nothing to reuse (a stateful epoch sets no memo), or a new epoch
         buffers, arrivals, last_demands = self.buffers, self._arrivals, ep.last_demands
         per_drb_rb = decision.plan.per_drb_rb

@@ -3,18 +3,19 @@
 The agent core is synchronous; this module supplies the two drive modes the
 harness needs: an in-process duplex link (function-call transport, usable from
 both deterministic and threaded drivers) and a TCP listener speaking the same
-framing. :class:`ThreadedAgentServer` runs the core on one loop thread,
-concurrently with the links' I/O threads: it calls ``Agent.pump``, then
-``Agent.step`` on the ``TICK_MS`` grid when the agent has work, and otherwise
-sleeps until a frame arrives or the next periodic report is due; ``stop``
-joins it and then calls ``Agent.flush``, so every message received gets its
-one response. :class:`TcpAgentServer` closes a connection the agent refuses
-to attach (a link or peer id already attached) and keeps accepting.
+framing. :class:`ThreadedAgentServer` runs the core on one loop thread: it
+calls ``Agent.pump``, then ``Agent.step`` on the ``TICK_MS`` grid when the
+agent has work, and otherwise sleeps until a frame arrives or the next
+periodic report is due; ``stop`` joins it and then calls ``Agent.flush``, so
+every message received gets its one response. :class:`TcpAgentServer` waits
+in one selector on one thread, ``agent-tcp``: it attaches each connection as
+a link (closing one the agent refuses) and hands each read to ``Agent.receive``.
 """
 
 from __future__ import annotations
 
 import math
+import selectors
 import socket
 import threading
 from typing import Callable, Optional
@@ -24,6 +25,7 @@ from .clocks import ms_to_ns
 from .errors import AgentError
 
 TICK_MS = 1.0  # the threaded server's step grid: at most one boundary per 1 ms
+SEND_TIMEOUT_S = 0.2  # a TCP send blocked longer fails; the agent detaches its link
 
 
 class InProcessDuplex:
@@ -83,83 +85,81 @@ class TcpAgentServer:
     """Stream listener for one interface; every connection becomes a peer link."""
 
     def __init__(self, agent: Agent, kind: str = RIC, host: str = "127.0.0.1", port: int = 0):
-        self.agent = agent
-        self.kind = kind
+        self.agent, self.kind = agent, kind
         self._sock = socket.create_server((host, port))
+        self._sock.setblocking(False)  # accepts only when the selector reports a connection
         self.host, self.port = self._sock.getsockname()
-        self._stop = threading.Event()
-        self._accept_thread: Optional[threading.Thread] = None
-        # open connections; set add, discard and copy are atomic
-        self._conns: set[socket.socket] = set()
+        # stop() closes _waker, so _wake reads end of stream: a socket pair
+        # wakes a selector on every platform, a shut listener only on some
+        self._wake, self._waker = socket.socketpair()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._sock, selectors.EVENT_READ, self._accept)
+        self._sel.register(self._wake, selectors.EVENT_READ)
+        self._thread: Optional[threading.Thread] = None
+        self._accepted = 0
+        self._conns: dict[socket.socket, str] = {}  # open connection -> link id
 
     def start(self) -> "TcpAgentServer":
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._thread = threading.Thread(target=self._loop, name="agent-tcp", daemon=True)
+        self._thread.start()
         return self
 
-    def _accept_loop(self) -> None:
-        self._sock.settimeout(0.2)
-        n = 0
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            # set before stop() can close the connection under its read loop
-            conn.settimeout(0.2)
-            n += 1
-            link_id = f"{self.kind}-tcp-{n}"
-            peer_id = f"{self.kind}-{addr[0]}:{addr[1]}"
-            send_lock = threading.Lock()
-
-            def sender(data: bytes, c=conn, lk=send_lock):
-                with lk:
-                    c.sendall(data)
-
-            try:
-                self.agent.attach_link(link_id, peer_id, self.kind, send=sender)
-            except AgentError:  # a link or peer id already attached: refuse it
-                conn.close()
-                continue
-            self._conns.add(conn)
-            t = threading.Thread(target=self._read_loop, args=(conn, link_id), daemon=True)
-            t.start()
-
-    def _read_loop(self, conn: socket.socket, link_id: str) -> None:
+    def _loop(self) -> None:
         try:
-            while not self._stop.is_set():
-                try:
-                    data = conn.recv(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not data:
-                    break
-                try:
-                    self.agent.receive(link_id, data)
-                except AgentError:  # the agent detached the link: a send failed
-                    break
+            while True:
+                for key, _ in self._sel.select():
+                    if key.data is None:  # the wake socket: stop() was called
+                        return
+                    key.data(key.fileobj)
         finally:
-            self.agent.detach_link(link_id)
-            self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
+            for conn in list(self._conns):
+                self._drop(conn)
+
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            conn, addr = listener.accept()
+        except OSError as exc:  # BlockingIOError: nothing to accept after all
+            if not isinstance(exc, BlockingIOError):
+                self._sel.unregister(listener)  # the listener failed: keep serving the links
+            return
+        conn.settimeout(SEND_TIMEOUT_S)
+        self._accepted += 1
+        link_id, peer_id = f"{self.kind}-tcp-{self._accepted}", f"{self.kind}-{addr[0]}:{addr[1]}"
+        send_lock = threading.Lock()
+
+        def sender(data: bytes, c=conn, lk=send_lock):
+            with lk:
+                c.sendall(data)
+
+        try:
+            self.agent.attach_link(link_id, peer_id, self.kind, send=sender)
+        except AgentError:  # a link or peer id already attached: refuse it
+            conn.close()
+            return
+        self._conns[conn] = link_id
+        self._sel.register(conn, selectors.EVENT_READ, self._read)
+
+    def _read(self, conn: socket.socket) -> None:
+        try:
+            if data := conn.recv(65536):
+                self.agent.receive(self._conns[conn], data)
+                return
+        except (OSError, AgentError):  # a reset, or the agent dropped the link
+            pass
+        self._drop(conn)
+
+    def _drop(self, conn: socket.socket) -> None:
+        self._sel.unregister(conn)
+        self.agent.detach_link(self._conns[conn])
+        del self._conns[conn]
+        conn.close()
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        for c in list(self._conns):
-            try:
-                c.close()
-            except OSError:
-                pass
-        if self._accept_thread:
-            self._accept_thread.join(timeout=1.0)
+        """Wake the I/O thread and join it (its sends end within ``SEND_TIMEOUT_S``);
+        it closes every connection and detaches its link, so once this returns
+        no thread of this server calls ``Agent.receive``."""
+        self._waker.close()
+        if self._thread:
+            self._thread.join()
+        for resource in (self._sel, self._sock, self._wake):
+            resource.close()

@@ -750,6 +750,53 @@ class TestSubscriptionsAndQueries:
         assert ric.responses[corr].payload["report"] == {"slices": [], "ues": []}
 
 
+class TestOversizedReport:
+    """A report too large for one frame fails its own request; the link that
+    asked stays attached."""
+
+    TARGETS = {"slice_ids": [1] * 2000}  # one 8-bearer slice, 2,000 times: over MAX_FRAME
+
+    @staticmethod
+    def stack():
+        stack = Stack(n_slices=1)
+        for drb in range(11, 18):
+            stack.registry.add_drb(1, Bearer(drb_id=drb, ue_id=10, slice_id=1), T)
+        stack.registry.publish()
+        return stack
+
+    def test_a_query_answers_a_codec_failure(self):
+        stack = self.stack()
+        ric = stack.attach()
+        corr = ric.query(1, "slice_context", **self.TARGETS)
+        stack.settle()
+        failure = ric.responses[corr]
+        assert failure.msg_type == MsgType.CONTROL_FAILURE
+        assert failure.payload["cause"] == "codec"
+        assert stack.agent.failures_by_cause == {"codec": 1}
+        corr = ric.query(1, "slice_context", slice_ids=[1])
+        stack.settle()
+        assert len(ric.responses[corr].payload["report"]["slices"][0]["bearers"]) == 8
+
+    def test_a_periodic_indication_ends_its_subscription_and_is_counted(self):
+        """Its first oversized report ends the subscription, so the agent does
+        not build a report over MAX_FRAME every period; the link stays."""
+        stack = self.stack()
+        ric = stack.attach()
+        corr = ric.subscribe(1, "slice_context", trigger={"kind": "periodic", "period_ms": 5},
+                             **self.TARGETS)
+        stack.settle()
+        assert ric.responses[corr].msg_type == MsgType.SUBSCRIPTION_RESPONSE
+        built = []
+        build = stack.agent._build_report
+        stack.agent._build_report = lambda *args: built.append(args[0]) or build(*args)
+        stack.run_ms(21)
+        assert built == ["slice_context"]
+        assert ric.indications == []
+        assert stack.agent.failures_by_cause == {"codec": 1}
+        assert not stack.agent._sub_by_reg and not stack.pml._registrations
+        assert stack.agent.repository.peer("ric-1") is not None
+
+
 # per service: the targets of a query and of a periodic subscription
 _REPORT_TARGETS = [
     ("slice_context", {"slice_ids": [2, 1]}),

@@ -205,16 +205,18 @@ class TestOfferedRates:
         cell, _ = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
         with pytest.raises(ValueError, match="offered rate"):
             cell.attach_bearer(12, mbps)
-        assert not cell.has_bearer(12) and 12 not in cell.offered
+        assert not cell.has_bearer(12)
+        cell.step_tti()  # none of the refused rate arrives: 12 gets no buffer
+        assert 12 not in cell.buffers and 12 not in cell.end_window().served_mbps
 
     @pytest.mark.parametrize("mbps", BAD)
     def test_set_offered_refuses_a_bad_rate_and_keeps_the_old_one(self, mbps):
         cell, _ = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 10.0)])})
         with pytest.raises(ValueError, match="offered rate"):
             cell.set_offered(11, mbps)
-        assert cell.offered[11] == 10.0
         cell.step_tti()
         assert cell.buffers[11] == 0.0  # 1,250 bytes arrived and were served
+        assert cell.end_window().served_mbps[11] == pytest.approx(10.0)  # the old rate
 
 
 class TestBearerTable:
@@ -313,6 +315,23 @@ class TestDecisionMemo:
         assert len(calls) == 2
         assert calls[1].demands == calls[0].demands
         assert calls[1].slices is not calls[0].slices
+
+    def test_a_re_registered_algorithm_forces_a_fresh_decision(self):
+        def highest_id_first(budget, drbs, history):
+            top = max(drbs, key=lambda d: d.drb_id)
+            return {top.drb_id: min(budget, top.demand_rb)}
+
+        highest_id_first.stateless = True
+        algorithms = fssf.AlgorithmRegistry()
+        # overloaded: both demands sit at the 10-RB cap, so every tick hits the memo
+        cell, reg = build_cell({1: (SliceState.SHARED, {}, [(11, 1, 50.0), (12, 2, 50.0)])},
+                               total_rb=10, algorithms=algorithms)
+        reg.update_slice(1, T, fd_scheduler="max_throughput")
+        assert self._steps(cell, reg, 2)[-1].plan.per_drb_rb == {11: 10}
+        algorithms.register("max_throughput", highest_id_first)
+        assert cell.repeat_tti(5) == 0
+        assert self._steps(cell, reg, 1)[-1].plan.per_drb_rb == {12: 10}
+        assert cell.repeat_tti(5) == 5
 
     def test_demands_a_b_a_schedule_three_times(self, calls):
         cell, reg = self._cell()

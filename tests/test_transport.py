@@ -1,5 +1,6 @@
 """Transports: threaded pipeline wrapper and the TCP endpoint."""
 
+import json
 import socket
 import sys
 import threading
@@ -242,6 +243,32 @@ class TestDeadLink:
         finally:
             server.stop()
 
+    def test_a_failure_answer_over_max_frame_loses_the_link_not_the_loop(self):
+        """A failure answer repeats the peer's unknown service name. An astral
+        character is 4 bytes of UTF-8 in the request and 12 once ASCII-escaped
+        in the answer, so a 400 KB request gets an answer over MAX_FRAME."""
+        agent = make_agent(doc=_TWO_FUNCTIONS)
+        server = ThreadedAgentServer(agent).start()
+        try:
+            big = SimulatedPeer("ric-a", RIC, activate=[1])
+            live = SimulatedPeer("ric-b", RIC, activate=[2])
+            connect_inproc(agent, big, "link-a")
+            connect_inproc(agent, live, "link-b")
+            assert wait_for(lambda: agent.activation("ric-a") == {1}
+                            and agent.activation("ric-b") == {2})
+            payload = {"ran_function_id": 1, "service": "\U0001F600" * 100_000, "targets": {}}
+            agent.receive("link-a", e2lite.pack(MsgType.QUERY_REQUEST, 99,
+                                                json.dumps(payload, ensure_ascii=False)))
+            assert wait_for(lambda: agent.repository.peer("ric-a") is None)
+            corr = live.query(2, "slice_context", slice_ids=[2])
+            assert wait_for(lambda: corr in live.responses)
+            assert live.responses[corr].msg_type == MsgType.QUERY_RESPONSE
+            assert server._thread.is_alive()
+            assert 99 not in big.responses
+            assert agent.failures_by_cause == {"schema_violation": 1, "link_lost": 1}
+        finally:
+            server.stop()
+
 
 class TestAttachDetachChurn:
     def test_peers_that_subscribe_and_leave_in_a_loop_leave_nothing_behind(self):
@@ -438,26 +465,26 @@ class TestTcp:
             refused.close()
             tcp.stop()
 
-    def test_a_connection_stop_closed_before_its_read_loop_ran_ends_quietly(self):
+    def test_one_thread_serves_every_connection_and_stop_ends_it(self):
+        """Sixteen idle connections add one thread; stop() joins it within a
+        second, closing every connection and detaching every link, so no
+        thread of the server is left to call ``Agent.receive``."""
         agent = make_agent()
-        stopped = threading.Event()
-
-        class LateReader(TcpAgentServer):
-            def _read_loop(self, conn, link_id):
-                stopped.wait(3.0)  # stop() closes the connection first
-                super()._read_loop(conn, link_id)
-
-        tcp = LateReader(agent, kind=RIC).start()
-        sock = socket.create_connection((tcp.host, tcp.port))
+        before = set(threading.enumerate())
+        tcp = TcpAgentServer(agent, kind=RIC).start()
+        socks = [socket.create_connection((tcp.host, tcp.port)) for _ in range(16)]
         try:
-            assert wait_for(lambda: len(tcp._conns) == 1)
+            assert wait_for(lambda: len(tcp._conns) == len(agent.repository.peers) == 16)
+            (added,) = set(threading.enumerate()) - before
+            assert added.name == "agent-tcp"
+            start = time.monotonic()
             tcp.stop()
-            stopped.set()
-            assert wait_for(lambda: not tcp._conns)
-            assert not agent.repository.peers
+            assert time.monotonic() - start < 1.0
+            assert not added.is_alive()
+            assert not tcp._conns and not agent.repository.peers
         finally:
-            stopped.set()
-            sock.close()
+            for sock in socks:
+                sock.close()
             tcp.stop()
 
     def test_a_link_the_agent_dropped_ends_its_read_loop_quietly(self):
