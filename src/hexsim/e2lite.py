@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -190,12 +191,21 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaViolation(msg)
 
 
+def _is_int(v) -> bool:
+    # not isinstance: a JSON boolean would pass, and a registry finds id 1 by
+    # True while a lock or lockout path spells it "True"
+    return type(v) is int
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(type(i) is int for i in v)
+
+
 def _opt_uint(params: dict, key: str, minimum: int = 0) -> Optional[int]:
     if key not in params:
         return None
     v = params[key]
-    _require(isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
-             f"{key} must be an integer >= {minimum}")
+    _require(_is_int(v) and v >= minimum, f"{key} must be an integer >= {minimum}")
     return v
 
 
@@ -203,7 +213,7 @@ def validate_slice_config(params: dict) -> dict:
     _require(isinstance(params, dict), "slice_config params must be an object")
     _require("slice_id" in params, "slice_config requires slice_id")
     out: dict = {"slice_id": params["slice_id"]}
-    _require(isinstance(out["slice_id"], int), "slice_id must be an integer")
+    _require(_is_int(out["slice_id"]), "slice_id must be an integer")
     if "state" in params:
         _require(params["state"] in SLICE_STATES, f"unknown slice state {params['state']!r}")
         out["state"] = params["state"]
@@ -225,7 +235,7 @@ def validate_slice_config(params: dict) -> dict:
 def validate_ue_config(params: dict) -> dict:
     _require(isinstance(params, dict), "ue_config params must be an object")
     _require("drb_id" in params, "ue_config requires drb_id")
-    _require(isinstance(params["drb_id"], int), "drb_id must be an integer")
+    _require(_is_int(params["drb_id"]), "drb_id must be an integer")
     bp = _opt_uint(params, "bearer_priority", 1)
     _require(bp is not None, "ue_config requires bearer_priority")
     return {"drb_id": params["drb_id"], "bearer_priority": bp}
@@ -241,8 +251,7 @@ def validate_control_payload(payload: dict) -> dict:
     _require(isinstance(header, dict), "missing control_header")
     _require(header.get("target") in ("slice", "ue"), "control_header.target must be slice or ue")
     ids = header.get("ids")
-    _require(isinstance(ids, list) and all(isinstance(i, int) for i in ids),
-             "control_header.ids must be a list of integers")
+    _require(_is_int_list(ids), "control_header.ids must be a list of integers")
     _require(isinstance(message, dict), "missing control_message")
     routine = message.get("routine")
     _require(routine in ROUTINES, f"unknown routine {routine!r}")
@@ -258,8 +267,7 @@ def validate_targets(targets: dict) -> dict:
     out = {}
     for key in ("slice_ids", "ue_ids"):
         ids = targets.get(key, [])
-        _require(isinstance(ids, list) and all(isinstance(i, int) for i in ids),
-                 f"{key} must be a list of integers")
+        _require(_is_int_list(ids), f"{key} must be a list of integers")
         out[key] = ids
     return out
 
@@ -269,7 +277,10 @@ def validate_trigger(trigger: dict) -> dict:
     kind = trigger.get("kind")
     if kind == "periodic":
         period = trigger.get("period_ms")
-        _require(isinstance(period, (int, float)) and period > 0, "period_ms must be > 0")
+        # the deadlines advance by whole nanoseconds (clocks.ms_to_ns), so a
+        # period under one would never advance them
+        _require(type(period) in (int, float) and 1 <= period * 1_000_000 < math.inf,
+                 "period_ms must be a finite number >= 1e-6")
         return {"kind": "periodic", "period_ms": period}
     if kind == "event":
         _require(trigger.get("event") == "context_change",
@@ -299,8 +310,7 @@ def validate_query_payload(payload: dict) -> dict:
 def validate_setup_payload(payload: dict) -> dict:
     _require(isinstance(payload, dict), "setup payload must be an object")
     ids = payload.get("activate", [])
-    _require(isinstance(ids, list) and all(type(i) is int for i in ids),  # not bool
-             "activate must be a list of integers")
+    _require(_is_int_list(ids), "activate must be a list of integers")
     return {"activate": ids}
 
 

@@ -10,14 +10,17 @@ its arguments. Algorithm state (round-robin rotation, proportional-fair
 averages) lives in caller-owned ``histories`` dicts passed in each tick.
 
 Structure that only changes with the slice configuration is built once per
-epoch, not once per tick. Each :class:`AlgorithmRegistry` keeps a one-entry
-plan for the last ``TtiInput.slices`` tuple it scheduled, matched by identity
-(so that tuple must not be changed in place): the stage-1 and stage-2 slice
-orders, the reserved total, the drb -> UE owner map, each slice's resolved
-algorithm and, for the built-in algorithms, their prepared form (drb ids in
-ascending order, UE ids, integer weights). Registering an algorithm
+epoch, not once per tick, as one :class:`EpochPlan`. Each
+:class:`AlgorithmRegistry` keeps a one-entry plan for the last slices tuple
+that :func:`epoch_plan` was given, matched by identity (so that tuple must not
+be changed in place): the stage-1 and stage-2 slice orders, the reserved
+total, the drb -> UE owner map, each slice's resolved algorithm, whether every
+one of them is stateless and, for the built-in algorithms, their prepared
+form (drb ids in ascending order, UE ids, and for ``priority_weighted`` the
+integer weights lcm(priorities) // priority). Registering an algorithm
 invalidates the plan. :func:`run_tti` looks the plan up once per tick and
-hands it to each stage.
+hands it to each stage; a cell builds it once per epoch, lays its own bearer
+columns out over its ``ids``, and its ticks then find that same plan.
 
 The plan also lays every scheduled drb out once, in one flat bearer order:
 slices by ascending id, each slice's drbs in its prepared order (as given, for
@@ -45,9 +48,8 @@ Rounding and tie-break conventions (fixed for determinism):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
-from math import gcd, lcm
+from math import lcm
 from operator import attrgetter, mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -138,22 +140,12 @@ Algorithm = Callable[[int, Sequence[AlgoDrb], dict], dict[int, int]]
 
 # -- fair-share arithmetic ---------------------------------------------------
 
-def integer_weights(weights: Sequence) -> list[int]:
-    """Scale positive rational weights to integers with a common denominator."""
-    fracs = [w if isinstance(w, Fraction) else Fraction(str(w)) for w in weights]
-    if any(f <= 0 for f in fracs):
-        raise ValueError("weights must be positive")
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    return [int(f * denom_lcm) for f in fracs]
-
-
 def _water_fill(pool: int, keys: Sequence, demands: Sequence[int],
                 weights: Sequence[int], scale: Sequence[int]) -> list[int]:
     """Weighted max-min split of ``pool``; lists in and out aligned by index.
 
-    ``scale[i]`` is ``lcm(weights) // weights[i]``, so ``demands[i] * scale[i]``
+    ``scale[i]`` is ``lcm(weights) // weights[i]``, or any other constant
+    multiple of ``1 / weights[i]`` in integers, so ``demands[i] * scale[i]``
     orders the entries by their exact fill level d/w. One walk up that order
     fills each entry whose demand fits under the current water level (which
     only rises as entries leave); the first that does not fit ends the walk,
@@ -216,7 +208,7 @@ class Prepared(NamedTuple):
     ids: tuple[int, ...]      # drb ids, ascending
     ues: tuple[int, ...]      # the owning UE of each
     weights: tuple[int, ...]  # integer weights (priority_weighted only, else empty)
-    scale: tuple[int, ...]    # lcm(weights) // weight, for _water_fill
+    scale: tuple[int, ...]    # the priorities: a constant multiple of 1/weight, for _water_fill
 
 
 _by_drb_id = attrgetter("drb_id")
@@ -236,33 +228,28 @@ class BuiltinAlgorithm:
     """
 
     def __init__(self, name: str, core: Callable, stateless: bool,
-                 uses_rates: bool = False, weight_of: Optional[Callable] = None,
+                 uses_rates: bool = False, weighted: bool = False,
                  key_order: Optional[Callable] = None):
         self.__name__ = name
         self.stateless = stateless
         self.core = core
         self.uses_rates = uses_rates
+        self.weighted = weighted  # weights 1/priority; priority_weighted only
         self._key_order = key_order
-        self._weight_of = weight_of  # bearer priority -> weight; priority_weighted only
-        self._weight_cache: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def prepare(self, drbs: Sequence) -> Prepared:
-        """Prepared form of ``drbs`` (``DrbInput`` or ``AlgoDrb``), ascending drb id."""
+        """Prepared form of ``drbs`` (``DrbInput`` or ``AlgoDrb``), ascending drb id;
+        a weighted algorithm raises ValueError for a priority below 1."""
         order = sorted(drbs, key=_by_drb_id)
         ids = tuple(d.drb_id for d in order)
         ues = tuple(d.ue_id for d in order)
-        if self._weight_of is None:
+        if not self.weighted:
             return Prepared(ids, ues, (), ())
-        bps = tuple(d.bearer_priority for d in order)
-        cached = self._weight_cache.get(bps)
-        if cached is None:
-            if len(self._weight_cache) > 1024:
-                self._weight_cache.clear()
-            weights = tuple(integer_weights([self._weight_of(bp) for bp in bps]))
-            common = lcm(*weights)
-            cached = (weights, tuple(common // w for w in weights))
-            self._weight_cache[bps] = cached
-        return Prepared(ids, ues, *cached)
+        priorities = tuple(d.bearer_priority for d in order)
+        if min(priorities, default=1) < 1:
+            raise ValueError("bearer priorities must be >= 1")
+        common = lcm(*priorities)
+        return Prepared(ids, ues, tuple(common // p for p in priorities), priorities)
 
     def __call__(self, budget: int, drbs: Sequence[AlgoDrb], history: dict) -> dict[int, int]:
         order = sorted(drbs, key=_by_drb_id)
@@ -377,50 +364,36 @@ def _max_throughput(budget, prepared, demands, rates, history):
 
 
 def _priority_weighted(budget, prepared, demands, rates, history):
+    """Budget split in proportion to the weight 1/priority.
+
+    Shares are demand-capped (excess reflows to the rest) and rounded by
+    largest remainder, leftovers going to the highest weight.
+    """
     return _water_fill(budget, prepared.ids, demands, prepared.weights, prepared.scale)
 
 
-def make_priority_weighted(weight_of=None) -> BuiltinAlgorithm:
-    """Budget split proportional to a bearer-priority weight (default 1/priority).
-
-    ``weight_of`` may be a mapping or callable from bearer priority to a
-    positive weight. Shares are demand-capped (excess reflows to the rest) and
-    rounded by largest remainder, leftovers going to the highest weight.
-    """
-
-    def lookup(bp: int):
-        if weight_of is None:
-            return Fraction(1, bp)
-        if callable(weight_of):
-            return weight_of(bp)
-        return weight_of[bp]
-
-    return BuiltinAlgorithm("priority_weighted", _priority_weighted, stateless=True,
-                            weight_of=lookup)
-
-
-# stateless algorithms keep no history, which lets callers memoize decisions;
-# an algorithm without a ``stateless`` attribute counts as stateful
+# stateless algorithms keep no history, which lets callers memoize decisions
 round_robin = BuiltinAlgorithm("round_robin", _round_robin, stateless=False)
 proportional_fair = BuiltinAlgorithm("proportional_fair", _proportional_fair,
                                      stateless=False, uses_rates=True)
 max_throughput = BuiltinAlgorithm("max_throughput", _max_throughput, stateless=True,
                                   uses_rates=True, key_order=_best_rate_first)
-priority_weighted = make_priority_weighted()
+priority_weighted = BuiltinAlgorithm("priority_weighted", _priority_weighted, stateless=True,
+                                     weighted=True)
 
 
 class AlgorithmRegistry:
     """String-keyed algorithm lookup used by slice configs and control messages.
 
     It also keeps the scheduler's one-entry per-epoch plan for the last slices
-    tuple scheduled with it; :meth:`register` invalidates that plan and stores
+    tuple planned with it; :meth:`register` invalidates that plan and stores
     the algorithm as given (any callable, a bound method included).
     """
 
     def __init__(self):
         self._algos: dict[str, Algorithm] = {}
         self._generation = 0
-        self._plan: Optional[_EpochPlan] = None
+        self._plan: Optional[EpochPlan] = None
         self.register("round_robin", round_robin)
         self.register("proportional_fair", proportional_fair)
         self.register("max_throughput", max_throughput)
@@ -471,9 +444,12 @@ _by_slice_id = attrgetter("slice_id")
 
 
 @dataclass(frozen=True)
-class _EpochPlan:
+class EpochPlan:
+    """The scheduler's per-epoch structure for one slices tuple (see the
+    module docstring); the cell lays its bearer columns out over ``ids``."""
+
     slices: tuple[SliceInput, ...]
-    generation: int
+    generation: int                    # the AlgorithmRegistry's when built
     reserved: int
     dph: tuple[_SliceRun, ...]         # dedicated/prioritized/hybrid, ascending id
     ordered: tuple[_SliceRun, ...]     # shared and hybrid, in stage-2 order
@@ -481,6 +457,7 @@ class _EpochPlan:
     owner: dict[int, int]              # drb -> UE
     ues: tuple[int, ...]               # the UEs owning ids, ascending
     ue_slot: dict[int, int]            # drb -> position of its UE in ues
+    stateless: bool                    # every run's algorithm has a true ``stateless``
 
     def aligned(self, per_drb: Mapping[int, int]) -> list[int]:
         """``per_drb``'s values in the flat bearer order, 0 where a drb is absent."""
@@ -492,7 +469,7 @@ class _EpochPlan:
         return {drb: d - n for drb, d, n in zip(self.ids, demand, left) if d != n}
 
 
-def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> _EpochPlan:
+def epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> EpochPlan:
     """The registry's plan for ``slices``, rebuilt when either has changed."""
     plan = registry._plan
     generation = registry._generation
@@ -513,7 +490,7 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
     owner = {d.drb_id: d.ue_id for s in slices for d in s.drbs}
     ues = tuple(sorted({owner[drb] for drb in ids}))
     slot = {ue: k for k, ue in enumerate(ues)}
-    plan = _EpochPlan(
+    plan = EpochPlan(
         slices=slices,
         generation=generation,
         reserved=sum(run.slice.dedicated_rb + run.slice.prioritized_rb for run in dph),
@@ -523,6 +500,7 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
         owner=owner,
         ues=ues,
         ue_slot={drb: slot[owner[drb]] for drb in ids},
+        stateless=all(getattr(run.algo, "stateless", False) for run in runs),
     )
     registry._plan = plan
     return plan
@@ -530,7 +508,7 @@ def _epoch_plan(slices: tuple[SliceInput, ...], registry: AlgorithmRegistry) -> 
 
 # -- the three stages ----------------------------------------------------------
 
-def _grant(run: _SliceRun, budget: int, left: list[int], ep: _EpochPlan, rates: Rates,
+def _grant(run: _SliceRun, budget: int, left: list[int], ep: EpochPlan, rates: Rates,
            histories: dict[int, dict]) -> int:
     """Run one slice's algorithm on its demand left and take the grants off it.
 
@@ -574,7 +552,7 @@ def _grant(run: _SliceRun, budget: int, left: list[int], ep: _EpochPlan, rates: 
     return used
 
 
-def stage1_slice_specific(ep: _EpochPlan, inp: TtiInput, left: list[int],
+def stage1_slice_specific(ep: EpochPlan, inp: TtiInput, left: list[int],
                           histories: dict[int, dict]) -> int:
     """Serve dedicated/prioritized/hybrid budgets; donate unused prioritized RBs.
 
@@ -595,7 +573,7 @@ def stage1_slice_specific(ep: _EpochPlan, inp: TtiInput, left: list[int],
     return pool
 
 
-def stage2_shared(ep: _EpochPlan, inp: TtiInput, pool: int, left: list[int],
+def stage2_shared(ep: EpochPlan, inp: TtiInput, pool: int, left: list[int],
                   histories: dict[int, dict]) -> int:
     """Split ``pool`` over the shared (and hybrid) slices by weighted max-min
     fairness, with the shared priority as weight, in ``ep.ordered``.
@@ -617,7 +595,7 @@ def stage2_shared(ep: _EpochPlan, inp: TtiInput, pool: int, left: list[int],
     return pool
 
 
-def stage3_vrb_assignment(ep: _EpochPlan, inp: TtiInput, per_drb_rb: dict[int, int]) -> VrbMap:
+def stage3_vrb_assignment(ep: EpochPlan, inp: TtiInput, per_drb_rb: dict[int, int]) -> VrbMap:
     """One contiguous VRB range per UE, ascending UE id, lowest free VRB first."""
     slot = ep.ue_slot
     ue_total = [0] * len(ep.ues)
@@ -645,7 +623,7 @@ def run_tti(
     Looks up ``registry``'s epoch plan for ``inp.slices`` once and hands it,
     with the tick's one demand-left list, to each stage.
     """
-    ep = _epoch_plan(inp.slices, registry)
+    ep = epoch_plan(inp.slices, registry)
     inp.validate(ep.owner)
     histories = histories if histories is not None else {}
     demand = ep.aligned(inp.demands)

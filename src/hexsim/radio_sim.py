@@ -1,16 +1,19 @@
 """Tick-driven cell emulation: traffic arrivals, buffers, service, RTT, utilization.
 
-The cell owns downlink byte buffers per bearer. Each tick it enqueues offered
-traffic, builds the scheduler input from the published slice snapshot, runs
-the three-stage allocator, then drains each buffer by what its RB grant can
-carry. Throughput and delay statistics are exponentially smoothed with a
-100 ms time constant and written into the live bearer stats read by reports.
+The cell owns downlink byte buffers per bearer. Once per published epoch (or
+algorithm registration) it builds the scheduler input from the slice snapshot
+and takes the scheduler's :class:`fssf.EpochPlan` for it, laying its bearer
+table out in the plan's flat bearer order; ``run_tti`` then finds that same
+plan every tick. Each tick it enqueues offered traffic, runs the three-stage
+allocator, then drains each buffer by what its RB grant can carry.
+Throughput and delay statistics are exponentially smoothed with a 100 ms time
+constant and written into the live bearer stats read by reports.
 
 The loop runs on virtual time and is deterministic for a fixed offered-rate
 schedule; a many-second scenario replays in a fraction of wall time. Within
-one epoch, when every slice's algorithm is stateless, a tick whose demands
-equal the previous tick's reuses the previous decision, which is what keeps
-long steady-state phases cheap.
+one epoch, when the plan is stateless (no slice's algorithm keeps history), a
+tick whose demands equal the previous tick's reuses the previous decision,
+which is what keeps long steady-state phases cheap.
 
 A tick is steady when it reuses the previous decision. ``repeat_tti(k)``
 runs up to k more steady ticks and returns how many it ran: it stops before
@@ -75,21 +78,19 @@ def offered_bytes_per_tick(mbps: float, tti_s: float) -> float:
 
 @dataclass
 class _Epoch:
-    """One published epoch's tick-loop constants and its last-tick memo.
+    """One published epoch's scheduler plan, tick-loop constants and last-tick memo.
 
-    The bearer table is four columns aligned by index, one entry per
-    scheduled bearer in scheduler input order.
+    The bearer table is three columns aligned by index with ``plan.ids``, the
+    scheduler's flat bearer order. The memo is set only when ``plan`` is
+    stateless.
     """
 
     number: int
-    generation: int  # the AlgorithmRegistry's: a re-registered name takes effect
-    slices: tuple[fssf.SliceInput, ...]
+    plan: fssf.EpochPlan
     ue_rate: dict[int, float]
-    drb_ids: tuple[int, ...]
     bits_per_rb: tuple[float, ...]        # the owning UE's bits per RB per tick
     rb_capacity: tuple[float, ...]        # bytes one RB carries per tick, after BLER
     stats: tuple[BearerStats, ...]        # the live objects, aliased by the published bearers
-    stateless: bool  # no slice's algorithm keeps history; only then is the memo set
     last_demands: Optional[dict[int, int]] = None
     last_decision: Optional[fssf.ScheduleDecision] = None
 
@@ -123,7 +124,7 @@ class Cell:
         self.buffers: dict[int, float] = {}
         self._arrivals: dict[int, float] = {}  # bytes per tick, for each non-zero offered rate
         self.histories: dict[int, dict] = {}
-        self._epoch = _Epoch(-1, -1, (), {}, (), (), (), (), False)
+        self._epoch = self._rebuild_structure()
         self._tti_s = cfg.tti_ms / 1000.0
         self._alpha = cfg.tti_ms / STATS_WINDOW_MS
         # window accumulators (reset by end_window)
@@ -161,48 +162,39 @@ class Cell:
 
     def _rebuild_structure(self) -> _Epoch:
         snap = self.registry.published
+        bearers = snap.bearers
         slices = []
-        drb_ids, bits, capacity, stats = [], [], [], []
-        per_rb_bits = self.cfg.per_rb_bits_per_tti
-        ue_rate = {uid: per_rb_bits * self.link.mcs_rate_fraction(ue.mcs)
-                   for uid, ue in snap.ues.items()}
         for sid in sorted(snap.slices):
             s = snap.slices[sid]
             if s.state is SliceState.IDLE:
                 continue
-            reserves = s.state in (
-                SliceState.DEDICATED, SliceState.PRIORITIZED, SliceState.HYBRID
-            )
             # bearer-less shared slices have nothing to schedule, but a
             # bearer-less dedicated/prioritized slice still pins its assignment
-            if not s.bearers and not reserves:
+            if not s.bearers and s.state is SliceState.SHARED:
                 continue
-            drbs = []
-            for drb in sorted(s.bearers):
-                b = snap.bearers[drb]
-                drbs.append(fssf.DrbInput(drb, b.ue_id, b.bearer_priority))
-                bler = snap.ues[b.ue_id].bler if b.ue_id in snap.ues else 0.0
-                bits_per_rb = ue_rate.get(b.ue_id, per_rb_bits)
-                drb_ids.append(drb)
-                bits.append(bits_per_rb)
-                capacity.append(bits_per_rb / 8.0 * (1.0 - bler))
-                stats.append(b.stats)
-            slices.append(
-                fssf.SliceInput(
-                    slice_id=s.slice_id,
-                    state=s.state,
-                    dedicated_rb=s.rrc.dedicated_rb,
-                    prioritized_rb=s.rrc.prioritized_rb,
-                    shared_priority=s.rrc.shared_priority,
-                    fd_scheduler=s.fd_scheduler,
-                    drbs=tuple(drbs),
-                )
-            )
-        stateless = all(
-            getattr(self.algorithms.get(s.fd_scheduler), "stateless", False) for s in slices
-        )
-        return _Epoch(snap.epoch, self.algorithms.generation, tuple(slices), ue_rate,
-                      tuple(drb_ids), tuple(bits), tuple(capacity), tuple(stats), stateless)
+            slices.append(fssf.SliceInput(
+                slice_id=s.slice_id,
+                state=s.state,
+                dedicated_rb=s.rrc.dedicated_rb,
+                prioritized_rb=s.rrc.prioritized_rb,
+                shared_priority=s.rrc.shared_priority,
+                fd_scheduler=s.fd_scheduler,
+                drbs=tuple(fssf.DrbInput(drb, bearers[drb].ue_id, bearers[drb].bearer_priority)
+                           for drb in sorted(s.bearers)),
+            ))
+        plan = fssf.epoch_plan(tuple(slices), self.algorithms)
+        per_rb_bits = self.cfg.per_rb_bits_per_tti
+        ue_rate = {uid: per_rb_bits * self.link.mcs_rate_fraction(ue.mcs)
+                   for uid, ue in snap.ues.items()}
+        bits, capacity, stats = [], [], []
+        for drb in plan.ids:
+            b = bearers[drb]
+            bler = snap.ues[b.ue_id].bler if b.ue_id in snap.ues else 0.0
+            bits_per_rb = ue_rate.get(b.ue_id, per_rb_bits)
+            bits.append(bits_per_rb)
+            capacity.append(bits_per_rb / 8.0 * (1.0 - bler))
+            stats.append(b.stats)
+        return _Epoch(snap.epoch, plan, ue_rate, tuple(bits), tuple(capacity), tuple(stats))
 
     def step_tti(self) -> fssf.ScheduleDecision:
         """Advance one tick: arrivals, schedule, drain, stats.
@@ -211,8 +203,10 @@ class Cell:
         the tick that computed it.
         """
         ep = self._epoch
-        if ep.number != self.registry.published.epoch or ep.generation != self.algorithms.generation:
+        plan = ep.plan
+        if ep.number != self.registry.published.epoch or plan.generation != self.algorithms.generation:
             ep = self._epoch = self._rebuild_structure()
+            plan = ep.plan
             self._prune_pf_histories()
         buffers = self.buffers
         arrivals = self._arrivals
@@ -221,7 +215,7 @@ class Cell:
 
         demands: dict[int, int] = {}
         total_rb = self.cfg.total_rb
-        drb_ids = ep.drb_ids
+        drb_ids = plan.ids
         ceil = math.ceil
         for drb, bits_per_rb in zip(drb_ids, ep.bits_per_rb):
             buf = buffers.get(drb, 0.0)
@@ -230,12 +224,12 @@ class Cell:
                 demands[drb] = need if need < total_rb else total_rb
 
         tti = self.tti_index
-        if ep.stateless and demands == ep.last_demands:
+        if plan.stateless and demands == ep.last_demands:
             decision = ep.last_decision
         else:
-            inp = fssf.TtiInput(tti, total_rb, ep.ue_rate, demands, ep.slices)
+            inp = fssf.TtiInput(tti, total_rb, ep.ue_rate, demands, plan.slices)
             decision = fssf.run_tti(inp, self.algorithms, self.histories)
-            if ep.stateless:
+            if plan.stateless:
                 ep.last_demands, ep.last_decision = demands, decision
 
         # the scheduler grants RBs only to bearers with demand, so every
@@ -299,14 +293,15 @@ class Cell:
         ep = self._epoch
         decision = ep.last_decision
         if (k <= 0 or decision is None or ep.number != self.registry.published.epoch
-                or ep.generation != self.algorithms.generation):
+                or ep.plan.generation != self.algorithms.generation):
             return 0  # nothing to reuse (a stateful epoch sets no memo), or a new epoch
         buffers, arrivals, last_demands = self.buffers, self._arrivals, ep.last_demands
+        drb_ids = ep.plan.ids
         per_drb_rb = decision.plan.per_drb_rb
         total_rb, alpha, tti_s = self.cfg.total_rb, self._alpha, self._tti_s
         inf = math.inf
         table = []
-        for drb, bits_per_rb, rb_capacity in zip(ep.drb_ids, ep.bits_per_rb, ep.rb_capacity):
+        for drb, bits_per_rb, rb_capacity in zip(drb_ids, ep.bits_per_rb, ep.rb_capacity):
             buf, arriving = buffers.get(drb, 0.0), arrivals.get(drb, 0.0)
             need = last_demands.get(drb)
             # the demand min(ceil(x), total_rb), x = buf * 8 / bits_per_rb, is
@@ -330,7 +325,7 @@ class Cell:
         while True:
             finals = []
             for (buf, arriving, capacity, lo, hi, bits_per_rb), st, drb in zip(
-                    table, stats, ep.drb_ids):
+                    table, stats, drb_ids):
                 ran, buf, throughput, served_sum = _repeat_bearer(
                     n, buf, arriving, capacity, st.throughput_mbps, win_served.get(drb, 0.0),
                     lo, hi, bits_per_rb, alpha, tti_s)
@@ -345,7 +340,7 @@ class Cell:
         base_rtt_ms = self.cfg.base_rtt_ms
         win_alloc_drb = self._win_alloc_drb
         alloc = 0
-        for drb, st, (buf, throughput, served_sum) in zip(ep.drb_ids, stats, finals):
+        for drb, st, (buf, throughput, served_sum) in zip(drb_ids, stats, finals):
             n_rb = per_drb_rb.get(drb)
             if n_rb is not None:
                 win_alloc_drb[drb] = win_alloc_drb.get(drb, 0) + n * n_rb
@@ -356,7 +351,7 @@ class Cell:
             st.throughput_mbps = throughput
             st.buffer_occupancy_bytes = buf
             st.packet_delay_ms = _packet_delay_ms(buf, throughput, base_rtt_ms)
-        table_drbs = set(ep.drb_ids)
+        table_drbs = set(drb_ids)
         for drb, arriving in arrivals.items():
             if drb not in table_drbs:
                 buffers[drb] = _add_repeated(buffers[drb], arriving, n)

@@ -208,6 +208,8 @@ class ScenarioScript:
     def from_dict(doc: Mapping, name: str = "scenario") -> "ScenarioScript":
         try:
             duration = float(doc.get("duration_s", 0))
+            if not math.isfinite(duration):
+                raise ScenarioError(f"duration_s must be finite, not {duration!r}")
             seed = int(doc.get("seed", 0))
             raw_cell = dict(doc.get("cell", {}))
             if "max_dl_mbps" in raw_cell:
@@ -235,7 +237,10 @@ class ScenarioScript:
                 params = dict(raw.get("params", {}))
                 if action == "traffic":  # a bad rate raises its ValueError here, at load
                     offered_bytes_per_tick(float(params["rate_mbps"]), cell.tti_ms / 1000.0)
-                events.append(ScenarioEvent(float(raw["t"]), action, params))
+                t = float(raw["t"])
+                if not 0.0 <= t < math.inf:
+                    raise ScenarioError(f"event {i} time t must be finite and >= 0, not {t!r}")
+                events.append(ScenarioEvent(t, action, params))
             events.sort(key=lambda e: e.t)
             script = ScenarioScript(
                 duration_s=duration,

@@ -49,7 +49,7 @@ from .errors import (
 
 MCS_MAX = 28
 CQI_MAX = 15
-CHANGE_LOG_DEPTH = 4096
+CHANGE_LOG_DEPTH = 4096  # change records kept per slice
 
 
 class SliceState(enum.Enum):
@@ -303,7 +303,7 @@ class RegistrySnapshot:
 class SliceRegistry:
     """Live slice context plus the epoch-published read snapshot."""
 
-    def __init__(self, total_rb: int, change_log_depth: int = CHANGE_LOG_DEPTH):
+    def __init__(self, total_rb: int):
         if total_rb <= 0:
             raise ValueError("total_rb must be positive")
         self.total_rb = total_rb
@@ -312,7 +312,6 @@ class SliceRegistry:
         self._ues: dict[int, UEContext] = {}
         self._records: dict[int, deque[ContextChangeRecord]] = {}
         self._seq: dict[int, int] = {}
-        self._change_log_depth = change_log_depth
         # ids touched by writes since the last publish; any id here means a new epoch
         self._dirty_slices: set[int] = set()
         self._dirty_bearers: set[int] = set()
@@ -444,7 +443,7 @@ class SliceRegistry:
             hu_associations=set(hu_associations),
         )
         self._slices[slice_id] = ctx
-        self._records[slice_id] = deque(maxlen=self._change_log_depth)
+        self._records[slice_id] = deque(maxlen=CHANGE_LOG_DEPTH)
         self._seq[slice_id] = 0
         self._record(
             slice_id,

@@ -426,6 +426,50 @@ class TestOneRecordPerLink:
         assert stack.registry.get_slice(1).rrc.shared_priority != 3
 
 
+class TestBooleanIds:
+    """A JSON boolean is not an id: ``true`` would name slice or drb 1 to the
+    registry while a lock or lockout path reads ``True``."""
+
+    LOCKED = {"functions": [
+        {"function_id": 1, "name": "fs1", "kind": "ran",
+         "required_pml_plugins": ["fs"], "resources": ["slice/1"]},
+        {"function_id": 2, "name": "fs2", "kind": "ran",
+         "required_pml_plugins": ["fs"], "resources": ["slice/2"]},
+    ]}
+
+    def test_slice_id_true_does_not_pass_another_controllers_lock(self):
+        stack = Stack(doc=self.LOCKED)
+        stack.attach("ric-a", activate=[1])
+        ric_b = stack.attach("ric-b", activate=[2])
+        before = stack.registry.get_slice(1).rrc.shared_priority
+        corr = ric_b.send_control(2, "slice_config", {"slice_id": True, "shared_priority": 3},
+                                  "slice", [2])
+        stack.settle()
+        kind, payload = ric_b.control_results[corr]
+        assert (kind, payload["cause"]) == ("failure", "schema_violation")
+        assert stack.registry.get_slice(1).rrc.shared_priority == before != 3
+
+    def test_drb_id_true_does_not_pass_another_controllers_lockout(self):
+        stack = Stack(doc={"functions": [{"function_id": 1, "name": "fs", "kind": "ran",
+                                          "required_pml_plugins": ["fs"], "resources": []}]})
+        stack.registry.add_ue(UEContext(ue_id=1))
+        stack.registry.add_drb(1, Bearer(drb_id=1, ue_id=1, slice_id=1), T)
+        stack.registry.publish()
+        ric_a, ric_b = stack.attach("ric-a"), stack.attach("ric-b")
+        first = ric_a.control_ue(1, {"drb_id": 1, "bearer_priority": 2})
+        stack.settle()
+        results = []
+        for drb in (1, True):  # the same write, its id an integer and then a boolean
+            corr = ric_b.send_control(1, "ue_config", {"drb_id": drb, "bearer_priority": 3},
+                                      "ue", [1])
+            stack.settle()
+            results.append(ric_b.control_results[corr])
+        assert ric_a.control_results[first][0] == "ack"
+        assert [(kind, payload["cause"]) for kind, payload in results] == [
+            ("failure", "locked_out"), ("failure", "schema_violation")]
+        assert stack.registry.get_bearer(1).bearer_priority == 2
+
+
 class TestDispatch:
     def test_unknown_type_yields_failure_with_cause(self):
         stack = Stack()

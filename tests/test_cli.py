@@ -1,5 +1,8 @@
 """Command-line entry point: exit codes, outputs, summaries."""
 
+import json
+import math
+
 import pytest
 
 from hexsim.cli import main
@@ -26,6 +29,22 @@ def test_scenario_seed_override_via_env(tmp_path, monkeypatch):
 def test_missing_script_is_scenario_error(tmp_path):
     rc = main(["scenario", "--script", "no-such-scenario", "--out", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("duration_s, t", [
+    (math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan), (math.inf, math.inf), (2.0, -1.0),
+])
+def test_a_non_finite_or_negative_scenario_time_is_a_scenario_error(tmp_path, capsys,
+                                                                      duration_s, t):
+    script = tmp_path / "times.json"
+    script.write_text(json.dumps({
+        "duration_s": duration_s,
+        "slices": [{"slice_id": 1, "default_state": "shared"}],
+        "events": [{"t": t, "action": "traffic", "params": {"drb_id": 11, "rate_mbps": 1.0}}],
+    }))
+    rc = main(["scenario", "--script", str(script), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "scenario error" in capsys.readouterr().err
 
 
 def test_bad_args_exit_code_two(tmp_path):

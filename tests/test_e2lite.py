@@ -1,6 +1,7 @@
 """Wire codec: framing, round trips, totality under fuzz, payload schemas."""
 
 import json
+import math
 import random
 
 import pytest
@@ -290,6 +291,38 @@ class TestServiceModelValidation:
                 "service": "slice_context", "targets": {},
                 "trigger": {"kind": "periodic", "period_ms": 0},
             })
+
+    @pytest.mark.parametrize("where", ["slice_id", "drb_id", "header_ids", "query_targets",
+                                       "subscription_targets"])
+    def test_a_boolean_is_not_an_id(self, where):
+        event = {"kind": "event", "event": "context_change"}
+        msg_type, payload = {
+            "slice_id": (CONTROL, self.control("slice_config", {"slice_id": True})),
+            "drb_id": (CONTROL, self.control("ue_config", {"drb_id": False,
+                                                           "bearer_priority": 1}, target="ue")),
+            "header_ids": (CONTROL, self.control("slice_config", {"slice_id": 2},
+                                                 ids=(2, True))),
+            "query_targets": (MsgType.QUERY_REQUEST, {"service": "slice_context",
+                                                      "targets": {"slice_ids": [True]}}),
+            "subscription_targets": (MsgType.SUBSCRIPTION_REQUEST, {
+                "service": "ue_context", "targets": {"ue_ids": [1, False]}, "trigger": event}),
+        }[where]
+        with pytest.raises(SchemaViolation, match="integer"):
+            e2lite.validate_sm_payload(msg_type, 1, payload)
+
+    @pytest.mark.parametrize("period", [math.inf, math.nan, True, 1e303, 1e-7, "5", -1, 0])
+    def test_period_ms_is_a_finite_number_of_at_least_one_nanosecond(self, period):
+        with pytest.raises(SchemaViolation, match="period_ms"):
+            e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {
+                "service": "slice_context", "targets": {},
+                "trigger": {"kind": "periodic", "period_ms": period},
+            })
+
+    def test_a_period_of_one_nanosecond_is_accepted(self):
+        trigger = {"kind": "periodic", "period_ms": 1e-6}
+        out = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {
+            "service": "slice_context", "targets": {}, "trigger": trigger})
+        assert out["trigger"] == trigger
 
     def test_subscription_and_query_shapes(self):
         sub = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {

@@ -316,6 +316,22 @@ class TestDecisionMemo:
         assert calls[1].demands == calls[0].demands
         assert calls[1].slices is not calls[0].slices
 
+    def test_each_epoch_builds_one_plan_that_run_tti_reuses(self, monkeypatch):
+        cell, reg = self._cell()
+        reg.update_slice(2, T, fd_scheduler="round_robin")  # stateful: every tick schedules
+        built, used = [], []
+        plan_type, stage3 = fssf.EpochPlan, fssf.stage3_vrb_assignment
+        monkeypatch.setattr(fssf, "EpochPlan",
+                            lambda **fields: built.append(plan_type(**fields)) or built[-1])
+        monkeypatch.setattr(fssf, "stage3_vrb_assignment",
+                            lambda ep, *args: used.append(ep) or stage3(ep, *args))
+        self._steps(cell, reg, 5)
+        reg.set_bearer_priority(21, 2, T)
+        self._steps(cell, reg, 5)
+        assert len(built) == 2 and len(used) == 10
+        assert all(ep is built[0] for ep in used[:5]) and all(ep is built[1] for ep in used[5:])
+        assert cell._epoch.plan is built[1]
+
     def test_a_re_registered_algorithm_forces_a_fresh_decision(self):
         def highest_id_first(budget, drbs, history):
             top = max(drbs, key=lambda d: d.drb_id)

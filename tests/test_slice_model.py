@@ -7,6 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
+from hexsim import slice_model
 from hexsim.errors import (
     DuplicateDrb,
     DuplicateSliceId,
@@ -258,8 +259,9 @@ class TestRecordsAndSnapshots:
         seqs = [r.seq for r in reg.records_since(1, 0)]
         assert seqs == list(range(1, len(seqs) + 1))
 
-    def test_ring_buffer_keeps_depth_and_continuity(self):
-        reg = SliceRegistry(106, change_log_depth=8)
+    def test_ring_buffer_keeps_depth_and_continuity(self, monkeypatch):
+        monkeypatch.setattr(slice_model, "CHANGE_LOG_DEPTH", 8)
+        reg = SliceRegistry(106)
         reg.create_slice(1)
         add_session(reg, 1, 11)
         for k in range(20):
@@ -371,8 +373,9 @@ class TestRecordsAndSnapshots:
 
 
 class TestRecordsSinceUnderAWriter:
-    def test_a_reader_survives_a_writer_appending_to_the_log(self):
-        reg = SliceRegistry(106, change_log_depth=512)
+    def test_a_reader_survives_a_writer_appending_to_the_log(self, monkeypatch):
+        monkeypatch.setattr(slice_model, "CHANGE_LOG_DEPTH", 512)
+        reg = SliceRegistry(106)
         reg.create_slice(1)
         add_session(reg, 1, 11)
         for k in range(600):
