@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import e2lite
 from .clocks import MonotonicClock
@@ -119,8 +118,7 @@ def failure_cause(exc: Exception) -> str:
     return f"error:{type(exc).__name__}"
 
 
-@dataclass
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     function_id: int
     name: str
     kind: str  # "ran" (controller-driven) or "oam" (management-driven)
@@ -129,43 +127,50 @@ class FunctionSpec:
     resources: tuple[str, ...] = ()  # lock-scope prefixes, e.g. "slice/"
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     spec: FunctionSpec
     available: bool
     reason: str = ""
 
 
-@dataclass
 class Subscription:
-    sub_id: int
-    link: PeerContext
-    function_id: int
-    service: str
-    targets: dict
-    reg_id: int
-    plan: Optional[tuple] = None  # its last SliceRegistry.report_plan, kept for that epoch
-    envelope: str = field(init=False)  # its indication payload, a %s where the report goes
+    __slots__ = ("sub_id", "link", "function_id", "service", "targets", "reg_id", "plan",
+                 "envelope")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sub_id: int, link: PeerContext, function_id: int, service: str,
+                 targets: dict, reg_id: int, plan: Optional[tuple] = None):
+        self.sub_id = sub_id
+        self.link = link
+        self.function_id = function_id
+        self.service = service
+        self.targets = targets
+        self.reg_id = reg_id
+        self.plan = plan  # its last SliceRegistry.report_plan, kept for that epoch
         encode = JSON_ENCODER.encode
+        # its indication payload, a %s where the report goes
         self.envelope = '{"ran_function_id":%s,"report":%%s,"service":%s,"sub_id":%s}' % (
-            encode(self.function_id), encode(self.service), encode(self.sub_id))
+            encode(function_id), encode(service), encode(sub_id))
 
 
-@dataclass
 class PeerContext:
     """One attached link: its transport, its reader, and its peer's context."""
 
-    link_id: str
-    peer_id: str
-    kind: str
-    send: Callable[[bytes], None]
-    reader: FrameReader = field(default_factory=FrameReader)
-    pending_setup_corr: Optional[int] = None
-    activated: set[int] = field(default_factory=set)
-    refused: dict[int, str] = field(default_factory=dict)
-    locks: set[str] = field(default_factory=set)
+    __slots__ = ("link_id", "peer_id", "kind", "send", "reader", "pending_setup_corr",
+                 "activated", "refused", "locks")
+
+    def __init__(self, link_id: str, peer_id: str, kind: str, send: Callable[[bytes], None],
+                 reader: Optional[FrameReader] = None, pending_setup_corr: Optional[int] = None,
+                 activated: Optional[set[int]] = None, refused: Optional[dict[int, str]] = None,
+                 locks: Optional[set[str]] = None):
+        self.link_id = link_id
+        self.peer_id = peer_id
+        self.kind = kind
+        self.send = send
+        self.reader = FrameReader() if reader is None else reader
+        self.pending_setup_corr = pending_setup_corr
+        self.activated = set() if activated is None else activated
+        self.refused = {} if refused is None else refused
+        self.locks = set() if locks is None else locks
 
 
 class HaRepository:
@@ -205,13 +210,15 @@ def _paths_overlap(a: str, b: str) -> bool:
     return a == b or a.startswith(b + "/") or b.startswith(a + "/")
 
 
-@dataclass
 class MessageRecord:
     """Pipeline timestamps for one executed control message."""
 
-    receive_ns: int
-    dispatch_ns: int = 0
-    invoke_ns: int = 0
+    __slots__ = ("receive_ns", "dispatch_ns", "invoke_ns")
+
+    def __init__(self, receive_ns: int, dispatch_ns: int = 0, invoke_ns: int = 0):
+        self.receive_ns = receive_ns
+        self.dispatch_ns = dispatch_ns
+        self.invoke_ns = invoke_ns
 
 
 class PipelineMetrics:
@@ -237,18 +244,20 @@ class PipelineMetrics:
             ]
 
 
-@dataclass
-class AgentConfig:
+class AgentConfig(NamedTuple):
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     lockout_window_ms: float = DEFAULT_LOCKOUT_WINDOW_MS
 
 
-@dataclass
 class _Pending:
-    link: PeerContext  # the record it arrived on; a detached one is not served
-    frame: E2LiteFrame
-    record: MessageRecord
-    manager: str = ""  # the manager whose queue depth it counts against
+    __slots__ = ("link", "frame", "record", "manager")
+
+    def __init__(self, link: PeerContext, frame: E2LiteFrame, record: MessageRecord,
+                 manager: str = ""):
+        self.link = link  # the record it arrived on; a detached one is not served
+        self.frame = frame
+        self.record = record
+        self.manager = manager  # the manager whose queue depth it counts against
 
     @property
     def link_id(self) -> str:
@@ -667,8 +676,7 @@ class Agent:
 
     def _apply_config(self, staged: Mapping) -> None:
         """Commit checked AgentConfig values; the Pml takes the lockout window."""
-        for key, value in staged.items():
-            setattr(self.config, key, value)
+        self.config = self.config._replace(**staged)
         if "lockout_window_ms" in staged:
             self.pml.set_lockout_window(self.config.lockout_window_ms)
 

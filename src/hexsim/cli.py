@@ -51,9 +51,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     path = bundled_scenario_path(args.script)
     script = ScenarioScript.load(path)
     if os.environ.get("HEXSIM_SEED"):
-        script.seed = int(os.environ["HEXSIM_SEED"])
+        script = script._replace(seed=int(os.environ["HEXSIM_SEED"]))
     if args.seed is not None:
-        script.seed = args.seed
+        script = script._replace(seed=args.seed)
     metrics, runner = run_scenario(script)
     out_dir = Path(args.out)
     out = metrics.write(out_dir / f"{script.name}_metrics.csv")
@@ -76,12 +76,9 @@ def _cmd_bench_agent(args: argparse.Namespace) -> int:
         cfg = BenchmarkConfig.from_dict(json.loads(Path(args.config).read_text()))
     else:
         cfg = BenchmarkConfig()
-    cfg.serialized = args.serialized
-    cfg.frame_gated = args.frame_gated
+    cfg = cfg._replace(serialized=args.serialized, frame_gated=args.frame_gated)
     if args.quick:
-        cfg.instances = (10, 50, 100)
-        cfg.run_s = 0.5
-        cfg.duration_s = 10.0
+        cfg = cfg._replace(instances=(10, 50, 100), run_s=0.5, duration_s=10.0)
     out_dir = Path(args.out)
     table = MetricsTable(name=f"bench_{args.mode}")
     if args.mode == "delay":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 
@@ -32,3 +33,10 @@ class VirtualClock:
 
 def ms_to_ns(ms: float) -> int:
     return int(ms * 1_000_000)
+
+
+def is_period_ms(value) -> bool:
+    """True for an int or float (not a bool) that is finite and at least one
+    nanosecond once :func:`ms_to_ns` converts it: deadlines advance by whole
+    nanoseconds, so a shorter period would never move them."""
+    return type(value) in (int, float) and 1 <= value * 1_000_000 < math.inf

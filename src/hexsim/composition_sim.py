@@ -15,16 +15,14 @@ composable mode; the baseline never scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import UnknownChain
 
 SCALE_OUT_THRESHOLD = 0.90
 
 
-@dataclass(frozen=True)
-class HuType:
+class HuType(NamedTuple):
     type_id: int
     kind: str
     services: tuple[str, ...]
@@ -63,16 +61,19 @@ BASELINE_SERVICES = {
 UNIT_SERVICES = {t.kind: t.services for t in STANDARD_HU_TYPES.values()} | BASELINE_SERVICES
 
 
-@dataclass
 class NfPool:
     """All instances of one unit kind; load is balanced equally across them."""
 
-    kind: str
-    capacity_mbps: float
-    instances: int = 1
-    scalable: bool = True
-    user_plane: bool = True
-    load_mbps: float = 0.0
+    __slots__ = ("kind", "capacity_mbps", "instances", "scalable", "user_plane", "load_mbps")
+
+    def __init__(self, kind: str, capacity_mbps: float, instances: int = 1, scalable: bool = True,
+                 user_plane: bool = True, load_mbps: float = 0.0):
+        self.kind = kind
+        self.capacity_mbps = capacity_mbps
+        self.instances = instances
+        self.scalable = scalable
+        self.user_plane = user_plane
+        self.load_mbps = load_mbps
 
     @property
     def total_capacity(self) -> float:
@@ -85,15 +86,13 @@ class NfPool:
         return self.load_mbps / self.total_capacity
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     flow_id: str
     chain: str
     offered_mbps: float
 
 
-@dataclass
-class RouteResult:
+class RouteResult(NamedTuple):
     delivered: dict[str, float]
     utilization: dict[str, float]
 
@@ -174,8 +173,7 @@ def build_cluster(mode: str, capacities: Optional[Mapping[str, float]] = None) -
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass
-class ScalingSample:
+class ScalingSample(NamedTuple):
     t_s: int
     cells: int
     offered_mbps: float
@@ -186,8 +184,7 @@ class ScalingSample:
     instance_counts: dict[str, int]
 
 
-@dataclass
-class CellsSummary:
+class CellsSummary(NamedTuple):
     cells: int
     offered_mbps: float
     delivered_mbps: float
@@ -195,11 +192,10 @@ class CellsSummary:
     settled_peak_utilization: float
 
 
-@dataclass
-class ScalingResult:
+class ScalingResult(NamedTuple):
     mode: str
-    samples: list[ScalingSample] = field(default_factory=list)
-    per_cells: dict[int, CellsSummary] = field(default_factory=dict)
+    samples: list[ScalingSample]
+    per_cells: dict[int, CellsSummary]
 
     @property
     def settled_peak_utilization(self) -> float:
@@ -225,7 +221,8 @@ def run_scaling_experiment(
     single fixed CU. Autoscaling is evaluated once per simulated second.
     """
     cluster = build_cluster(mode, capacities)
-    result = ScalingResult(mode=mode)
+    samples: list[ScalingSample] = []
+    per_cells: dict[int, CellsSummary] = {}
     t = 0
     for cells in range(1, max_cells + 1):
         if mode == "hexran":
@@ -242,7 +239,7 @@ def run_scaling_experiment(
             delivered = routed.total_delivered
             cluster.autoscale_tick()
             settled = cluster.route_traffic(flows)
-            result.samples.append(
+            samples.append(
                 ScalingSample(
                     t_s=t,
                     cells=cells,
@@ -255,12 +252,12 @@ def run_scaling_experiment(
                 )
             )
             t += 1
-        last = result.samples[-1]
-        result.per_cells[cells] = CellsSummary(
+        last = samples[-1]
+        per_cells[cells] = CellsSummary(
             cells=cells,
             offered_mbps=offered,
             delivered_mbps=last.delivered_mbps,
             loss=last.loss,
             settled_peak_utilization=max(last.utilization.values()),
         )
-    return result
+    return ScalingResult(mode, samples, per_cells)

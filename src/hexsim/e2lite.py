@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import struct
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
+from .clocks import is_period_ms
 from .errors import (
     BadJson,
     BadMagic,
@@ -74,12 +73,22 @@ RESPONSE_FOR = {
 }
 
 
-@dataclass(frozen=True)
-class E2LiteFrame:
+class _Frame(NamedTuple):
     msg_type: int
     correlation_id: int
-    payload: dict = field(default_factory=dict)
+    payload: dict
     version: int = VERSION
+
+
+class E2LiteFrame(_Frame):
+    """One frame; built without a payload, it gets an empty dict of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, msg_type: int, correlation_id: int, payload: Optional[dict] = None,
+                version: int = VERSION):
+        return tuple.__new__(cls, (msg_type, correlation_id,
+                                   {} if payload is None else payload, version))
 
 
 # what json.dumps(payload, sort_keys=True, separators=(",", ":")) would build
@@ -277,10 +286,7 @@ def validate_trigger(trigger: dict) -> dict:
     kind = trigger.get("kind")
     if kind == "periodic":
         period = trigger.get("period_ms")
-        # the deadlines advance by whole nanoseconds (clocks.ms_to_ns), so a
-        # period under one would never advance them
-        _require(type(period) in (int, float) and 1 <= period * 1_000_000 < math.inf,
-                 "period_ms must be a finite number >= 1e-6")
+        _require(is_period_ms(period), "period_ms must be a finite number >= 1e-6")
         return {"kind": "periodic", "period_ms": period}
     if kind == "event":
         _require(trigger.get("event") == "context_change",

@@ -47,7 +47,6 @@ Rounding and tie-break conventions (fixed for determinism):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from math import lcm
 from operator import attrgetter, mul
@@ -68,8 +67,7 @@ class DrbInput(NamedTuple):
     bearer_priority: int
 
 
-@dataclass(frozen=True)
-class SliceInput:
+class SliceInput(NamedTuple):
     """Scheduler-facing view of one non-idle slice."""
 
     slice_id: int
@@ -81,8 +79,7 @@ class SliceInput:
     drbs: tuple[DrbInput, ...]
 
 
-@dataclass(frozen=True)
-class TtiInput:
+class TtiInput(NamedTuple):
     tti_index: int
     total_rb: int
     ue_rate_bits_per_rb: dict[int, float]
@@ -103,19 +100,16 @@ class TtiInput:
                 raise ValueError(f"negative demand for drb {drb}")
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
+class AllocationPlan(NamedTuple):
     per_drb_rb: dict[int, int]
     shared_pool_remaining: int
 
 
-@dataclass(frozen=True)
-class VrbMap:
+class VrbMap(NamedTuple):
     per_ue_range: dict[int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class ScheduleDecision:
+class ScheduleDecision(NamedTuple):
     tti_index: int
     plan: AllocationPlan
     vrb: VrbMap
@@ -443,8 +437,7 @@ def _stage2_order(run: _SliceRun) -> tuple[int, int]:
 _by_slice_id = attrgetter("slice_id")
 
 
-@dataclass(frozen=True)
-class EpochPlan:
+class EpochPlan(NamedTuple):
     """The scheduler's per-epoch structure for one slices tuple (see the
     module docstring); the cell lays its bearer columns out over ``ids``."""
 

@@ -26,11 +26,10 @@ import math
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import fssf
-from .clocks import MonotonicClock, ms_to_ns
+from .clocks import MonotonicClock, is_period_ms, ms_to_ns
 from .errors import (
     BadPeriod,
     DuplicateApi,
@@ -52,14 +51,12 @@ from .slice_model import (
 DEFAULT_LOCKOUT_WINDOW_MS = 100.0
 
 
-@dataclass(frozen=True)
-class PluginManifest:
+class PluginManifest(NamedTuple):
     plugin_id: str
     provided_api_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ApiCall:
+class ApiCall(NamedTuple):
     call_id: int
     api_id: str
     caller_id: str
@@ -103,13 +100,16 @@ class Completion:
             self._callbacks.append(cb)
 
 
-@dataclass
 class TelemetryRegistration:
-    reg_id: int
-    slice_ids: tuple[int, ...]
-    trigger: dict
-    next_due_ns: int = 0
-    change_cursor: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("reg_id", "slice_ids", "trigger", "next_due_ns", "change_cursor")
+
+    def __init__(self, reg_id: int, slice_ids: tuple[int, ...], trigger: dict,
+                 next_due_ns: int = 0, change_cursor: Optional[dict[int, int]] = None):
+        self.reg_id = reg_id
+        self.slice_ids = slice_ids
+        self.trigger = trigger
+        self.next_due_ns = next_due_ns
+        self.change_cursor = {} if change_cursor is None else change_cursor
 
 
 class LockoutRegistry:
@@ -310,8 +310,8 @@ class Pml:
     def add_registration(self, slice_ids: Sequence[int], trigger: Mapping) -> TelemetryRegistration:
         kind = trigger.get("kind")
         if kind == "periodic":
-            period = trigger.get("period_ms", 0)
-            if not period or period <= 0:
+            period = trigger.get("period_ms")
+            if not is_period_ms(period):
                 raise BadPeriod(f"period_ms {period!r}")
         elif kind != "event":
             raise ValidationFailed(f"unknown trigger kind {kind!r}")
@@ -359,8 +359,9 @@ class Pml:
                 period_ns = ms_to_ns(reg.trigger["period_ms"])
                 if now_ns >= reg.next_due_ns:
                     due.append(reg)
-                    while reg.next_due_ns <= now_ns:
-                        reg.next_due_ns += period_ns
+                    # to the first deadline after now_ns, in one step however
+                    # many periods the clock skipped
+                    reg.next_due_ns += ((now_ns - reg.next_due_ns) // period_ns + 1) * period_ns
                 if earliest is None or reg.next_due_ns < earliest:
                     earliest = reg.next_due_ns
             # with no periodic registration, nothing is due until one is added

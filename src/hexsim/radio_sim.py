@@ -33,8 +33,7 @@ smoothing runs alone until it stops changing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import fssf
 from .slice_model import BearerStats, SliceRegistry, SliceState
@@ -43,8 +42,7 @@ RTT_CAP_MS = 2000.0
 STATS_WINDOW_MS = 100.0
 
 
-@dataclass(frozen=True)
-class CellConfig:
+class CellConfig(NamedTuple):
     total_rb: int = 106
     per_rb_rate_mbps: float = 130.0 / 106.0
     tti_ms: float = 1.0
@@ -55,8 +53,7 @@ class CellConfig:
         return self.per_rb_rate_mbps * 1e6 * (self.tti_ms / 1000.0)
 
 
-@dataclass
-class LinkState:
+class LinkState(NamedTuple):
     """Per-UE link quality; the rate hook maps an MCS index to a fraction of
     the calibrated per-RB rate (identity keeps the single-scalar model)."""
 
@@ -76,7 +73,6 @@ def offered_bytes_per_tick(mbps: float, tti_s: float) -> float:
     return arriving
 
 
-@dataclass
 class _Epoch:
     """One published epoch's scheduler plan, tick-loop constants and last-tick memo.
 
@@ -85,18 +81,24 @@ class _Epoch:
     stateless.
     """
 
-    number: int
-    plan: fssf.EpochPlan
-    ue_rate: dict[int, float]
-    bits_per_rb: tuple[float, ...]        # the owning UE's bits per RB per tick
-    rb_capacity: tuple[float, ...]        # bytes one RB carries per tick, after BLER
-    stats: tuple[BearerStats, ...]        # the live objects, aliased by the published bearers
-    last_demands: Optional[dict[int, int]] = None
-    last_decision: Optional[fssf.ScheduleDecision] = None
+    __slots__ = ("number", "plan", "ue_rate", "bits_per_rb", "rb_capacity", "stats",
+                 "last_demands", "last_decision")
+
+    def __init__(self, number: int, plan: fssf.EpochPlan, ue_rate: dict[int, float],
+                 bits_per_rb: tuple[float, ...], rb_capacity: tuple[float, ...],
+                 stats: tuple[BearerStats, ...], last_demands: Optional[dict[int, int]] = None,
+                 last_decision: Optional[fssf.ScheduleDecision] = None):
+        self.number = number
+        self.plan = plan
+        self.ue_rate = ue_rate
+        self.bits_per_rb = bits_per_rb  # the owning UE's bits per RB per tick
+        self.rb_capacity = rb_capacity  # bytes one RB carries per tick, after BLER
+        self.stats = stats  # the live objects, aliased by the published bearers
+        self.last_demands = last_demands
+        self.last_decision = last_decision
 
 
-@dataclass
-class WindowMetrics:
+class WindowMetrics(NamedTuple):
     ttis: int
     utilization: float
     served_mbps: dict[int, float]

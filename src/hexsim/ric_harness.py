@@ -19,9 +19,9 @@ import math
 import statistics
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import e2lite
 from .agent import RIC, Agent, AgentConfig
@@ -187,15 +187,13 @@ def connect_inproc(agent: Agent, peer: SimulatedPeer, link_id: str) -> InProcess
 EVENT_ACTIONS = {"users_join", "users_leave", "traffic", "slice_control", "ue_control"}
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
+class ScenarioEvent(NamedTuple):
     t: float
     action: str
     params: dict
 
 
-@dataclass
-class ScenarioScript:
+class ScenarioScript(NamedTuple):
     duration_s: float
     seed: int
     cell: CellConfig
@@ -274,8 +272,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class MetricRow:
+_NO_EXTRA = MappingProxyType({})  # read-only, so every row without extras can share it
+
+
+class MetricRow(NamedTuple):
     t_s: int
     scope: str
     id: str
@@ -284,7 +284,7 @@ class MetricRow:
     alloc_rb: Optional[float] = None
     state: str = ""
     utilization: Optional[float] = None
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = _NO_EXTRA
 
     def to_csv(self) -> str:
         extra = json.dumps(self.extra, sort_keys=True, separators=(",", ":")) if self.extra else ""
@@ -547,8 +547,7 @@ def run_scenario(script: ScenarioScript) -> tuple[MetricsTable, ScenarioRunner]:
 RELIABILITY_BURST_MS = 100  # the reliability benchmark's report period
 
 
-@dataclass
-class BenchmarkConfig:
+class BenchmarkConfig(NamedTuple):
     instances: tuple[int, ...] = tuple(range(10, 101, 10))
     period_ms: float = 50.0
     rates: tuple[int, ...] = tuple(range(10, 101, 10))
@@ -561,25 +560,18 @@ class BenchmarkConfig:
     @staticmethod
     def from_dict(doc: Mapping) -> "BenchmarkConfig":
         cfg = BenchmarkConfig()
-        for key in vars(cfg):
-            if key in doc:
-                value = doc[key]
-                if isinstance(getattr(cfg, key), tuple):
-                    value = tuple(value)
-                setattr(cfg, key, value)
-        return cfg
+        return cfg._replace(**{key: tuple(doc[key]) if isinstance(getattr(cfg, key), tuple)
+                               else doc[key] for key in cfg._fields if key in doc})
 
 
-@dataclass
-class DelayStats:
+class DelayStats(NamedTuple):
     instances: int
     samples: int
     median_us: float
     p95_us: float
 
 
-@dataclass
-class ReliabilityStats:
+class ReliabilityStats(NamedTuple):
     rate_per_s: int
     received: int
     executed: int

@@ -30,9 +30,8 @@ from __future__ import annotations
 import enum
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .e2lite import JSON_ENCODER
 from .errors import (
@@ -72,8 +71,7 @@ class OutcomeKind(enum.Enum):
     BEARER_LIST = "bearer_list"
 
 
-@dataclass(frozen=True)
-class RadioResourceConfig:
+class RadioResourceConfig(NamedTuple):
     """Per-slice radio resource parameters; which fields matter depends on state."""
 
     dedicated_rb: int = 0
@@ -103,35 +101,44 @@ class RadioResourceConfig:
         return self.dedicated_rb + self.prioritized_rb
 
 
-@dataclass
 class BearerStats:
-    throughput_mbps: float = 0.0
-    packet_delay_ms: float = 0.0
-    packet_loss_rate: float = 0.0
-    buffer_occupancy_bytes: float = 0.0
+    __slots__ = ("throughput_mbps", "packet_delay_ms", "packet_loss_rate", "buffer_occupancy_bytes")
+
+    def __init__(self, throughput_mbps: float = 0.0, packet_delay_ms: float = 0.0,
+                 packet_loss_rate: float = 0.0, buffer_occupancy_bytes: float = 0.0):
+        self.throughput_mbps = throughput_mbps
+        self.packet_delay_ms = packet_delay_ms
+        self.packet_loss_rate = packet_loss_rate
+        self.buffer_occupancy_bytes = buffer_occupancy_bytes
 
 
-@dataclass
 class Bearer:
-    drb_id: int
-    ue_id: int
-    slice_id: int
-    bearer_priority: int = 1
-    qos_5qi: int = 9
-    stats: BearerStats = field(default_factory=BearerStats)
+    __slots__ = ("drb_id", "ue_id", "slice_id", "bearer_priority", "qos_5qi", "stats")
+
+    def __init__(self, drb_id: int, ue_id: int, slice_id: int, bearer_priority: int = 1,
+                 qos_5qi: int = 9, stats: Optional[BearerStats] = None):
+        self.drb_id = drb_id
+        self.ue_id = ue_id
+        self.slice_id = slice_id
+        self.bearer_priority = bearer_priority
+        self.qos_5qi = qos_5qi
+        self.stats = BearerStats() if stats is None else stats
 
     def validate(self) -> None:
         if self.bearer_priority < 1:
             raise InvalidResourceConfig("bearer_priority must be >= 1")
 
 
-@dataclass
 class UEContext:
-    ue_id: int
-    mcs: int = MCS_MAX
-    cqi: int = CQI_MAX
-    bler: float = 0.0
-    bearers: list[int] = field(default_factory=list)
+    __slots__ = ("ue_id", "mcs", "cqi", "bler", "bearers")
+
+    def __init__(self, ue_id: int, mcs: int = MCS_MAX, cqi: int = CQI_MAX, bler: float = 0.0,
+                 bearers: Optional[list[int]] = None):
+        self.ue_id = ue_id
+        self.mcs = mcs
+        self.cqi = cqi
+        self.bler = bler
+        self.bearers = [] if bearers is None else bearers
 
     def validate(self) -> None:
         if not 0 <= self.mcs <= MCS_MAX:
@@ -142,34 +149,36 @@ class UEContext:
             raise InvalidResourceConfig(f"bler out of range: {self.bler}")
 
 
-@dataclass
 class SliceContext:
-    slice_id: int
-    state: SliceState
-    default_active_state: SliceState
-    rrc: RadioResourceConfig
-    fd_scheduler: str
-    hu_associations: set[str] = field(default_factory=set)
-    bearers: list[int] = field(default_factory=list)
+    __slots__ = ("slice_id", "state", "default_active_state", "rrc", "fd_scheduler",
+                 "hu_associations", "bearers")
+
+    def __init__(self, slice_id: int, state: SliceState, default_active_state: SliceState,
+                 rrc: RadioResourceConfig, fd_scheduler: str,
+                 hu_associations: Optional[set[str]] = None, bearers: Optional[list[int]] = None):
+        self.slice_id = slice_id
+        self.state = state
+        self.default_active_state = default_active_state
+        self.rrc = rrc
+        self.fd_scheduler = fd_scheduler
+        self.hu_associations = set() if hu_associations is None else hu_associations
+        self.bearers = [] if bearers is None else bearers
 
 
-@dataclass(frozen=True)
-class ChangeTrigger:
+class ChangeTrigger(NamedTuple):
     """What caused a context change: procedure name plus the originating entity."""
 
     procedure: str
     source: str
 
 
-@dataclass(frozen=True)
-class ChangeOutcome:
+class ChangeOutcome(NamedTuple):
     kind: OutcomeKind
     before: object
     after: object
 
 
-@dataclass(frozen=True)
-class ContextChangeRecord:
+class ContextChangeRecord(NamedTuple):
     seq: int
     slice_id: int
     trigger: ChangeTrigger
@@ -197,14 +206,6 @@ def state_after_last_drb_removed(state: SliceState) -> tuple[SliceState, Optiona
     return state, None
 
 
-def _rrc_dict(rrc: RadioResourceConfig) -> dict:
-    return {
-        "dedicated_rb": rrc.dedicated_rb,
-        "prioritized_rb": rrc.prioritized_rb,
-        "shared_priority": rrc.shared_priority,
-    }
-
-
 def record_to_dict(record: ContextChangeRecord) -> dict:
     return {
         "slice_id": record.slice_id,
@@ -217,11 +218,17 @@ def record_to_dict(record: ContextChangeRecord) -> dict:
 
 
 def _copy_slice(s: SliceContext) -> SliceContext:
-    return replace(s, hu_associations=set(s.hu_associations), bearers=list(s.bearers))
+    return SliceContext(s.slice_id, s.state, s.default_active_state, s.rrc, s.fd_scheduler,
+                        set(s.hu_associations), list(s.bearers))
+
+
+def _copy_bearer(b: Bearer) -> Bearer:
+    """A copy that keeps ``.stats``: it aliases the live telemetry."""
+    return Bearer(b.drb_id, b.ue_id, b.slice_id, b.bearer_priority, b.qos_5qi, b.stats)
 
 
 def _copy_ue(ue: UEContext) -> UEContext:
-    return replace(ue, bearers=list(ue.bearers))
+    return UEContext(ue.ue_id, ue.mcs, ue.cqi, ue.bler, list(ue.bearers))
 
 
 def _copy_on_write(previous: dict, live: dict, dirty: set[int], copy, texts: dict) -> dict:
@@ -264,7 +271,7 @@ def _bearer_text(b: Bearer) -> str:
 def _slice_tail(s: SliceContext) -> str:
     return _static_text({"slice_id": s.slice_id, "state": s.state.value,
                          "hu_associations": sorted(s.hu_associations),
-                         "fd_scheduler": s.fd_scheduler, "rrc": _rrc_dict(s.rrc)})[1:]
+                         "fd_scheduler": s.fd_scheduler, "rrc": s.rrc._asdict()})[1:]
 
 
 def _ue_tail(ue: UEContext) -> str:
@@ -281,8 +288,7 @@ def fill_report(fmt: str, stats: Sequence[BearerStats]) -> str:
     return fmt % tuple(JSON_ENCODER.encode(values)[1:-1].split(","))
 
 
-@dataclass(frozen=True)
-class RegistrySnapshot:
+class RegistrySnapshot(NamedTuple):
     """Immutable view of slice/bearer/UE configuration published at a TTI boundary.
 
     Consecutive snapshots share every object, and every map, that no write
@@ -345,8 +351,7 @@ class SliceRegistry:
             total_rb=self.total_rb,
             slices=_copy_on_write(prev.slices, self._slices, self._dirty_slices, _copy_slice,
                                   texts["slices"]),
-            # replace() keeps .stats: a bearer copy aliases the live telemetry
-            bearers=_copy_on_write(prev.bearers, self._bearers, self._dirty_bearers, replace,
+            bearers=_copy_on_write(prev.bearers, self._bearers, self._dirty_bearers, _copy_bearer,
                                    texts["bearers"]),
             ues=_copy_on_write(prev.ues, self._ues, self._dirty_ues, _copy_ue, texts["ues"]),
             record_watermark=dict(self._seq),
@@ -448,7 +453,7 @@ class SliceRegistry:
         self._record(
             slice_id,
             trigger,
-            [ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, None, _rrc_dict(rrc))],
+            [ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, None, rrc._asdict())],
         )
         self._dirty_slices.add(slice_id)
         return ctx
@@ -522,21 +527,21 @@ class SliceRegistry:
         outcomes: list[ChangeOutcome] = []
         if new_state is ctx.state:
             return outcomes
-        before_rrc = _rrc_dict(ctx.rrc)
+        before_rrc = ctx.rrc._asdict()
         outcomes.append(ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, ctx.state.value, new_state.value))
         if new_state is SliceState.IDLE:
             # the slice gives up its resource assignment entirely so a later
             # reactivation as shared satisfies the shared-state field rules
-            ctx.rrc = replace(ctx.rrc, dedicated_rb=0, prioritized_rb=0)
+            ctx.rrc = ctx.rrc._replace(dedicated_rb=0, prioritized_rb=0)
         elif new_state is SliceState.DEDICATED:
             # hybrid collapse: dedicated assignment survives, the prioritized
             # remainder returns to the pool; shared_priority is retained as
             # stored data for a lossless return to hybrid
-            ctx.rrc = replace(ctx.rrc, prioritized_rb=0)
+            ctx.rrc = ctx.rrc._replace(prioritized_rb=0)
         if new_default is not None:
             ctx.default_active_state = new_default
         ctx.state = new_state
-        after_rrc = _rrc_dict(ctx.rrc)
+        after_rrc = ctx.rrc._asdict()
         if after_rrc != before_rrc:
             outcomes.append(ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, before_rrc, after_rrc))
         return outcomes
@@ -558,13 +563,13 @@ class SliceRegistry:
             raise InvalidResourceConfig("requested state must be an active state")
         new_rrc.validate_for_state(new_state)
         self._check_footprint(new_rrc, exclude=slice_id)
-        before = {"state": ctx.state.value, "rrc": _rrc_dict(ctx.rrc)}
+        before = {"state": ctx.state.value, "rrc": ctx.rrc._asdict()}
         if ctx.state is SliceState.IDLE:
             ctx.default_active_state = new_state
         else:
             ctx.state = new_state
         ctx.rrc = new_rrc
-        after = {"state": ctx.state.value, "rrc": _rrc_dict(ctx.rrc)}
+        after = {"state": ctx.state.value, "rrc": ctx.rrc._asdict()}
         self._record(
             slice_id, trigger, [ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, before, after)]
         )

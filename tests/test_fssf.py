@@ -1,7 +1,6 @@
 """Three-stage scheduler: stage contracts, built-in algorithms, fairness properties."""
 
 import copy
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -607,7 +606,7 @@ class TestEpochPlan:
         assert not fssf.epoch_plan(slices, registry).stateless  # round_robin on slice 3
 
         def with_scheduler(name):
-            return tuple(dataclasses.replace(s, fd_scheduler=name) for s in slices)
+            return tuple(s._replace(fd_scheduler=name) for s in slices)
 
         assert fssf.epoch_plan(with_scheduler("max_throughput"), registry).stateless
         assert not fssf.epoch_plan(with_scheduler("plain"), registry).stateless

@@ -1,6 +1,7 @@
 """Mediation layer: FIFO dispatch, lockout, boundary publication, slice APIs."""
 
 import gc
+import math
 import threading
 import time
 import weakref
@@ -394,13 +395,31 @@ class TestTelemetryAndReports:
             fired += len(pml.due_periodic(clock.now_ns()))
         assert fired == 10
 
-    def test_bad_period_rejected(self):
+    # 1e-7 ms is 0 ns once converted, a period that would never move a deadline
+    @pytest.mark.parametrize("period_ms", [0, 1e-7, math.nan, math.inf, True])
+    def test_bad_period_rejected(self, period_ms):
         registry, pml, fs, _ = make_stack()
         seed_slice(registry, 1)
         completion = fs.fs_telemetry_registration_request(
-            "ric", {"slice_ids": [1]}, {"kind": "periodic", "period_ms": 0})
+            "ric", {"slice_ids": [1]}, {"kind": "periodic", "period_ms": period_ms})
         pml.drain()
         assert isinstance(completion.error, BadPeriod)
+        assert pml._registrations == {}
+
+    def test_a_clock_jump_moves_a_deadline_in_one_step(self):
+        registry, pml, _, clock = make_stack()
+        seed_slice(registry, 1)
+        reg = pml.add_registration([1], {"kind": "periodic", "period_ms": 1e-6})  # 1 ns
+        assert reg.next_due_ns == clock.now_ns() + 1
+        clock.advance_ms(1000)  # a billion missed periods
+        start = time.perf_counter()
+        assert pml.due_periodic(clock.now_ns()) == [reg]
+        assert time.perf_counter() - start < 1.0  # not one loop pass per missed period
+        # where stepping one period at a time would stop: the first deadline after now
+        assert reg.next_due_ns == clock.now_ns() + 1
+        clock.advance_ns(7)
+        assert pml.due_periodic(clock.now_ns()) == [reg]
+        assert reg.next_due_ns == clock.now_ns() + 1
 
     def test_event_registration_fires_once_per_change(self):
         registry, pml, fs, _ = make_stack()

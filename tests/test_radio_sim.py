@@ -1,6 +1,5 @@
 """Cell emulation: service rates, RTT model, utilization, determinism."""
 
-import dataclasses
 import math
 import random
 
@@ -280,7 +279,7 @@ class TestDecisionMemo:
         last = decisions[-1]
         assert last is decisions[0] and last.tti_index == 0
         # the reused decision is what a fresh run on this tick's input gives
-        now =dataclasses.replace(calls[0], tti_index=cell.tti_index - 1)
+        now = calls[0]._replace(tti_index=cell.tti_index - 1)
         recomputed = fssf.run_tti(now, cell.algorithms, {})
         assert (recomputed.plan, recomputed.vrb) == (last.plan, last.vrb)
 
@@ -409,7 +408,8 @@ class TestFixedPoint:
         return (cell.tti_index, cell._win_ttis, cell._win_alloc,
                 list(cell._win_served.items()), list(cell._win_alloc_drb.items()),
                 list(cell.buffers.items()),
-                [(drb, list(vars(b.stats).values())) for drb, b in bearers.items()])
+                [(drb, [getattr(b.stats, f) for f in b.stats.__slots__])
+                 for drb, b in bearers.items()])
 
     @classmethod
     def _advance(cls, fast, slow, k):

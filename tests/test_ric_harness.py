@@ -151,6 +151,8 @@ _PINNED_SHA256 = {
         "6b1e055268ce8f5422e5976b83350f8463417504addadc121900de065896d2ba",
     "bench_reliability_framegated.csv":
         "ad5f344c19c07c4b99d8cc8103752aa24a5e6c8deac3b1dbd583a72d839921cf",
+    "scale_hexran.csv": "a50bf243da96b948b35ef15c57df70429c52c9f505395a18baee91b27d729957",
+    "scale_baseline.csv": "6f7d75d1cb1624943d9cc2f58af05ef0da7910d47b4cb1659d10f4294a8d0c61",
 }
 
 
@@ -169,6 +171,14 @@ class TestPinnedOutputs:
         from hexsim.cli import main
         argv = ["bench-agent", "--mode", "reliability", "--quick", "--out", str(tmp_path)]
         assert main(argv + flags) == 0
+        digest = hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
+        assert digest == _PINNED_SHA256[csv]
+
+    @pytest.mark.parametrize("mode", ["hexran", "baseline"])
+    def test_scale_csv(self, mode, tmp_path):
+        from hexsim.cli import main
+        assert main(["scale", "--mode", mode, "--out", str(tmp_path)]) == 0
+        csv = f"scale_{mode}.csv"
         digest = hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
         assert digest == _PINNED_SHA256[csv]
 
@@ -376,7 +386,8 @@ def _cell_digest(cell):
     return hash((cell.tti_index, cell._win_ttis, cell._win_alloc,
                  tuple(cell._win_served.items()), tuple(cell._win_alloc_drb.items()),
                  tuple(cell.buffers.items()),
-                 tuple((drb, tuple(vars(b.stats).values())) for drb, b in bearers.items())))
+                 tuple((drb, tuple(getattr(b.stats, f) for f in b.stats.__slots__))
+                       for drb, b in bearers.items())))
 
 
 def _replay(script, mode, on_tick):

@@ -3,7 +3,6 @@
 import random
 import sys
 import threading
-from dataclasses import asdict
 
 import pytest
 
@@ -417,13 +416,27 @@ def _live(reg):
     return {"slices": reg._slices, "bearers": reg._bearers, "ues": reg._ues}
 
 
+def _fields(obj):
+    """A copy of every field of a registry object: its lists and sets copied,
+    its stats as a dict of their values."""
+    out = {}
+    for name in obj.__slots__:
+        value = getattr(obj, name)
+        if isinstance(value, (list, set)):
+            value = type(value)(value)
+        elif name == "stats":
+            value = {f: getattr(value, f) for f in value.__slots__}
+        out[name] = value
+    return out
+
+
 def _content(maps, with_stats=True):
     """A field-by-field copy of every object, keyed by kind and id."""
     out = {}
     for kind in KINDS:
         out[kind] = {}
         for key, obj in maps[kind].items():
-            fields = asdict(obj)
+            fields = _fields(obj)
             if not with_stats:
                 fields.pop("stats", None)
             out[kind][key] = fields
@@ -537,7 +550,7 @@ class TestCopyOnWritePublish:
                     assert obj is not live[kind][key]
                     if key not in touched[kind]:
                         assert obj is old[key]
-                    elif key not in old or asdict(old[key]) != asdict(obj):
+                    elif key not in old or _fields(old[key]) != _fields(obj):
                         assert obj is not old.get(key)
             for drb, bearer in snap.bearers.items():
                 assert bearer.stats is reg.get_bearer(drb).stats
