@@ -48,6 +48,7 @@ from .pml import DEFAULT_LOCKOUT_WINDOW_MS, Completion, FsApi, Pml
 from .slice_model import SliceRegistry, fill_report, record_to_dict
 
 DEFAULT_QUEUE_DEPTH = 1024
+DELAY_SAMPLES = 4096  # newest control delay samples kept
 
 RIC = "ric"
 SMO = "smo"
@@ -227,17 +228,18 @@ class PipelineMetrics:
         self.received = 0
         self.executed = 0
         self.failed = 0
-        self.records: list[MessageRecord] = []
+        self.records: deque[MessageRecord] = deque(maxlen=DELAY_SAMPLES)
 
     def reset(self) -> None:
         with self.lock:
             self.received = 0
             self.executed = 0
             self.failed = 0
-            self.records = []
+            self.records.clear()
 
     def delays_us(self) -> list[float]:
-        """receive-to-action-invoke delay per executed control message."""
+        """receive-to-action-invoke delay of the newest ``DELAY_SAMPLES``
+        invoked control messages, oldest first."""
         with self.lock:
             return [
                 (r.invoke_ns - r.receive_ns) / 1000.0 for r in self.records if r.invoke_ns

@@ -488,15 +488,14 @@ class ScenarioRunner:
 
     def _close_window(self, second: int) -> None:
         wm = self.cell.end_window()
-        snap = self.registry.published
-        slice_of = {d: b.slice_id for d, b in snap.bearers.items()}
-        ue_of = {d: b.ue_id for d, b in snap.bearers.items()}
+        published = self.registry.published.bearers
         alloc_by_slice: dict[int, float] = {}
         alloc_by_ue: dict[int, float] = {}
         for drb, mean_rb in wm.alloc_rb_mean.items():
-            if drb in slice_of:
-                alloc_by_slice[slice_of[drb]] = alloc_by_slice.get(slice_of[drb], 0.0) + mean_rb
-                alloc_by_ue[ue_of[drb]] = alloc_by_ue.get(ue_of[drb], 0.0) + mean_rb
+            b = published.get(drb)
+            if b is not None:
+                alloc_by_slice[b.slice_id] = alloc_by_slice.get(b.slice_id, 0.0) + mean_rb
+                alloc_by_ue[b.ue_id] = alloc_by_ue.get(b.ue_id, 0.0) + mean_rb
         latest: dict[str, dict] = {}
         for frame in self.ric.drain_indications():
             latest[frame.payload.get("service", "?")] = frame.payload.get("report", {})

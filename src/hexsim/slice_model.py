@@ -172,7 +172,23 @@ class ChangeTrigger(NamedTuple):
     source: str
 
 
+class StateConfig(NamedTuple):
+    """A slice's state value and resource config, as one outcome value."""
+
+    state: str
+    rrc: RadioResourceConfig
+
+
+class BearerPriority(NamedTuple):
+    drb_id: int
+    bearer_priority: int
+
+
 class ChangeOutcome(NamedTuple):
+    """``before`` and ``after`` hold immutable values (None, a str, a tuple
+    or a NamedTuple) that the registry may share; :func:`record_to_dict`
+    renders them."""
+
     kind: OutcomeKind
     before: object
     after: object
@@ -206,13 +222,24 @@ def state_after_last_drb_removed(state: SliceState) -> tuple[SliceState, Optiona
     return state, None
 
 
+def _plain(value):
+    """An outcome value as report JSON: a NamedTuple as an object, a tuple as
+    a list."""
+    if isinstance(value, tuple):
+        if hasattr(value, "_fields"):
+            return {k: _plain(v) for k, v in zip(value._fields, value)}
+        return list(value)
+    return value
+
+
 def record_to_dict(record: ContextChangeRecord) -> dict:
     return {
         "slice_id": record.slice_id,
         "seq": record.seq,
         "trigger": {"procedure": record.trigger.procedure, "source": record.trigger.source},
         "outcomes": [
-            {"kind": o.kind.value, "before": o.before, "after": o.after} for o in record.outcomes
+            {"kind": o.kind.value, "before": _plain(o.before), "after": _plain(o.after)}
+            for o in record.outcomes
         ],
     }
 
@@ -453,7 +480,7 @@ class SliceRegistry:
         self._record(
             slice_id,
             trigger,
-            [ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, None, rrc._asdict())],
+            [ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, None, rrc)],
         )
         self._dirty_slices.add(slice_id)
         return ctx
@@ -485,11 +512,11 @@ class SliceRegistry:
         ue = self._ues.get(bearer.ue_id)
         if ue is None:
             raise UnknownUe(f"ue {bearer.ue_id}")
-        before = list(ctx.bearers)
+        before = tuple(ctx.bearers)
         self._bearers[bearer.drb_id] = bearer
         ctx.bearers.append(bearer.drb_id)
         ue.bearers.append(bearer.drb_id)
-        outcomes = [ChangeOutcome(OutcomeKind.BEARER_LIST, before, list(ctx.bearers))]
+        outcomes = [ChangeOutcome(OutcomeKind.BEARER_LIST, before, tuple(ctx.bearers))]
         new_state = state_after_drb_added(ctx.state, ctx.default_active_state)
         if new_state is not ctx.state:
             outcomes.append(
@@ -507,13 +534,13 @@ class SliceRegistry:
         if drb_id not in ctx.bearers:
             raise UnknownDrb(f"drb {drb_id} not on slice {slice_id}")
         bearer = self._bearers.pop(drb_id)
-        before = list(ctx.bearers)
+        before = tuple(ctx.bearers)
         ctx.bearers.remove(drb_id)
         ue = self._ues.get(bearer.ue_id)
         if ue is not None and drb_id in ue.bearers:
             ue.bearers.remove(drb_id)
             self._dirty_ues.add(ue.ue_id)
-        outcomes = [ChangeOutcome(OutcomeKind.BEARER_LIST, before, list(ctx.bearers))]
+        outcomes = [ChangeOutcome(OutcomeKind.BEARER_LIST, before, tuple(ctx.bearers))]
         if not ctx.bearers:
             outcomes.extend(self._collapse_empty(ctx))
         self._record(slice_id, trigger, outcomes)
@@ -527,7 +554,7 @@ class SliceRegistry:
         outcomes: list[ChangeOutcome] = []
         if new_state is ctx.state:
             return outcomes
-        before_rrc = ctx.rrc._asdict()
+        before_rrc = ctx.rrc
         outcomes.append(ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, ctx.state.value, new_state.value))
         if new_state is SliceState.IDLE:
             # the slice gives up its resource assignment entirely so a later
@@ -541,9 +568,8 @@ class SliceRegistry:
         if new_default is not None:
             ctx.default_active_state = new_default
         ctx.state = new_state
-        after_rrc = ctx.rrc._asdict()
-        if after_rrc != before_rrc:
-            outcomes.append(ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, before_rrc, after_rrc))
+        if ctx.rrc != before_rrc:
+            outcomes.append(ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, before_rrc, ctx.rrc))
         return outcomes
 
     def request_state_change(
@@ -563,13 +589,13 @@ class SliceRegistry:
             raise InvalidResourceConfig("requested state must be an active state")
         new_rrc.validate_for_state(new_state)
         self._check_footprint(new_rrc, exclude=slice_id)
-        before = {"state": ctx.state.value, "rrc": ctx.rrc._asdict()}
+        before = StateConfig(ctx.state.value, ctx.rrc)
         if ctx.state is SliceState.IDLE:
             ctx.default_active_state = new_state
         else:
             ctx.state = new_state
         ctx.rrc = new_rrc
-        after = {"state": ctx.state.value, "rrc": ctx.rrc._asdict()}
+        after = StateConfig(ctx.state.value, ctx.rrc)
         self._record(
             slice_id, trigger, [ChangeOutcome(OutcomeKind.RESOURCE_CONFIG, before, after)]
         )
@@ -591,11 +617,9 @@ class SliceRegistry:
         if hu_associations is not None:
             new_assoc = set(hu_associations)
             if new_assoc != ctx.hu_associations:
-                outcomes.append(
-                    ChangeOutcome(
-                        OutcomeKind.HU_ASSOC, sorted(ctx.hu_associations), sorted(new_assoc)
-                    )
-                )
+                outcomes.append(ChangeOutcome(OutcomeKind.HU_ASSOC,
+                                              tuple(sorted(ctx.hu_associations)),
+                                              tuple(sorted(new_assoc))))
                 ctx.hu_associations = new_assoc
         if outcomes:
             self._record(slice_id, trigger, outcomes)
@@ -613,13 +637,8 @@ class SliceRegistry:
         self._record(
             bearer.slice_id,
             trigger,
-            [
-                ChangeOutcome(
-                    OutcomeKind.BEARER_LIST,
-                    {"drb_id": drb_id, "bearer_priority": before},
-                    {"drb_id": drb_id, "bearer_priority": bearer_priority},
-                )
-            ],
+            [ChangeOutcome(OutcomeKind.BEARER_LIST, BearerPriority(drb_id, before),
+                           BearerPriority(drb_id, bearer_priority))],
         )
         self._dirty_bearers.add(drb_id)
         return bearer

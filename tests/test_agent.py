@@ -18,9 +18,18 @@ from hypothesis import strategies as st
 
 import hexsim
 from hexsim import e2lite
-from hexsim.agent import RIC, SMO, Agent, AgentConfig, HaRepository, PeerContext, failure_cause
+from hexsim.agent import (
+    DELAY_SAMPLES,
+    RIC,
+    SMO,
+    Agent,
+    AgentConfig,
+    HaRepository,
+    PeerContext,
+    failure_cause,
+)
 from hexsim.clocks import VirtualClock
-from hexsim.e2lite import E2LiteFrame, FrameReader, MsgType
+from hexsim.e2lite import JSON_ENCODER, E2LiteFrame, FrameReader, MsgType
 from hexsim.errors import (
     AgentError,
     BadJson,
@@ -36,9 +45,11 @@ from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc
 from hexsim.slice_model import (
     Bearer,
     ChangeTrigger,
+    RadioResourceConfig,
     SliceRegistry,
     SliceState,
     UEContext,
+    record_to_dict,
 )
 
 T = ChangeTrigger("test", "unit")
@@ -583,9 +594,9 @@ class TestDispatch:
         assert stack.registry.get_slice(1).rrc.shared_priority == 4
         records = stack.registry.records_since(1, 0)
         priorities = [
-            o.after["rrc"]["shared_priority"]
-            for r in records for o in r.outcomes
-            if isinstance(o.after, dict) and "rrc" in o.after
+            o["after"]["rrc"]["shared_priority"]
+            for r in records for o in record_to_dict(r)["outcomes"]
+            if isinstance(o["after"], dict) and "rrc" in o["after"]
         ]
         assert priorities == [2, 3, 4]
 
@@ -1132,6 +1143,109 @@ class TestPipelineMetricsInvariant:
         assert records
         for r in records:
             assert r.receive_ns <= r.dispatch_ns <= r.invoke_ns
+
+
+def _change_script():
+    """Every kind of change outcome, applied to a registry under an agent on
+    virtual time with one event-triggered context_change subscription to all
+    three slices. Returns the stack and the raw bytes of each indication."""
+    stack = Stack(n_slices=0)
+    reg = stack.registry
+    reg.create_slice(1, SliceState.HYBRID,
+                     RadioResourceConfig(dedicated_rb=10, prioritized_rb=5, shared_priority=2),
+                     fd_scheduler="round_robin", hu_associations={"hu-b", "hu-a"})
+    reg.create_slice(2, SliceState.SHARED)
+    reg.create_slice(3, SliceState.PRIORITIZED, RadioResourceConfig(prioritized_rb=20))
+    for ue_id in (10, 20, 30):
+        reg.add_ue(UEContext(ue_id=ue_id))
+    reg.publish()
+    ric = SimulatedPeer("ric-1", RIC)
+    frames = []
+    on_bytes = ric.on_bytes
+
+    def capture(data):
+        frames.append(data)
+        on_bytes(data)
+
+    ric.on_bytes = capture
+    connect_inproc(stack.agent, ric, "link-ric-1")
+    stack.settle()
+    ric.subscribe(1, "context_change", slice_ids=[1, 2, 3],
+                  trigger={"kind": "event", "event": "context_change"})
+    stack.settle(2)
+    frames.clear()  # the setup, the subscription response and the creation records
+    for change in (
+        lambda: reg.add_drb(1, Bearer(drb_id=11, ue_id=10, slice_id=1), T),  # idle -> hybrid
+        lambda: reg.add_drb(2, Bearer(drb_id=21, ue_id=20, slice_id=2), T),  # idle -> shared
+        lambda: reg.add_drb(2, Bearer(drb_id=22, ue_id=20, slice_id=2, bearer_priority=2), T),
+        lambda: reg.set_bearer_priority(21, 3, T),
+        lambda: reg.request_state_change(3, SliceState.DEDICATED,  # on an idle slice
+                                         RadioResourceConfig(dedicated_rb=8), T),
+        lambda: reg.add_drb(3, Bearer(drb_id=31, ue_id=30, slice_id=3), T),
+        lambda: reg.request_state_change(3, SliceState.HYBRID,  # on an active slice
+                                         RadioResourceConfig(4, 6, 3), T),
+        lambda: reg.update_slice(1, T, fd_scheduler="max_throughput"),
+        lambda: reg.update_slice(1, T, hu_associations={"hu-c", "hu-a"}),
+        lambda: reg.remove_drb(1, 11, T),  # hybrid collapse: state and rrc
+        lambda: reg.remove_drb(2, 22, T),
+        lambda: reg.remove_drb(2, 21, T),  # shared collapse: state only
+    ):
+        change()
+        stack.settle()
+    return stack, frames
+
+
+class TestChangeRecordStorage:
+    """Change outcomes hold the immutable values already alive in the
+    registry, and only a report renders them as objects and arrays."""
+
+    # sha256 of _change_script's change report and of its indication frames,
+    # recorded while outcomes still stored dict and list copies
+    REPORT_SHA256 = "8305aa9ff76ed7156dc1753a16d24c073c0269de4af157c879c97e4e252c6223"
+    FRAMES_SHA256 = "f325fedcade33f1448cab24acf0fc9f02331d1aee486c4b1abc3fb133190b96c"
+
+    def test_context_change_bytes_are_pinned(self):
+        stack, frames = _change_script()
+        report = JSON_ENCODER.encode(stack.registry.change_report())
+        assert hashlib.sha256(report.encode()).hexdigest() == self.REPORT_SHA256
+        assert len(frames) == 12
+        assert hashlib.sha256(b"".join(frames)).hexdigest() == self.FRAMES_SHA256
+
+    def test_stored_outcomes_hold_no_dict_or_list(self):
+        stack, _ = _change_script()
+        reg = stack.registry
+        stored = [v for sid in reg.slice_ids() for r in reg.records_since(sid)
+                  for o in r.outcomes for v in (o.before, o.after)]
+        assert len(stored) == 2 * 21
+        while stored:
+            value = stored.pop()
+            assert not isinstance(value, (dict, list)), value
+            if isinstance(value, tuple):
+                stored.extend(value)
+
+    def test_a_state_change_shares_the_slice_config(self):
+        stack, _ = _change_script()
+        reg = stack.registry
+        after = reg.records_since(3)[-1].outcomes[0].after
+        assert after.state == "hybrid"
+        assert after.rrc is reg.get_slice(3).rrc is reg.published.slices[3].rrc
+
+
+class TestDelaySamples:
+    def test_only_the_newest_delay_samples_are_kept(self):
+        stack = Stack()
+        ric = stack.attach()
+        stack.agent.metrics.reset()
+        total = DELAY_SAMPLES + 100
+        for k in range(1, total + 1):
+            ric.control_slice(1, {"slice_id": 1, "shared_priority": 1 + k % 5})
+            stack.clock.advance_ns(k * 1000)  # received now, invoked k us later
+            stack.settle()
+        assert stack.agent.metrics.executed == total
+        assert len(stack.agent.metrics.records) == DELAY_SAMPLES
+        assert stack.agent.metrics.delays_us() == [float(k) for k in range(101, total + 1)]
+        stack.agent.metrics.reset()
+        assert stack.agent.metrics.delays_us() == []
 
 
 # one controller-or-driver action for TestNextWakeSoundness; peers are 0 and 1
