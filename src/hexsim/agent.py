@@ -26,21 +26,14 @@ from . import e2lite
 from .clocks import MonotonicClock
 from .errors import (
     AgentError,
-    BadPeriod,
     CodecError,
-    InvalidResourceConfig,
+    HexsimError,
     LinkLost,
-    LockedOut,
     MalformedConfig,
     NotActivated,
-    OverSubscription,
     ResourceLockedByOther,
     SchemaViolation,
     SliceModelError,
-    UnknownDrb,
-    UnknownId,
-    UnknownSlice,
-    UnknownUe,
     ValidationFailed,
 )
 from .e2lite import JSON_ENCODER, E2LiteFrame, FrameReader, MsgType
@@ -96,27 +89,9 @@ def _check(table: Mapping, values: Mapping, error: type[Exception]) -> dict:
 
 
 def failure_cause(exc: Exception) -> str:
-    if isinstance(exc, LinkLost):
-        return "link_lost"
-    if isinstance(exc, LockedOut):
-        return "locked_out"
-    if isinstance(exc, SchemaViolation):
-        return "schema_violation"
-    if isinstance(exc, CodecError):
-        return "codec"
-    if isinstance(exc, (UnknownId, UnknownSlice, UnknownDrb, UnknownUe)):
-        return "unknown_id"
-    if isinstance(exc, OverSubscription):
-        return "oversubscription"
-    if isinstance(exc, BadPeriod):
-        return "bad_period"
-    if isinstance(exc, (ValidationFailed, InvalidResourceConfig)):
-        return "validation_failed"
-    if isinstance(exc, NotActivated):
-        return "not_activated"
-    if isinstance(exc, ResourceLockedByOther):
-        return "resource_locked"
-    return f"error:{type(exc).__name__}"
+    """The cause a failure answer names: a HexsimError's, else error:<class name>."""
+    cause = exc.cause if isinstance(exc, HexsimError) else None
+    return cause or f"error:{type(exc).__name__}"
 
 
 class FunctionSpec(NamedTuple):
@@ -135,14 +110,12 @@ class CatalogEntry(NamedTuple):
 
 
 class Subscription:
-    __slots__ = ("sub_id", "link", "function_id", "service", "targets", "reg_id", "plan",
-                 "envelope")
+    __slots__ = ("sub_id", "link", "service", "targets", "reg_id", "plan", "envelope")
 
     def __init__(self, sub_id: int, link: PeerContext, function_id: int, service: str,
                  targets: dict, reg_id: int, plan: Optional[tuple] = None):
         self.sub_id = sub_id
         self.link = link
-        self.function_id = function_id
         self.service = service
         self.targets = targets
         self.reg_id = reg_id
@@ -733,8 +706,8 @@ class Agent:
             self._count_failure(failure_cause(exc))
             return False
 
-    def raise_alarm(self, condition: str, detail: str, severity: str = "warning") -> None:
-        payload = {"condition": condition, "detail": detail, "severity": severity}
+    def raise_alarm(self, condition: str, detail: str) -> None:
+        payload = {"condition": condition, "detail": detail, "severity": "warning"}
         for link in list(self.repository.peers.values()):
             if link.kind == SMO:
                 self._send(link, E2LiteFrame(MsgType.ALARM_NOTIFICATION,

@@ -77,7 +77,6 @@ class _Frame(NamedTuple):
     msg_type: int
     correlation_id: int
     payload: dict
-    version: int = VERSION
 
 
 class E2LiteFrame(_Frame):
@@ -85,10 +84,8 @@ class E2LiteFrame(_Frame):
 
     __slots__ = ()
 
-    def __new__(cls, msg_type: int, correlation_id: int, payload: Optional[dict] = None,
-                version: int = VERSION):
-        return tuple.__new__(cls, (msg_type, correlation_id,
-                                   {} if payload is None else payload, version))
+    def __new__(cls, msg_type: int, correlation_id: int, payload: Optional[dict] = None):
+        return tuple.__new__(cls, (msg_type, correlation_id, {} if payload is None else payload))
 
 
 # what json.dumps(payload, sort_keys=True, separators=(",", ":")) would build
@@ -104,18 +101,17 @@ def encode(frame: E2LiteFrame) -> bytes:
         raise ValueError(f"msg_type out of range: {frame.msg_type}")
     if not 0 <= frame.correlation_id <= 0xFFFFFFFF:
         raise ValueError(f"correlation_id out of range: {frame.correlation_id}")
-    return pack(frame.msg_type, frame.correlation_id, JSON_ENCODER.encode(frame.payload),
-                frame.version)
+    return pack(frame.msg_type, frame.correlation_id, JSON_ENCODER.encode(frame.payload))
 
 
-def pack(msg_type: int, correlation_id: int, text: str, version: int = VERSION) -> bytes:
+def pack(msg_type: int, correlation_id: int, text: str) -> bytes:
     """The frame carrying payload JSON ``text``: the one place a header is
     packed and ``MAX_FRAME`` enforced, for :func:`encode` and for report text
     the agent builds itself."""
     body = text.encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameTooLarge(f"payload of {len(body)} bytes exceeds {MAX_FRAME}")
-    return HEADER.pack(MAGIC, version, msg_type, correlation_id, len(body)) + body
+    return HEADER.pack(MAGIC, VERSION, msg_type, correlation_id, len(body)) + body
 
 
 def decode_first(data: bytes, offset: int = 0) -> tuple[E2LiteFrame, int]:
@@ -140,7 +136,7 @@ def decode_first(data: bytes, offset: int = 0) -> tuple[E2LiteFrame, int]:
         raise BadJson(str(exc)) from None
     if not isinstance(payload, dict):
         raise BadJson("payload is not a JSON object")
-    return E2LiteFrame(msg_type=msg_type, correlation_id=corr, payload=payload, version=version), used
+    return E2LiteFrame(msg_type=msg_type, correlation_id=corr, payload=payload), used
 
 
 def decode(data: bytes) -> E2LiteFrame:

@@ -4,6 +4,11 @@
 class HexsimError(Exception):
     """Base class for every error raised by this package."""
 
+    cause = None
+    """The failure cause the agent answers this error with on the wire (see
+    :func:`hexsim.agent.failure_cause`). A subclass inherits its parent's;
+    None answers ``error:<class name>``."""
+
 
 # -- slice / context store -------------------------------------------------
 
@@ -24,27 +29,33 @@ class DuplicateUe(SliceModelError):
 
 
 class UnknownSlice(SliceModelError):
-    pass
+    cause = "unknown_id"
 
 
 class UnknownDrb(SliceModelError):
-    pass
+    cause = "unknown_id"
 
 
 class UnknownUe(SliceModelError):
-    pass
+    cause = "unknown_id"
 
 
 class UnknownId(SliceModelError):
     """A snapshot or control target does not exist."""
 
+    cause = "unknown_id"
+
 
 class InvalidResourceConfig(SliceModelError):
     """Radio resource fields do not match the requested slice state."""
 
+    cause = "validation_failed"
+
 
 class OverSubscription(SliceModelError):
     """Dedicated + prioritized resource blocks would exceed the cell total."""
+
+    cause = "oversubscription"
 
 
 # -- scheduler -------------------------------------------------------------
@@ -78,19 +89,21 @@ class UnknownApi(PmlError):
 class LockedOut(PmlError):
     """The parameter path was written by a different caller inside the lockout window."""
 
+    cause = "locked_out"
+
 
 class ValidationFailed(PmlError):
-    pass
+    cause = "validation_failed"
 
 
 class BadPeriod(PmlError):
-    pass
+    cause = "bad_period"
 
 
 # -- wire protocol ---------------------------------------------------------
 
 class CodecError(HexsimError):
-    pass
+    cause = "codec"
 
 
 class BadMagic(CodecError):
@@ -118,7 +131,7 @@ class UnknownFunction(CodecError):
 
 
 class SchemaViolation(CodecError):
-    pass
+    cause = "schema_violation"
 
 
 # -- agent -----------------------------------------------------------------
@@ -132,15 +145,17 @@ class MalformedConfig(AgentError):
 
 
 class NotActivated(AgentError):
-    pass
+    cause = "not_activated"
 
 
 class ResourceLockedByOther(AgentError):
-    pass
+    cause = "resource_locked"
 
 
 class LinkLost(AgentError):
     """The call's link detached before it completed."""
+
+    cause = "link_lost"
 
 
 # -- simulators / harness ----------------------------------------------------

@@ -441,8 +441,6 @@ class FsApi:
     def __init__(self, pml: Pml, registry: SliceRegistry,
                  algorithms: fssf.AlgorithmRegistry = fssf.DEFAULT_REGISTRY):
         self.pml = pml
-        self.registry = registry
-        self.algorithms = algorithms
         handlers = _FsHandlers(weakref.ref(pml), registry, algorithms)
         manifest = PluginManifest(plugin_id=FS_PLUGIN_ID, provided_api_ids=FS_API_IDS)
         pml.register_plugin(
@@ -508,19 +506,14 @@ class _FsHandlers:
 
     @staticmethod
     def _target_rrc(ctx, entry: Mapping) -> RadioResourceConfig:
-        if "state" in entry:
-            # an explicit state change replaces the resource assignment with
-            # exactly what the request carries (shared priority is sticky)
-            return RadioResourceConfig(
-                dedicated_rb=entry.get("dedicated_rb", 0),
-                prioritized_rb=entry.get("prioritized_rb", 0),
-                shared_priority=entry.get("shared_priority", ctx.rrc.shared_priority),
-            )
-        return RadioResourceConfig(
-            dedicated_rb=entry.get("dedicated_rb", ctx.rrc.dedicated_rb),
-            prioritized_rb=entry.get("prioritized_rb", ctx.rrc.prioritized_rb),
-            shared_priority=entry.get("shared_priority", ctx.rrc.shared_priority),
-        )
+        """The requested config; the slice's own when equal to it, so a
+        control that changes none stores no new object."""
+        # an explicit state change replaces the resource assignment with
+        # exactly what the request carries (shared priority is sticky)
+        base = (RadioResourceConfig(shared_priority=ctx.rrc.shared_priority)
+                if "state" in entry else ctx.rrc)
+        rrc = base._replace(**{k: entry[k] for k in RadioResourceConfig._fields if k in entry})
+        return ctx.rrc if rrc == ctx.rrc else rrc
 
     def _validate_control(self, slice_actions, ue_actions
                           ) -> list[tuple[Mapping, SliceState, RadioResourceConfig]]:

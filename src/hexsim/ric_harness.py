@@ -57,8 +57,7 @@ class SimulatedPeer:
         self.available_functions: list[dict] = []
         self.indications: list[E2LiteFrame] = []
         self.alarms: list[E2LiteFrame] = []
-        self.responses: dict[int, E2LiteFrame] = {}
-        self.control_results: dict[int, tuple[str, dict]] = {}
+        self.responses: dict[int, E2LiteFrame] = {}  # guarded by _lock
         self.setup_complete = False
         self._corr = 1
         self._send: Optional[Callable[[bytes], None]] = None
@@ -103,10 +102,15 @@ class SimulatedPeer:
         else:
             with self._lock:
                 self.responses[frame.correlation_id] = frame
-            if t == MsgType.CONTROL_ACK:
-                self.control_results[frame.correlation_id] = ("ack", frame.payload)
-            elif t == MsgType.CONTROL_FAILURE:
-                self.control_results[frame.correlation_id] = ("failure", frame.payload)
+
+    @property
+    def control_results(self) -> dict[int, tuple[str, dict]]:
+        """``corr -> ("ack" | "failure", payload)`` of every control answer
+        in :attr:`responses`, read under its lock."""
+        with self._lock:
+            return {corr: ("ack" if f.msg_type == MsgType.CONTROL_ACK else "failure", f.payload)
+                    for corr, f in self.responses.items()
+                    if f.msg_type in (MsgType.CONTROL_ACK, MsgType.CONTROL_FAILURE)}
 
     def _emit(self, frame: E2LiteFrame) -> None:
         data = e2lite.encode(frame)
@@ -209,16 +213,13 @@ class ScenarioScript(NamedTuple):
             if not math.isfinite(duration):
                 raise ScenarioError(f"duration_s must be finite, not {duration!r}")
             seed = int(doc.get("seed", 0))
-            raw_cell = dict(doc.get("cell", {}))
+            raw_cell = dict(CellConfig._field_defaults)
+            raw_cell.update(doc.get("cell", {}))
+            total_rb = int(raw_cell["total_rb"])
             if "max_dl_mbps" in raw_cell:
-                total = int(raw_cell.get("total_rb", 106))
-                raw_cell["per_rb_rate_mbps"] = float(raw_cell.pop("max_dl_mbps")) / total
-            cell = CellConfig(
-                total_rb=int(raw_cell.get("total_rb", 106)),
-                per_rb_rate_mbps=float(raw_cell.get("per_rb_rate_mbps", 130.0 / 106.0)),
-                tti_ms=float(raw_cell.get("tti_ms", 1.0)),
-                base_rtt_ms=float(raw_cell.get("base_rtt_ms", 20.0)),
-            )
+                raw_cell["per_rb_rate_mbps"] = float(raw_cell.pop("max_dl_mbps")) / total_rb
+            cell = CellConfig(total_rb, float(raw_cell["per_rb_rate_mbps"]),
+                              float(raw_cell["tti_ms"]), float(raw_cell["base_rtt_ms"]))
             if not 0.0 < cell.per_rb_rate_mbps < math.inf:
                 raise ScenarioError(f"cell rate (max_dl_mbps or per_rb_rate_mbps) must be a "
                                     f"positive finite number, not {cell.per_rb_rate_mbps!r} per RB")
@@ -353,6 +354,11 @@ _JOIN = ChangeTrigger("DRB Setup", "ran")
 _LEAVE = ChangeTrigger("DRB Release", "ran")
 
 
+def _given(params: Mapping, keys: Sequence[str]) -> dict:
+    """The ``keys`` a script sets; a key it omits takes the default of what it is passed to."""
+    return {k: params[k] for k in keys if k in params}
+
+
 class ScenarioRunner:
     """Deterministic virtual-time run of one scripted scenario."""
 
@@ -380,14 +386,9 @@ class ScenarioRunner:
             for sess in p["sessions"]:
                 uid = sess["ue_id"]
                 if not self.registry.has_ue(uid):
-                    self.registry.add_ue(UEContext(ue_id=uid, mcs=sess.get("mcs", 28)))
-                bearer = Bearer(
-                    drb_id=sess["drb_id"],
-                    ue_id=uid,
-                    slice_id=sid,
-                    bearer_priority=sess.get("bearer_priority", 1),
-                    qos_5qi=sess.get("qos_5qi", 9),
-                )
+                    self.registry.add_ue(UEContext(uid, **_given(sess, ("mcs",))))
+                bearer = Bearer(sess["drb_id"], uid, sid,
+                                **_given(sess, ("bearer_priority", "qos_5qi")))
                 self.registry.add_drb(sid, bearer, _JOIN)
                 self.cell.attach_bearer(bearer.drb_id, self._drb_rate.get(bearer.drb_id, 0.0))
         elif ev.action == "users_leave":
@@ -410,22 +411,13 @@ class ScenarioRunner:
 
     def _setup(self) -> None:
         for s in self.script.slices:
-            self.registry.create_slice(
-                slice_id=s["slice_id"],
-                default_active_state=SliceState(s.get("default_state", "shared")),
-                rrc=RadioResourceConfig(
-                    dedicated_rb=s.get("dedicated_rb", 0),
-                    prioritized_rb=s.get("prioritized_rb", 0),
-                    shared_priority=s.get("shared_priority", 1),
-                ),
-                fd_scheduler=s.get("fd_scheduler", "priority_weighted"),
-                hu_associations=s.get("hu_associations", ()),
-            )
+            options = _given(s, ("fd_scheduler", "hu_associations"))
+            if "default_state" in s:
+                options["default_active_state"] = SliceState(s["default_state"])
+            rrc = RadioResourceConfig(**_given(s, RadioResourceConfig._fields))
+            self.registry.create_slice(s["slice_id"], rrc=rrc, **options)
         for u in self.script.ues:
-            self.registry.add_ue(UEContext(
-                ue_id=u["ue_id"], mcs=u.get("mcs", 28), cqi=u.get("cqi", 15),
-                bler=u.get("bler", 0.0),
-            ))
+            self.registry.add_ue(UEContext(u["ue_id"], **_given(u, ("mcs", "cqi", "bler"))))
         slice_ids = [s["slice_id"] for s in self.script.slices]
         ue_ids = [u["ue_id"] for u in self.script.ues]
         self.ric.subscribe(e2lite.FS_RAN_FUNCTION_ID, "slice_context", slice_ids=slice_ids)
@@ -529,7 +521,8 @@ class ScenarioRunner:
         ))
 
     def verify_control_responses(self) -> None:
-        missing = [c for c in self._controls_sent if c not in self.ric.control_results]
+        answered = self.ric.control_results
+        missing = [c for c in self._controls_sent if c not in answered]
         if missing:
             raise ScenarioError(f"controls without a response: {missing}")
 

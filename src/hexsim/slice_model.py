@@ -18,11 +18,13 @@ so a one-change epoch costs one copy whatever the registry's size. A
 published object is never mutated afterwards, so sharing it is safe.
 
 Reports are compact sorted-key JSON text (:meth:`SliceRegistry.report_plan`).
-Because a published object never changes, its static text is built once and
-kept with it: a bearer's as a format string with a hole per statistic, a
-slice's or UE's as the keys after its bearer list. An entry is reused only for
-the identical published object, and a publish drops the entries of the ids it
-removes, so the store never outgrows the live registry.
+Because a published object never changes, the first report to read it builds
+its static text and keeps it in its ``text`` slot: a bearer's as a format
+string with a hole per statistic, a slice's or UE's as the keys after its
+bearer list. A publish copies every object it touches, and a copy starts with
+no text, so text lives and dies with the published object it describes. Only
+the agent's loop thread builds reports, and two builds of one object's text
+are the same string, so the slot needs no lock.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class BearerStats:
 
 
 class Bearer:
-    __slots__ = ("drb_id", "ue_id", "slice_id", "bearer_priority", "qos_5qi", "stats")
+    __slots__ = ("drb_id", "ue_id", "slice_id", "bearer_priority", "qos_5qi", "stats", "text")
 
     def __init__(self, drb_id: int, ue_id: int, slice_id: int, bearer_priority: int = 1,
                  qos_5qi: int = 9, stats: Optional[BearerStats] = None):
@@ -123,6 +125,7 @@ class Bearer:
         self.bearer_priority = bearer_priority
         self.qos_5qi = qos_5qi
         self.stats = BearerStats() if stats is None else stats
+        self.text = None  # a published copy's report text, built by report_plan
 
     def validate(self) -> None:
         if self.bearer_priority < 1:
@@ -130,7 +133,7 @@ class Bearer:
 
 
 class UEContext:
-    __slots__ = ("ue_id", "mcs", "cqi", "bler", "bearers")
+    __slots__ = ("ue_id", "mcs", "cqi", "bler", "bearers", "text")
 
     def __init__(self, ue_id: int, mcs: int = MCS_MAX, cqi: int = CQI_MAX, bler: float = 0.0,
                  bearers: Optional[list[int]] = None):
@@ -139,6 +142,7 @@ class UEContext:
         self.cqi = cqi
         self.bler = bler
         self.bearers = [] if bearers is None else bearers
+        self.text = None
 
     def validate(self) -> None:
         if not 0 <= self.mcs <= MCS_MAX:
@@ -151,7 +155,7 @@ class UEContext:
 
 class SliceContext:
     __slots__ = ("slice_id", "state", "default_active_state", "rrc", "fd_scheduler",
-                 "hu_associations", "bearers")
+                 "hu_associations", "bearers", "text")
 
     def __init__(self, slice_id: int, state: SliceState, default_active_state: SliceState,
                  rrc: RadioResourceConfig, fd_scheduler: str,
@@ -163,6 +167,7 @@ class SliceContext:
         self.fd_scheduler = fd_scheduler
         self.hu_associations = set() if hu_associations is None else hu_associations
         self.bearers = [] if bearers is None else bearers
+        self.text = None
 
 
 class ChangeTrigger(NamedTuple):
@@ -258,10 +263,9 @@ def _copy_ue(ue: UEContext) -> UEContext:
     return UEContext(ue.ue_id, ue.mcs, ue.cqi, ue.bler, list(ue.bearers))
 
 
-def _copy_on_write(previous: dict, live: dict, dirty: set[int], copy, texts: dict) -> dict:
+def _copy_on_write(previous: dict, live: dict, dirty: set[int], copy) -> dict:
     """``previous`` with each dirty id re-copied from ``live`` (or dropped if
-    gone, with its entry in ``texts``); ``previous`` itself when nothing is
-    dirty. Clears ``dirty``."""
+    gone); ``previous`` itself when nothing is dirty. Clears ``dirty``."""
     if not dirty:
         return previous
     out = dict(previous)
@@ -269,7 +273,6 @@ def _copy_on_write(previous: dict, live: dict, dirty: set[int], copy, texts: dic
         obj = live.get(key)
         if obj is None:
             out.pop(key, None)
-            texts.pop(key, None)
         else:
             out[key] = copy(obj)
     dirty.clear()
@@ -305,6 +308,13 @@ def _ue_tail(ue: UEContext) -> str:
     return _static_text({"ue_id": ue.ue_id, "mcs": ue.mcs, "cqi": ue.cqi, "bler": ue.bler})[1:]
 
 
+def _text(obj, make) -> str:
+    """``make(obj)``, built once per published object and kept on it."""
+    if obj.text is None:
+        obj.text = make(obj)
+    return obj.text
+
+
 def fill_report(fmt: str, stats: Sequence[BearerStats]) -> str:
     """The report text of a :meth:`SliceRegistry.report_plan`. Every
     statistic is formatted by one encode of them all, so each reads exactly
@@ -320,13 +330,12 @@ class RegistrySnapshot(NamedTuple):
 
     Consecutive snapshots share every object, and every map, that no write
     touched between their publishes; a touched object is a fresh copy, never
-    the live one. Objects are never mutated once published. The one alias is
-    ``Bearer.stats``, which is the live :class:`BearerStats` so reports read
-    current telemetry.
+    the live one. Objects are never mutated once published, but for the report
+    text a report keeps in ``text``. The one alias is ``Bearer.stats``, which
+    is the live :class:`BearerStats` so reports read current telemetry.
     """
 
     epoch: int
-    total_rb: int
     slices: dict[int, SliceContext]
     bearers: dict[int, Bearer]
     ues: dict[int, UEContext]
@@ -349,10 +358,7 @@ class SliceRegistry:
         self._dirty_slices: set[int] = set()
         self._dirty_bearers: set[int] = set()
         self._dirty_ues: set[int] = set()
-        self._published = RegistrySnapshot(0, total_rb, {}, {}, {}, {})
-        # report text per published object: kind -> id -> (object, text)
-        self._texts: dict[str, dict[int, tuple[object, str]]] = {
-            "slices": {}, "bearers": {}, "ues": {}}
+        self._published = RegistrySnapshot(0, {}, {}, {}, {})
 
     # -- read side ----------------------------------------------------------
 
@@ -372,15 +378,12 @@ class SliceRegistry:
         """
         if not self.has_unpublished():
             return self._published
-        prev, texts = self._published, self._texts
+        prev = self._published
         snap = RegistrySnapshot(
             epoch=prev.epoch + 1,
-            total_rb=self.total_rb,
-            slices=_copy_on_write(prev.slices, self._slices, self._dirty_slices, _copy_slice,
-                                  texts["slices"]),
-            bearers=_copy_on_write(prev.bearers, self._bearers, self._dirty_bearers, _copy_bearer,
-                                   texts["bearers"]),
-            ues=_copy_on_write(prev.ues, self._ues, self._dirty_ues, _copy_ue, texts["ues"]),
+            slices=_copy_on_write(prev.slices, self._slices, self._dirty_slices, _copy_slice),
+            bearers=_copy_on_write(prev.bearers, self._bearers, self._dirty_bearers, _copy_bearer),
+            ues=_copy_on_write(prev.ues, self._ues, self._dirty_ues, _copy_ue),
             record_watermark=dict(self._seq),
         )
         self._published = snap
@@ -410,19 +413,10 @@ class SliceRegistry:
                     raise UnknownId(f"{kind[:-1]} {i}")
                 bearers = [snap.bearers[d] for d in sorted(obj.bearers)]
                 stats.extend(b.stats for b in bearers)
-                entries.append('{"bearers":[' + ",".join(
-                    self._text("bearers", b.drb_id, b, _bearer_text) for b in bearers)
-                    + "]," + self._text(kind, i, obj, tail_of))
+                entries.append('{"bearers":[' + ",".join(_text(b, _bearer_text) for b in bearers)
+                               + "]," + _text(obj, tail_of))
             lists.append(",".join(entries))
         return snap, '{"slices":[%s],"ues":[%s]}' % tuple(lists), stats
-
-    def _text(self, kind: str, key: int, obj, make) -> str:
-        """``make(obj)``, kept under ``key`` while ``obj`` is the object asked for."""
-        store = self._texts[kind]
-        hit = store.get(key)
-        if hit is None or hit[0] is not obj:
-            hit = store[key] = (obj, make(obj))
-        return hit[1]
 
     def change_report(self, slice_ids: Sequence[int] = ()) -> dict:
         """Every published change record of ``slice_ids`` (of all slices, in

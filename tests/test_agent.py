@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hexsim
-from hexsim import e2lite
+from hexsim import e2lite, errors
 from hexsim.agent import (
     DELAY_SAMPLES,
     RIC,
@@ -39,6 +39,7 @@ from hexsim.errors import (
     ShortFrame,
     UnknownFunction,
     UnknownId,
+    ValidationFailed,
 )
 from hexsim.pml import Completion, FsApi, Pml
 from hexsim.ric_harness import FS_FUNCTION_DOC, SimulatedPeer, connect_inproc
@@ -53,6 +54,45 @@ from hexsim.slice_model import (
 )
 
 T = ChangeTrigger("test", "unit")
+
+# the failure cause of every exception class in hexsim.errors
+FAILURE_CAUSES = {
+    "AgentError": "error:AgentError",
+    "AlgorithmContractViolation": "error:AlgorithmContractViolation",
+    "BadJson": "codec",
+    "BadMagic": "codec",
+    "BadPeriod": "bad_period",
+    "BadVersion": "codec",
+    "CodecError": "codec",
+    "DuplicateApi": "error:DuplicateApi",
+    "DuplicateDrb": "error:DuplicateDrb",
+    "DuplicateSliceId": "error:DuplicateSliceId",
+    "DuplicateUe": "error:DuplicateUe",
+    "FrameTooLarge": "codec",
+    "HexsimError": "error:HexsimError",
+    "InfeasibleSnapshot": "error:InfeasibleSnapshot",
+    "InvalidResourceConfig": "validation_failed",
+    "LinkLost": "link_lost",
+    "LockedOut": "locked_out",
+    "MalformedConfig": "error:MalformedConfig",
+    "NotActivated": "not_activated",
+    "OverSubscription": "oversubscription",
+    "PmlError": "error:PmlError",
+    "ResourceLockedByOther": "resource_locked",
+    "ScenarioError": "error:ScenarioError",
+    "SchedulerError": "error:SchedulerError",
+    "SchemaViolation": "schema_violation",
+    "ShortFrame": "codec",
+    "SliceModelError": "error:SliceModelError",
+    "UnknownApi": "error:UnknownApi",
+    "UnknownChain": "error:UnknownChain",
+    "UnknownDrb": "unknown_id",
+    "UnknownFunction": "codec",
+    "UnknownId": "unknown_id",
+    "UnknownSlice": "unknown_id",
+    "UnknownUe": "unknown_id",
+    "ValidationFailed": "validation_failed",
+}
 
 
 def _raise_on_send(data: bytes) -> None:
@@ -556,6 +596,20 @@ class TestDispatch:
         for exc in (BadMagic("x"), ShortFrame("x"), BadJson("x"), UnknownFunction("x")):
             assert failure_cause(exc) == "codec", type(exc).__name__
         assert failure_cause(SchemaViolation("x")) == "schema_violation"
+
+    def test_every_error_class_keeps_its_wire_failure_cause(self):
+        """The cause each exception class answers with; the table was read off
+        the failure_cause that matched on isinstance, so no cause string changes."""
+        class LocalValidation(ValidationFailed):
+            pass
+
+        classes = {name: cls for name, cls in vars(errors).items()
+                   if isinstance(cls, type) and issubclass(cls, Exception)}
+        assert set(classes) == set(FAILURE_CAUSES)
+        for name, cls in classes.items():
+            assert failure_cause(cls("x")) == FAILURE_CAUSES[name], name
+        assert failure_cause(KeyError("x")) == "error:KeyError"
+        assert failure_cause(LocalValidation("x")) == "validation_failed"
 
     def test_contended_write_goes_to_the_first_arrival_under_any_hash_seed(self):
         """Two controllers write one parameter path in the same tick; the
@@ -1229,6 +1283,24 @@ class TestChangeRecordStorage:
         after = reg.records_since(3)[-1].outcomes[0].after
         assert after.state == "hybrid"
         assert after.rrc is reg.get_slice(3).rrc is reg.published.slices[3].rrc
+
+    def test_a_control_that_changes_no_config_stores_no_new_one(self):
+        stack = Stack()
+        ric = stack.attach()
+        reg = stack.registry
+        kept = reg.get_slice(1).rrc
+        for params in ({"slice_id": 1, "shared_priority": kept.shared_priority},
+                       {"slice_id": 1, "state": "shared"},
+                       {"slice_id": 1, "dedicated_rb": 0, "prioritized_rb": 0}):
+            corr = ric.control_slice(1, params)
+            stack.settle()
+            assert ric.control_results[corr][0] == "ack"
+            outcome = reg.records_since(1)[-1].outcomes[0]
+            assert outcome.before.rrc is outcome.after.rrc is kept is reg.get_slice(1).rrc
+        ric.control_slice(1, {"slice_id": 1, "shared_priority": kept.shared_priority + 1})
+        stack.settle()
+        after = reg.records_since(1)[-1].outcomes[0].after
+        assert after.rrc is not kept and after.rrc == kept._replace(shared_priority=2)
 
 
 class TestDelaySamples:

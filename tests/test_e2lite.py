@@ -55,6 +55,16 @@ class TestFraming:
         with pytest.raises(BadVersion):
             decode(bytes(data))
 
+    def test_a_frame_holds_no_version_and_a_version_2_header_is_refused(self):
+        assert E2LiteFrame._fields == ("msg_type", "correlation_id", "payload")
+        data = bytearray(encode(E2LiteFrame(MsgType.CONTROL_ACK, 1, {})))
+        assert data[2] == e2lite.VERSION == 1
+        data[2] = 2
+        with pytest.raises(BadVersion):
+            decode(bytes(data))
+        with pytest.raises(BadVersion):
+            FrameReader().feed(bytes(data))
+
     def test_bad_json_payload(self):
         head = e2lite.HEADER.pack(b"E2", 1, 6, 1, 4)
         with pytest.raises(BadJson):

@@ -125,6 +125,35 @@ class TestScenarioRun:
         cells = metrics.series("cell", "cell", "utilization")
         assert cells and all(u == 0.0 for u in cells)
 
+    def test_a_script_that_omits_every_optional_key_runs_as_one_spelling_out_the_defaults(self):
+        def script(spelled):
+            def given(**defaults):
+                return defaults if spelled else {}
+            cell = given(total_rb=106, per_rb_rate_mbps=130.0 / 106.0, tti_ms=1.0,
+                         base_rtt_ms=20.0)
+            session = {"ue_id": 2, "drb_id": 21, **given(mcs=28, bearer_priority=1, qos_5qi=9)}
+            return ScenarioScript.from_dict({
+                "duration_s": 4, **given(seed=0), "cell": cell,
+                "slices": [{"slice_id": 1, **given(
+                    default_state="shared", dedicated_rb=0, prioritized_rb=0, shared_priority=1,
+                    fd_scheduler="priority_weighted", hu_associations=[])}],
+                "ues": [{"ue_id": 1, **given(mcs=28, cqi=15, bler=0.0)}],
+                "events": [
+                    {"t": 0.0, "action": "users_join",
+                     "params": {"slice_id": 1, "sessions": [{"ue_id": 1, "drb_id": 11}, session]}},
+                    {"t": 0.0, "action": "traffic", "params": {"drb_id": 11, "rate_mbps": 30.0}},
+                    {"t": 0.0, "action": "traffic", "params": {"drb_id": 21, "rate_mbps": 90.0}},
+                    {"t": 2.0, "action": "ue_control",
+                     "params": {"drb_id": 21, "bearer_priority": 3}},
+                ],
+            }, "defaults")
+
+        assert script(spelled=False).cell == script(spelled=True).cell
+        omitted, _ = run_scenario(script(spelled=False))
+        spelled, _ = run_scenario(script(spelled=True))
+        assert omitted.to_csv() == spelled.to_csv()
+        assert {row.scope for row in omitted.rows} == {"slice", "ue", "cell"}
+
     def test_a_finished_run_is_freed_by_reference_counting(self):
         """No reference cycle keeps a finished run's objects alive."""
         was_enabled = gc.isenabled()

@@ -306,19 +306,24 @@ class TestRecordsAndSnapshots:
         with pytest.raises(UnknownId):
             reg.snapshot(ue_ids=[4])
 
-    def test_the_report_text_store_never_outgrows_the_published_registry(self):
+    def test_report_text_lives_on_the_published_copy_it_describes(self):
         reg = make_registry()
         reg.create_slice(1, SliceState.SHARED)
-        reg.add_ue(UEContext(ue_id=5))
-        for drb in range(1, 301):  # a fresh drb id per epoch, three bearers live
-            reg.add_drb(1, Bearer(drb_id=drb, ue_id=5, slice_id=1), T)
-            if drb > 3:
-                reg.remove_drb(1, drb - 3, T)
-            snap = reg.publish()
-            reg.report_plan(slice_ids=[1], ue_ids=[5])
-            live = len(snap.slices) + len(snap.bearers) + len(snap.ues)
-            assert sum(len(store) for store in reg._texts.values()) <= live
-        assert set(reg._texts["bearers"]) == set(snap.bearers) == {298, 299, 300}
+        add_session(reg, 1, 11, ue_id=5)
+        snap = reg.publish()
+        objects = (snap.slices[1], snap.bearers[11], snap.ues[5])
+        live = (reg.get_slice(1), reg.get_bearer(11), reg._ues[5])
+        assert [obj.text for obj in objects] == [None, None, None]  # a fresh copy has none
+        report = reg.snapshot(slice_ids=[1], ue_ids=[5])
+        assert all(isinstance(obj.text, str) for obj in objects)
+        assert [obj.text for obj in live] == [None, None, None]  # the live object never has text
+        reg.set_bearer_priority(11, 4, T)
+        again = reg.publish()
+        assert again.bearers[11] is not snap.bearers[11] and again.bearers[11].text is None
+        assert again.slices[1] is snap.slices[1]  # untouched: shared, text and all
+        assert reg.snapshot(slice_ids=[1], ue_ids=[5]) != report
+        assert again.bearers[11].text not in (None, snap.bearers[11].text)
+        assert [obj.text for obj in live] == [None, None, None]
 
     def test_a_republished_object_gets_fresh_report_text(self):
         reg = make_registry()

@@ -96,6 +96,46 @@ class TestThreadedServer:
         finally:
             server.stop()
 
+    def test_control_results_is_a_view_of_the_control_answers_read_under_the_lock(self):
+        agent = make_agent()
+        server = ThreadedAgentServer(agent).start()
+        switch, raised, stop = sys.getswitchinterval(), [], threading.Event()
+        try:
+            ric = SimulatedPeer("ric-1", RIC)
+            connect_inproc(agent, ric, "link-1")
+            assert wait_for(lambda: agent.activation("ric-1") == {1})
+
+            def read_while_answers_arrive():
+                while not stop.is_set():
+                    try:
+                        ric.control_results
+                    except Exception as exc:  # e.g. a dict that changed size mid-read
+                        raised.append(exc)
+                        return
+                    time.sleep(0)
+
+            reader = threading.Thread(target=read_while_answers_arrive)
+            sys.setswitchinterval(1e-6)  # switch threads often, mid-read too
+            reader.start()
+            acked = [ric.control_slice(1, {"slice_id": 1, "shared_priority": 1 + k % 5})
+                     for k in range(200)]
+            failed = ric.control_slice(1, {"slice_id": 99, "shared_priority": 2})
+            query = ric.query(1, "slice_context", slice_ids=[1])
+            assert wait_for(lambda: query in ric.responses
+                            and len(ric.control_results) == len(acked) + 1)
+            stop.set()
+            reader.join(timeout=5.0)
+            assert not reader.is_alive() and raised == []
+            results = ric.control_results
+            assert set(results) == {*acked, failed}  # the query's answer is not a control's
+            assert all(results[corr] == ("ack", ric.responses[corr].payload) for corr in acked)
+            assert results[failed][0] == "failure"
+            assert results[failed][1]["cause"] == "unknown_id"
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch)
+            server.stop()
+
     def test_periodic_indications_flow_on_wall_clock(self):
         agent = make_agent()
         server = ThreadedAgentServer(agent).start()
