@@ -113,13 +113,13 @@ class Subscription:
     __slots__ = ("sub_id", "link", "service", "targets", "reg_id", "plan", "envelope")
 
     def __init__(self, sub_id: int, link: PeerContext, function_id: int, service: str,
-                 targets: dict, reg_id: int, plan: Optional[tuple] = None):
+                 targets: dict, reg_id: int):
         self.sub_id = sub_id
         self.link = link
         self.service = service
         self.targets = targets
         self.reg_id = reg_id
-        self.plan = plan  # its last SliceRegistry.report_plan, kept for that epoch
+        self.plan: Optional[tuple] = None  # its last SliceRegistry.report_plan, for that epoch
         encode = JSON_ENCODER.encode
         # its indication payload, a %s where the report goes
         self.envelope = '{"ran_function_id":%s,"report":%%s,"service":%s,"sub_id":%s}' % (
@@ -133,18 +133,16 @@ class PeerContext:
                  "activated", "refused", "locks")
 
     def __init__(self, link_id: str, peer_id: str, kind: str, send: Callable[[bytes], None],
-                 reader: Optional[FrameReader] = None, pending_setup_corr: Optional[int] = None,
-                 activated: Optional[set[int]] = None, refused: Optional[dict[int, str]] = None,
-                 locks: Optional[set[str]] = None):
+                 pending_setup_corr: Optional[int] = None):
         self.link_id = link_id
         self.peer_id = peer_id
         self.kind = kind
         self.send = send
-        self.reader = FrameReader() if reader is None else reader
+        self.reader = FrameReader()
         self.pending_setup_corr = pending_setup_corr
-        self.activated = set() if activated is None else activated
-        self.refused = {} if refused is None else refused
-        self.locks = set() if locks is None else locks
+        self.activated: set[int] = set()
+        self.refused: dict[int, str] = {}
+        self.locks: set[str] = set()
 
 
 class HaRepository:
@@ -189,10 +187,10 @@ class MessageRecord:
 
     __slots__ = ("receive_ns", "dispatch_ns", "invoke_ns")
 
-    def __init__(self, receive_ns: int, dispatch_ns: int = 0, invoke_ns: int = 0):
+    def __init__(self, receive_ns: int):
         self.receive_ns = receive_ns
-        self.dispatch_ns = dispatch_ns
-        self.invoke_ns = invoke_ns
+        self.dispatch_ns = 0
+        self.invoke_ns = 0
 
 
 class PipelineMetrics:
@@ -227,12 +225,11 @@ class AgentConfig(NamedTuple):
 class _Pending:
     __slots__ = ("link", "frame", "record", "manager")
 
-    def __init__(self, link: PeerContext, frame: E2LiteFrame, record: MessageRecord,
-                 manager: str = ""):
+    def __init__(self, link: PeerContext, frame: E2LiteFrame, record: MessageRecord):
         self.link = link  # the record it arrived on; a detached one is not served
         self.frame = frame
         self.record = record
-        self.manager = manager  # the manager whose queue depth it counts against
+        self.manager = ""  # once queued, the manager whose queue depth it counts against
 
     @property
     def link_id(self) -> str:
@@ -491,22 +488,35 @@ class Agent:
     # -- manager bodies ------------------------------------------------------------
 
     def process_message(self, msg: _Pending) -> None:
-        """Run a queued message's manager body; only routed types are queued."""
+        """Run a queued message's manager body; only routed types are queued.
+
+        A control, subscription or query fails as ``not_activated`` unless
+        its link activated the function it names, and only then is it checked
+        against the function's schema; its body gets the validated payload.
+        """
         msg.record.dispatch_ns = self.clock.now_ns()
-        _, body = _INBOUND[msg.frame.msg_type]
-        if not self.repository.attached(msg.link):
+        msg_type, payload = msg.frame.msg_type, msg.frame.payload
+        _, body = _INBOUND[msg_type]
+        link = msg.link
+        if not self.repository.attached(link):
             self._fail(msg, "link_lost", f"link {msg.link_id} detached")
             return
         try:
-            body(self, msg, msg.link)
+            if msg_type in _SM_TYPES:
+                function_id = payload.get("ran_function_id")
+                if function_id not in link.activated:
+                    raise NotActivated(f"function {function_id} not activated for {link.peer_id}")
+                payload = e2lite.validate_sm_payload(msg_type, function_id, payload,
+                                                     self._sm_functions)
+            body(self, msg, link, payload)
         except Exception as exc:  # manager failures become failure responses
             self._fail(msg, failure_cause(exc), str(exc))
 
-    def _on_setup_response(self, msg: _Pending, link: PeerContext) -> None:
+    def _on_setup_response(self, msg: _Pending, link: PeerContext, payload: dict) -> None:
         if link.pending_setup_corr != msg.frame.correlation_id:
             self._fail(msg, "validation_failed", "unexpected setup response")
             return
-        requested = e2lite.validate_setup_payload(msg.frame.payload)["activate"]
+        requested = e2lite.validate_setup_payload(payload)["activate"]
         link.pending_setup_corr = None
         with self._state:
             for fid in requested:
@@ -526,17 +536,7 @@ class Agent:
                 link.activated.add(fid)
                 link.locks.update(entry.spec.resources)
 
-    @staticmethod
-    def _require_activation(link: PeerContext, function_id: int) -> None:
-        if function_id not in link.activated:
-            raise NotActivated(f"function {function_id} not activated for {link.peer_id}")
-
-    def _on_control(self, msg: _Pending, link: PeerContext) -> None:
-        payload = msg.frame.payload
-        function_id = payload.get("ran_function_id")
-        self._require_activation(link, function_id)
-        validated = e2lite.validate_sm_payload(MsgType.CONTROL_REQUEST, function_id, payload,
-                                               self._sm_functions)
+    def _on_control(self, msg: _Pending, link: PeerContext, validated: dict) -> None:
         params = self._control_params(validated)
         for resource in self._touched_resources(validated):
             holder = self.repository.lock_holder(resource, exclude=link.peer_id)
@@ -581,12 +581,7 @@ class Agent:
             return [f"slice/{self.registry.get_bearer(drb).slice_id}"]
         return []
 
-    def _on_subscription(self, msg: _Pending, link: PeerContext) -> None:
-        payload = msg.frame.payload
-        function_id = payload.get("ran_function_id")
-        self._require_activation(link, function_id)
-        validated = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, function_id, payload,
-                                               self._sm_functions)
+    def _on_subscription(self, msg: _Pending, link: PeerContext, validated: dict) -> None:
         completion = self.fs.fs_telemetry_registration_request(
             link.peer_id, validated["targets"], validated["trigger"]
         )
@@ -603,7 +598,7 @@ class Agent:
                 sub = Subscription(
                     sub_id=next(self._sub_ids),
                     link=link,
-                    function_id=function_id,
+                    function_id=msg.frame.payload["ran_function_id"],
                     service=validated["service"],
                     targets=validated["targets"],
                     reg_id=c.result["reg_id"],
@@ -617,21 +612,16 @@ class Agent:
 
         completion.add_done_callback(finish)
 
-    def _on_query(self, msg: _Pending, link: PeerContext) -> None:
-        payload = msg.frame.payload
-        function_id = payload.get("ran_function_id")
-        self._require_activation(link, function_id)
-        validated = e2lite.validate_sm_payload(MsgType.QUERY_REQUEST, function_id, payload,
-                                               self._sm_functions)
+    def _on_query(self, msg: _Pending, link: PeerContext, validated: dict) -> None:
         service = validated["service"]
         report = self._build_report(service, validated["targets"])
         self._send(msg.link, E2LiteFrame(MsgType.QUERY_RESPONSE, msg.frame.correlation_id),
                    '{"report":%s,"service":%s}' % (report, JSON_ENCODER.encode(service)))
 
-    def _on_edit_config(self, msg: _Pending, link: PeerContext) -> None:
+    def _on_edit_config(self, msg: _Pending, link: PeerContext, payload: dict) -> None:
         if link.kind != SMO:
             raise ValidationFailed("edit-config arrives on management sessions only")
-        config = msg.frame.payload.get("config")
+        config = payload.get("config")
         if not isinstance(config, Mapping):
             raise ValidationFailed("missing config object")
         unknown = set(config) - set(_SETTINGS)
@@ -749,7 +739,8 @@ class Agent:
 
 
 # inbound message type -> (manager, body); a body is called as body(agent,
-# msg, link). A module-level table, so an agent holds no bound methods of itself.
+# msg, link, payload), with the payload validated for the _SM_TYPES. A
+# module-level table, so an agent holds no bound methods of itself.
 _INBOUND = {
     MsgType.SETUP_RESPONSE: (_INTERFACE, Agent._on_setup_response),
     MsgType.SUBSCRIPTION_REQUEST: (_SUBSCRIPTION, Agent._on_subscription),
@@ -757,3 +748,6 @@ _INBOUND = {
     MsgType.QUERY_REQUEST: (_QUERY, Agent._on_query),
     MsgType.EDIT_CONFIG: (_BROKER, Agent._on_edit_config),
 }
+# the types whose payload is a service-model request, checked in process_message
+_SM_TYPES = frozenset((MsgType.CONTROL_REQUEST, MsgType.SUBSCRIPTION_REQUEST,
+                       MsgType.QUERY_REQUEST))

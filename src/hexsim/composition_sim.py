@@ -67,13 +67,13 @@ class NfPool:
     __slots__ = ("kind", "capacity_mbps", "instances", "scalable", "user_plane", "load_mbps")
 
     def __init__(self, kind: str, capacity_mbps: float, instances: int = 1, scalable: bool = True,
-                 user_plane: bool = True, load_mbps: float = 0.0):
+                 user_plane: bool = True):
         self.kind = kind
         self.capacity_mbps = capacity_mbps
         self.instances = instances
         self.scalable = scalable
         self.user_plane = user_plane
-        self.load_mbps = load_mbps
+        self.load_mbps = 0.0  # set by HuCluster.route_traffic
 
     @property
     def total_capacity(self) -> float:

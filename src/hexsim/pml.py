@@ -101,15 +101,19 @@ class Completion:
 
 
 class TelemetryRegistration:
-    __slots__ = ("reg_id", "slice_ids", "trigger", "next_due_ns", "change_cursor")
+    """A report registration on ``slice_ids`` (empty: every slice), due every
+    ``period_ns`` from ``next_due_ns``, or, with ``period_ns`` None, on each
+    change record past its ``change_cursor`` (slice id -> last seq sent)."""
 
-    def __init__(self, reg_id: int, slice_ids: tuple[int, ...], trigger: dict,
-                 next_due_ns: int = 0, change_cursor: Optional[dict[int, int]] = None):
+    __slots__ = ("reg_id", "slice_ids", "period_ns", "next_due_ns", "change_cursor")
+
+    def __init__(self, reg_id: int, slice_ids: tuple[int, ...], period_ns: Optional[int],
+                 next_due_ns: int = 0):
         self.reg_id = reg_id
         self.slice_ids = slice_ids
-        self.trigger = trigger
+        self.period_ns = period_ns
         self.next_due_ns = next_due_ns
-        self.change_cursor = {} if change_cursor is None else change_cursor
+        self.change_cursor: dict[int, int] = {}
 
 
 class LockoutRegistry:
@@ -159,8 +163,8 @@ class Pml:
         self._lock = threading.RLock()
         # fast-path state, all guarded by _lock
         self._next_periodic_ns = -math.inf  # earliest periodic deadline; -inf: rescan
-        self._regs_version = 0  # bumped whenever the registration set changes
-        self._records_seen: Optional[tuple] = None  # _change_scan_key at the last scan
+        # (registry, published epoch) at the last change-record scan; None: rescan
+        self._records_seen: Optional[tuple] = None
         self.callback_errors = 0  # done-callbacks that raised; their calls still stand
 
     # -- registration ---------------------------------------------------------
@@ -275,7 +279,7 @@ class Pml:
         drivers.
         """
         if (self._boundary_has_work(registry)
-                or self._change_scan_key(registry) != self._records_seen):
+                or (registry, registry.published.epoch) != self._records_seen):
             return 0
         return self._next_periodic_ns
 
@@ -308,18 +312,19 @@ class Pml:
     # -- telemetry registrations -------------------------------------------------
 
     def add_registration(self, slice_ids: Sequence[int], trigger: Mapping) -> TelemetryRegistration:
-        kind = trigger.get("kind")
+        kind, period_ns = trigger.get("kind"), None
         if kind == "periodic":
             period = trigger.get("period_ms")
             if not is_period_ms(period):
                 raise BadPeriod(f"period_ms {period!r}")
+            period_ns = ms_to_ns(period)
         elif kind != "event":
             raise ValidationFailed(f"unknown trigger kind {kind!r}")
         reg = TelemetryRegistration(
             reg_id=next(self._reg_ids),
             slice_ids=tuple(slice_ids),
-            trigger=dict(trigger),
-            next_due_ns=self.clock.now_ns() + ms_to_ns(trigger.get("period_ms", 0)),
+            period_ns=period_ns,
+            next_due_ns=self.clock.now_ns() + (period_ns or 0),
         )
         with self._lock:
             self._registrations[reg.reg_id] = reg
@@ -334,11 +339,7 @@ class Pml:
     def _registrations_changed(self) -> None:
         """Invalidate both telemetry fast paths; the caller holds ``_lock``."""
         self._next_periodic_ns = -math.inf
-        self._regs_version += 1
-
-    def _change_scan_key(self, registry: SliceRegistry) -> tuple:
-        """What :meth:`new_change_records`' answer depends on, besides time."""
-        return (registry, registry.published.epoch, self._regs_version)
+        self._records_seen = None
 
     def due_periodic(self, now_ns: int) -> list[TelemetryRegistration]:
         """Periodic registrations whose period elapsed; advances their deadlines.
@@ -354,9 +355,9 @@ class Pml:
             due = []
             earliest = None
             for reg in self._registrations.values():
-                if reg.trigger.get("kind") != "periodic":
+                period_ns = reg.period_ns
+                if period_ns is None:
                     continue
-                period_ns = ms_to_ns(reg.trigger["period_ms"])
                 if now_ns >= reg.next_due_ns:
                     due.append(reg)
                     # to the first deadline after now_ns, in one step however
@@ -380,11 +381,11 @@ class Pml:
         the scan is skipped.
         """
         with self._lock:
-            seen = self._change_scan_key(registry)
+            seen = (registry, registry.published.epoch)
             if seen == self._records_seen:
                 return []
             self._records_seen = seen
-            regs = [r for r in self._registrations.values() if r.trigger.get("kind") == "event"]
+            regs = [r for r in self._registrations.values() if r.period_ns is None]
         fired = []
         for reg in regs:
             targets = reg.slice_ids or tuple(registry.slice_ids())
@@ -471,6 +472,7 @@ class _FsHandlers:
         self.pml = pml
         self.registry = registry
         self.algorithms = algorithms
+        self._trigger: Optional[ChangeTrigger] = None  # the last control's
 
     def _targets(self, payload: Mapping) -> list[int]:
         """The target slice ids; every target slice and UE must exist."""
@@ -490,7 +492,10 @@ class _FsHandlers:
 
     def control(self, call: ApiCall) -> dict:
         params = call.payload
-        trigger = ChangeTrigger("FS Control Request", call.caller_id)
+        # one trigger while the same caller writes, shared by its change records
+        trigger = self._trigger
+        if trigger is None or trigger.source != call.caller_id:
+            trigger = self._trigger = ChangeTrigger("FS Control Request", call.caller_id)
         ue_actions = list(params.get("ues", []))
         staged = self._validate_control(list(params.get("slices", [])), ue_actions)
         # apply shrinking footprints first so interim sums stay feasible

@@ -25,9 +25,10 @@ float operations of ``step_tti`` in the same order, so the bits are those of
 stepping every tick; what it saves is the demand dict, the memo compare and
 the per-tick dict traffic. Once a bearer serves the same amount every tick,
 its ticks run as exact closed forms: within one float binade every add rounds
-onto the same ulp grid, so a run of adds to the served sum, or of a backlog's
-arrive-and-drain, is one integer step per binade, and the throughput's
-smoothing runs alone until it stops changing.
+onto the same ulp grid, so a run of adds to the served sum, or of a growing
+backlog's arrive-and-drain, is one integer step per binade (other backlogs
+step plainly), and the throughput's smoothing runs alone until it stops
+changing.
 """
 
 from __future__ import annotations
@@ -86,16 +87,15 @@ class _Epoch:
 
     def __init__(self, number: int, plan: fssf.EpochPlan, ue_rate: dict[int, float],
                  bits_per_rb: tuple[float, ...], rb_capacity: tuple[float, ...],
-                 stats: tuple[BearerStats, ...], last_demands: Optional[dict[int, int]] = None,
-                 last_decision: Optional[fssf.ScheduleDecision] = None):
+                 stats: tuple[BearerStats, ...]):
         self.number = number
         self.plan = plan
         self.ue_rate = ue_rate
         self.bits_per_rb = bits_per_rb  # the owning UE's bits per RB per tick
         self.rb_capacity = rb_capacity  # bytes one RB carries per tick, after BLER
         self.stats = stats  # the live objects, aliased by the published bearers
-        self.last_demands = last_demands
-        self.last_decision = last_decision
+        self.last_demands: Optional[dict[int, int]] = None
+        self.last_decision: Optional[fssf.ScheduleDecision] = None
 
 
 class WindowMetrics(NamedTuple):
@@ -503,56 +503,36 @@ def _drain_backlog(m, buf, arriving, capacity, lo, hi, bits_per_rb):
 
     While the buffer and the drained value stay strictly inside one binade,
     both operations round onto its ulp grid u, so a tick moves the buffer by
-    D = round(arriving / u) - round(capacity / u) ulps. The drained value
-    then moves one way, and both checks are monotone in it, so a bisection
-    finds the first tick that fails them. A tick that leaves the binade or
-    starts on its edge, and a half-ulp tie, run as a plain step.
+    D = round(arriving / u) - round(capacity / u) ulps. A growing buffer,
+    D > 0, runs to the binade's top as one integer step: the drained value
+    rises and both checks are monotone in it, so if the run's first and last
+    ticks pass them, all do. Any other tick (a buffer that shrinks or holds
+    in ulps, a binade edge, a half-ulp tie, a run that a check ends part
+    way) is a plain step; below the demand cap, such runs are short.
     """
     def holds(drained):
         return capacity < drained and lo < drained * 8.0 / bits_per_rb <= hi
 
     i = 0
     while i < m:
-        run = 0
         if arriving <= buf and capacity <= buf:  # so that _ulps is exact
             u = math.ulp(buf)
             a, c = _ulps(arriving, u), _ulps(capacity, u)
-            if a is not None and c is not None:
+            if a is not None and c is not None and a > c:
                 units = buf / u
                 drained, step = units + a, a - c  # in ulps
                 if drained < _TWO53 and drained - c > _TWO52:
-                    if step > 0:  # the drained value rises to the binade's top
-                        run = int((_TWO53 - 1.0 - drained) // step) + 1
-                    elif step < 0:  # the buffer falls to its bottom
-                        run = int((drained - c - _TWO52 - 1.0) // -step) + 1
-                    else:
-                        run = m
-                    run = min(run, m - i)
-        if not run:
-            drained = buf + arriving
-            if not holds(drained):
-                return i, buf
-            buf = drained - capacity
-            i += 1
-            continue
-        # tick j of the run drains (drained + j * step) * u; the ticks that
-        # hold are the run's first ones, as both checks pass on an interval
-        if not holds(drained * u):
+                    # tick j of the run drains (drained + j * step) * u
+                    run = min(int((_TWO53 - 1.0 - drained) // step) + 1, m - i)
+                    if holds(drained * u) and holds((drained + (run - 1) * step) * u):
+                        buf = (units + run * step) * u
+                        i += run
+                        continue
+        drained = buf + arriving
+        if not holds(drained):
             return i, buf
-        if holds((drained + (run - 1) * step) * u):
-            ok = run
-        else:
-            ok, bad = 1, run - 1  # the ticks before ok hold, tick bad fails
-            while ok < bad:
-                mid = (ok + bad) // 2
-                if holds((drained + mid * step) * u):
-                    ok = mid + 1
-                else:
-                    bad = mid
-        buf = (units + ok * step) * u
-        i += ok
-        if ok < run:
-            return i, buf
+        buf = drained - capacity
+        i += 1
     return i, buf
 
 

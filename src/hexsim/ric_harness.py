@@ -127,16 +127,19 @@ class SimulatedPeer:
 
     # request helpers ---------------------------------------------------------------
 
+    def _request(self, msg_type: MsgType, payload: dict) -> int:
+        """Send one request under the next correlation id; returns the id."""
+        corr = self.next_corr()
+        self._emit(E2LiteFrame(msg_type, corr, payload))
+        return corr
+
     def send_control(self, function_id: int, routine: str, params: Mapping,
                      target_kind: str = "slice", target_ids: Sequence[int] = ()) -> int:
-        corr = self.next_corr()
-        payload = {
+        return self._request(MsgType.CONTROL_REQUEST, {
             "ran_function_id": function_id,
             "control_header": {"target": target_kind, "ids": list(target_ids)},
             "control_message": {"routine": routine, "params": dict(params)},
-        }
-        self._emit(E2LiteFrame(MsgType.CONTROL_REQUEST, corr, payload))
-        return corr
+        })
 
     def control_slice(self, function_id: int, params: Mapping) -> int:
         return self.send_control(function_id, "slice_config", params,
@@ -148,31 +151,23 @@ class SimulatedPeer:
     def subscribe(self, function_id: int, service: str,
                   slice_ids: Sequence[int] = (), ue_ids: Sequence[int] = (),
                   trigger: Optional[Mapping] = None) -> int:
-        corr = self.next_corr()
-        payload = {
+        return self._request(MsgType.SUBSCRIPTION_REQUEST, {
             "ran_function_id": function_id,
             "service": service,
             "targets": {"slice_ids": list(slice_ids), "ue_ids": list(ue_ids)},
             "trigger": dict(trigger or {"kind": "periodic", "period_ms": 1000}),
-        }
-        self._emit(E2LiteFrame(MsgType.SUBSCRIPTION_REQUEST, corr, payload))
-        return corr
+        })
 
     def query(self, function_id: int, service: str,
               slice_ids: Sequence[int] = (), ue_ids: Sequence[int] = ()) -> int:
-        corr = self.next_corr()
-        payload = {
+        return self._request(MsgType.QUERY_REQUEST, {
             "ran_function_id": function_id,
             "service": service,
             "targets": {"slice_ids": list(slice_ids), "ue_ids": list(ue_ids)},
-        }
-        self._emit(E2LiteFrame(MsgType.QUERY_REQUEST, corr, payload))
-        return corr
+        })
 
     def edit_config(self, config: Mapping) -> int:
-        corr = self.next_corr()
-        self._emit(E2LiteFrame(MsgType.EDIT_CONFIG, corr, {"config": dict(config)}))
-        return corr
+        return self._request(MsgType.EDIT_CONFIG, {"config": dict(config)})
 
     def drain_indications(self) -> list[E2LiteFrame]:
         out = self.indications
@@ -481,37 +476,28 @@ class ScenarioRunner:
     def _close_window(self, second: int) -> None:
         wm = self.cell.end_window()
         published = self.registry.published.bearers
-        alloc_by_slice: dict[int, float] = {}
-        alloc_by_ue: dict[int, float] = {}
-        for drb, mean_rb in wm.alloc_rb_mean.items():
-            b = published.get(drb)
-            if b is not None:
-                alloc_by_slice[b.slice_id] = alloc_by_slice.get(b.slice_id, 0.0) + mean_rb
-                alloc_by_ue[b.ue_id] = alloc_by_ue.get(b.ue_id, 0.0) + mean_rb
         latest: dict[str, dict] = {}
         for frame in self.ric.drain_indications():
             latest[frame.payload.get("service", "?")] = frame.payload.get("report", {})
-        for entry in latest.get("slice_context", {}).get("slices", []):
-            bearers = entry.get("bearers", [])
-            self.metrics.add(MetricRow(
-                t_s=second,
-                scope="slice",
-                id=str(entry["slice_id"]),
-                throughput_mbps=sum(b["throughput_mbps"] for b in bearers),
-                rtt_ms=max((b["packet_delay_ms"] for b in bearers), default=None),
-                alloc_rb=alloc_by_slice.get(entry["slice_id"], 0.0),
-                state=entry["state"],
-            ))
-        for entry in latest.get("ue_context", {}).get("ues", []):
-            bearers = entry.get("bearers", [])
-            self.metrics.add(MetricRow(
-                t_s=second,
-                scope="ue",
-                id=str(entry["ue_id"]),
-                throughput_mbps=sum(b["throughput_mbps"] for b in bearers),
-                rtt_ms=max((b["packet_delay_ms"] for b in bearers), default=None),
-                alloc_rb=alloc_by_ue.get(entry["ue_id"], 0.0),
-            ))
+        # slice rows, then UE rows, from the last report of each
+        for scope, key in (("slice", "slice_id"), ("ue", "ue_id")):
+            alloc: dict[int, float] = {}
+            for drb, mean_rb in wm.alloc_rb_mean.items():
+                b = published.get(drb)
+                if b is not None:
+                    owner = getattr(b, key)
+                    alloc[owner] = alloc.get(owner, 0.0) + mean_rb
+            for entry in latest.get(f"{scope}_context", {}).get(f"{scope}s", []):
+                bearers = entry.get("bearers", [])
+                self.metrics.add(MetricRow(
+                    t_s=second,
+                    scope=scope,
+                    id=str(entry[key]),
+                    throughput_mbps=sum(b["throughput_mbps"] for b in bearers),
+                    rtt_ms=max((b["packet_delay_ms"] for b in bearers), default=None),
+                    alloc_rb=alloc.get(entry[key], 0.0),
+                    state=entry["state"] if scope == "slice" else "",
+                ))
         self.metrics.add(MetricRow(
             t_s=second,
             scope="cell",

@@ -497,7 +497,7 @@ class SliceRegistry:
         self._dirty_ues.add(ue_id)
 
     def add_drb(self, slice_id: int, bearer: Bearer, trigger: ChangeTrigger) -> SliceContext:
-        ctx = self._get_slice(slice_id)
+        ctx = self.get_slice(slice_id)
         bearer.validate()
         if bearer.drb_id in self._bearers:
             raise DuplicateDrb(f"drb {bearer.drb_id}")
@@ -524,7 +524,7 @@ class SliceRegistry:
         return ctx
 
     def remove_drb(self, slice_id: int, drb_id: int, trigger: ChangeTrigger) -> SliceContext:
-        ctx = self._get_slice(slice_id)
+        ctx = self.get_slice(slice_id)
         if drb_id not in ctx.bearers:
             raise UnknownDrb(f"drb {drb_id} not on slice {slice_id}")
         bearer = self._bearers.pop(drb_id)
@@ -578,7 +578,7 @@ class SliceRegistry:
         On an idle slice this updates the default active state and stored
         config; the slice stays idle until a bearer arrives.
         """
-        ctx = self._get_slice(slice_id)
+        ctx = self.get_slice(slice_id)
         if new_state not in ACTIVE_STATES:
             raise InvalidResourceConfig("requested state must be an active state")
         new_rrc.validate_for_state(new_state)
@@ -603,7 +603,7 @@ class SliceRegistry:
         fd_scheduler: Optional[str] = None,
         hu_associations: Optional[Iterable[str]] = None,
     ) -> SliceContext:
-        ctx = self._get_slice(slice_id)
+        ctx = self.get_slice(slice_id)
         outcomes: list[ChangeOutcome] = []
         if fd_scheduler is not None and fd_scheduler != ctx.fd_scheduler:
             outcomes.append(ChangeOutcome(OutcomeKind.SCHEDULER, ctx.fd_scheduler, fd_scheduler))
@@ -639,15 +639,12 @@ class SliceRegistry:
 
     # -- helpers --------------------------------------------------------------
 
-    def _get_slice(self, slice_id: int) -> SliceContext:
+    def get_slice(self, slice_id: int) -> SliceContext:
+        """Live context (writer-side view); readers should use the snapshot."""
         ctx = self._slices.get(slice_id)
         if ctx is None:
             raise UnknownSlice(f"slice {slice_id}")
         return ctx
-
-    def get_slice(self, slice_id: int) -> SliceContext:
-        """Live context (writer-side view); readers should use the snapshot."""
-        return self._get_slice(slice_id)
 
     def get_bearer(self, drb_id: int) -> Bearer:
         bearer = self._bearers.get(drb_id)

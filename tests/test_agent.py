@@ -348,7 +348,8 @@ class TestSetupAndLocks:
 
     def test_lock_scopes_match_on_whole_path_segments(self):
         repo = HaRepository()
-        holder = PeerContext("link-a", "ric-a", RIC, send=_raise_on_send, locks={"slice/1"})
+        holder = PeerContext("link-a", "ric-a", RIC, send=_raise_on_send)
+        holder.locks.add("slice/1")
         repo.peers["link-a"] = holder
         for resource in ("slice/10", "slice/19", "slice/100", "slice/1x", "slice/2"):
             assert repo.lock_holder(resource) is None, resource
@@ -700,6 +701,20 @@ class TestControlPath:
         stack.settle()
         kind, payload = ric.control_results[corr]
         assert (kind, payload["cause"]) == ("failure", "not_activated")
+
+    # each request type with a payload its schema refuses
+    @pytest.mark.parametrize("send", [
+        lambda ric: ric.control_slice(1, {"slice_id": 1, "dedicated_rb": -1}),
+        lambda ric: ric.subscribe(1, "no_such_service", slice_ids=[1]),
+        lambda ric: ric.query(1, "no_such_service", slice_ids=[1]),
+    ], ids=["control", "subscription", "query"])
+    def test_activation_is_checked_before_the_schema(self, send):
+        stack = Stack()
+        activated, idle = stack.attach("ric-a"), stack.attach("ric-b", activate=[])
+        corr_activated, corr_idle = send(activated), send(idle)
+        stack.settle()
+        assert activated.responses[corr_activated].payload["cause"] == "schema_violation"
+        assert idle.responses[corr_idle].payload["cause"] == "not_activated"
 
     def test_malformed_params_fail_and_count(self):
         stack = Stack()

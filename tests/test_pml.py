@@ -368,6 +368,26 @@ class TestControlApi:
         assert record.trigger.procedure == "FS Control Request"
         assert record.trigger.source == "xapp-7"
 
+    def test_controls_in_a_row_by_one_caller_share_one_trigger(self):
+        def controls(registry, sid):
+            return [r.trigger for r in registry.records_since(sid, 0)
+                    if r.trigger.procedure == "FS Control Request"]
+
+        registry, pml, fs, _ = make_stack()
+        seed_slice(registry, 1, SliceState.SHARED, drb=11)
+        seed_slice(registry, 2, SliceState.SHARED, drb=21)
+        for caller, sid, priority in [("xapp-7", 1, 2), ("xapp-7", 1, 3), ("xapp-8", 2, 2),
+                                      ("xapp-7", 1, 4)]:
+            fs.fs_control_request(caller, {"slices": [{"slice_id": sid,
+                                                       "shared_priority": priority}]})
+            pml.tti_boundary(registry)
+        first, second, third = controls(registry, 1)
+        (between,) = controls(registry, 2)
+        assert first is second
+        assert between is not first and third is not first
+        assert first == third == ChangeTrigger("FS Control Request", "xapp-7")
+        assert between == ChangeTrigger("FS Control Request", "xapp-8")
+
 
 class TestTelemetryAndReports:
     def test_context_change_counting(self):

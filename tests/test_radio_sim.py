@@ -674,6 +674,10 @@ class TestRepeatKernels:
              cut="none", edge=1.0, m=3_000)  # starts on a binade edge
     @example(buf=1e6, capacity=1_533.0, trend="flat", ratio=1.0, bits_per_rb=1_226.4,
              cut="lo", edge=1.0, m=3_000)
+    @example(buf=2.0 ** 20 + 1_000.0, capacity=1_000.0, trend="grow", ratio=0.5,
+             bits_per_rb=1_226.4, cut="hi", edge=0.5, m=3_000)  # hi cuts a binade run
+    @example(buf=1e6, capacity=1_000.0, trend="shrink", ratio=2.9, bits_per_rb=1_226.4,
+             cut="none", edge=1.0, m=3_000)  # shrinks slowly, every tick a plain step
     def test_backlog_matches_the_loop(self, buf, capacity, trend, ratio, bits_per_rb, cut,
                                       edge, m):
         if trend == "grow":

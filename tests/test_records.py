@@ -60,7 +60,7 @@ def test_each_mutable_record_gets_fresh_containers():
          ("hu_associations", "bearers")),
         (lambda: PeerContext("link", "peer", "ric", send),
          ("reader", "activated", "refused", "locks")),
-        (lambda: TelemetryRegistration(1, (1,), {"kind": "event"}), ("change_cursor",)),
+        (lambda: TelemetryRegistration(1, (1,), None), ("change_cursor",)),
     ]:
         a, b = make(), make()
         for name in containers:
