@@ -23,7 +23,6 @@ from collections import deque
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import e2lite
-from .clocks import MonotonicClock
 from .errors import (
     AgentError,
     CodecError,
@@ -33,11 +32,11 @@ from .errors import (
     NotActivated,
     ResourceLockedByOther,
     SchemaViolation,
-    SliceModelError,
+    UnknownId,
     ValidationFailed,
 )
 from .e2lite import JSON_ENCODER, E2LiteFrame, FrameReader, MsgType
-from .pml import DEFAULT_LOCKOUT_WINDOW_MS, Completion, FsApi, Pml
+from .pml import Completion, FsApi, Pml
 from .slice_model import SliceRegistry, fill_report, record_to_dict
 
 DEFAULT_QUEUE_DEPTH = 1024
@@ -60,8 +59,9 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# the AgentConfig fields a configuration document or an edit-config may set:
-# what each value must be, and its check; a value that passes is stored as given
+# the settings a configuration document or an edit-config may set: what each
+# value must be, and its check; a value that passes is applied as given, the
+# queue depth to the AgentConfig and the lockout window to the Pml
 _SETTINGS = {
     "lockout_window_ms": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
     "queue_depth": ("a positive integer", lambda v: _is_number(v) and isinstance(v, int) and v > 0),
@@ -73,7 +73,9 @@ _STR_LIST = ("a list of strings",
              lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
 _FUNCTION_FIELDS = {
     "function_id": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    "name": _STR, "kind": ("ran or oam", lambda v: v in ("ran", "oam")), "service_model": _STR,
+    "name": _STR, "kind": ("ran or oam", lambda v: v in ("ran", "oam")),
+    # the schemas in e2lite are the only service model this agent serves
+    "service_model": ('"fs"', lambda v: v == e2lite.FS_SERVICE_MODEL),
     "required_pml_plugins": _STR_LIST, "resources": _STR_LIST,
 }
 
@@ -98,7 +100,6 @@ class FunctionSpec(NamedTuple):
     function_id: int
     name: str
     kind: str  # "ran" (controller-driven) or "oam" (management-driven)
-    service_model: str = e2lite.FS_SERVICE_MODEL
     required_pml_plugins: tuple[str, ...] = ()
     resources: tuple[str, ...] = ()  # lock-scope prefixes, e.g. "slice/"
 
@@ -219,7 +220,6 @@ class PipelineMetrics:
 
 class AgentConfig(NamedTuple):
     queue_depth: int = DEFAULT_QUEUE_DEPTH
-    lockout_window_ms: float = DEFAULT_LOCKOUT_WINDOW_MS
 
 
 class _Pending:
@@ -242,7 +242,8 @@ class Agent:
     A single-threaded driver calls ``pump()`` then ``step(now)`` on a tick
     and ends with ``flush()``. :class:`~hexsim.transport.ThreadedAgentServer`
     makes the same calls from its one loop thread, sleeping in :meth:`wait`
-    between them, and ``stop()`` flushes.
+    between them, and ``stop()`` flushes. The Pml owns time and the lockout
+    window; the agent reads both from it.
     """
 
     def __init__(
@@ -251,13 +252,11 @@ class Agent:
         pml: Pml,
         fs: FsApi,
         config: Optional[AgentConfig] = None,
-        clock=None,
     ):
         self.registry = registry
         self.pml = pml
         self.fs = fs
         self.config = config or AgentConfig()
-        self.clock = clock or MonotonicClock()
         self.repository = HaRepository()
         self.metrics = PipelineMetrics()
         self.failures_by_cause: dict[str, int] = {}
@@ -274,15 +273,18 @@ class Agent:
         self._sub_ids = itertools.count(1)
         self._sub_by_reg: dict[int, Subscription] = {}
         self._state = threading.RLock()
-        # function id -> service model, for each available catalog function
-        self._sm_functions: dict[int, str] = {}
-        self.pml.set_lockout_window(self.config.lockout_window_ms)
+
+    @property
+    def clock(self):
+        """The Pml's clock, which stamps every message this agent receives."""
+        return self.pml.clock
 
     # -- configuration manager -------------------------------------------------
 
     def load_configuration(self, doc: Mapping) -> dict[int, CatalogEntry]:
         """Parse the function catalog; only functions whose required mediation
-        plugins are present become available.
+        plugins are present become available, and a function's service model,
+        if given, must be ``"fs"``.
 
         The whole document is parsed and checked before anything is
         committed, so a bad document raises :class:`MalformedConfig` and
@@ -311,7 +313,6 @@ class Agent:
                 function_id=fid,
                 name=entry.get("name", f"fn{fid}"),
                 kind=entry.get("kind", "ran"),
-                service_model=entry.get("service_model", e2lite.FS_SERVICE_MODEL),
                 required_pml_plugins=tuple(entry.get("required_pml_plugins", ())),
                 resources=tuple(entry.get("resources", ())),
             )
@@ -329,8 +330,6 @@ class Agent:
                 p: (p in registered) for p in expected_plugins
             }
             self.repository.catalog = catalog
-            self._sm_functions = {fid: e.spec.service_model
-                                  for fid, e in catalog.items() if e.available}
         return catalog
 
     # -- interface manager -------------------------------------------------------
@@ -454,7 +453,7 @@ class Agent:
                 return
 
     def next_wake_ns(self) -> float:
-        """When the control plane next has work, in this agent's clock's ns.
+        """When the control plane next has work, in the Pml's clock's ns.
 
         0 (now) if a message is queued or :meth:`Pml.next_wake_ns` says the
         boundary or a change-record scan has work; otherwise the earliest
@@ -491,8 +490,9 @@ class Agent:
         """Run a queued message's manager body; only routed types are queued.
 
         A control, subscription or query fails as ``not_activated`` unless
-        its link activated the function it names, and only then is it checked
-        against the function's schema; its body gets the validated payload.
+        its link activated the function it names and the catalog still lists
+        that function as available; only then is it checked against its
+        type's schema, and its body gets the validated payload.
         """
         msg.record.dispatch_ns = self.clock.now_ns()
         msg_type, payload = msg.frame.msg_type, msg.frame.payload
@@ -502,12 +502,13 @@ class Agent:
             self._fail(msg, "link_lost", f"link {msg.link_id} detached")
             return
         try:
-            if msg_type in _SM_TYPES:
+            if msg_type in e2lite.SCHEMAS:
                 function_id = payload.get("ran_function_id")
-                if function_id not in link.activated:
+                entry = (self.repository.catalog.get(function_id)
+                         if function_id in link.activated else None)
+                if entry is None or not entry.available:
                     raise NotActivated(f"function {function_id} not activated for {link.peer_id}")
-                payload = e2lite.validate_sm_payload(msg_type, function_id, payload,
-                                                     self._sm_functions)
+                payload = e2lite.validate_sm_payload(msg_type, payload)
             body(self, msg, link, payload)
         except Exception as exc:  # manager failures become failure responses
             self._fail(msg, failure_cause(exc), str(exc))
@@ -629,7 +630,7 @@ class Agent:
             raise ValidationFailed(f"unknown config keys {sorted(unknown)}")
         # every key is checked before any is committed
         staged = _check(_SETTINGS, config, ValidationFailed)
-        # data broker commits, then the config plugin applies via the mediation layer
+        # the data broker commits, then each setting goes to its owner
         with self._state:
             self.repository.ran_state["config"].update(staged)
         self._apply_config(staged)
@@ -640,10 +641,12 @@ class Agent:
         )
 
     def _apply_config(self, staged: Mapping) -> None:
-        """Commit checked AgentConfig values; the Pml takes the lockout window."""
-        self.config = self.config._replace(**staged)
+        """Commit checked settings: the queue depth to this agent's config, the
+        lockout window straight to the Pml, which owns it."""
+        if "queue_depth" in staged:
+            self.config = self.config._replace(queue_depth=staged["queue_depth"])
         if "lockout_window_ms" in staged:
-            self.pml.set_lockout_window(self.config.lockout_window_ms)
+            self.pml.set_lockout_window(staged["lockout_window_ms"])
 
     # -- telemetry / alarms --------------------------------------------------------
 
@@ -675,7 +678,8 @@ class Agent:
                 continue
             try:
                 report = self._build_report(sub.service, sub.targets, sub)
-            except SliceModelError:
+            except UnknownId as exc:  # a target is gone
+                self._end_subscription(sub, exc)
                 continue
             emitted += self._send_indication(sub, report)
         for reg, record in self.pml.new_change_records(self.registry):
@@ -689,12 +693,18 @@ class Agent:
     def _send_indication(self, sub: Subscription, report: str) -> bool:
         try:
             return self._send(sub.link, E2LiteFrame(MsgType.INDICATION, 0), sub.envelope % report)
-        except CodecError as exc:  # too large for one frame: end the subscription, keep the link
-            with self._state:
-                if self._sub_by_reg.pop(sub.reg_id, None) is not None:
-                    self.pml.drop_registration(sub.reg_id)
-            self._count_failure(failure_cause(exc))
+        except CodecError as exc:  # too large for one frame
+            self._end_subscription(sub, exc)
             return False
+
+    def _end_subscription(self, sub: Subscription, exc: Exception) -> None:
+        """End a subscription whose report cannot be sent, rather than retry it
+        every period: drop its registration and count ``exc``'s cause. Its
+        peer is not told, and its link stays."""
+        with self._state:
+            if self._sub_by_reg.pop(sub.reg_id, None) is not None:
+                self.pml.drop_registration(sub.reg_id)
+        self._count_failure(failure_cause(exc))
 
     def raise_alarm(self, condition: str, detail: str) -> None:
         payload = {"condition": condition, "detail": detail, "severity": "warning"}
@@ -739,8 +749,9 @@ class Agent:
 
 
 # inbound message type -> (manager, body); a body is called as body(agent,
-# msg, link, payload), with the payload validated for the _SM_TYPES. A
-# module-level table, so an agent holds no bound methods of itself.
+# msg, link, payload), with the payload validated for the types in
+# e2lite.SCHEMAS. A module-level table, so an agent holds no bound methods of
+# itself.
 _INBOUND = {
     MsgType.SETUP_RESPONSE: (_INTERFACE, Agent._on_setup_response),
     MsgType.SUBSCRIPTION_REQUEST: (_SUBSCRIPTION, Agent._on_subscription),
@@ -748,6 +759,3 @@ _INBOUND = {
     MsgType.QUERY_REQUEST: (_QUERY, Agent._on_query),
     MsgType.EDIT_CONFIG: (_BROKER, Agent._on_edit_config),
 }
-# the types whose payload is a service-model request, checked in process_message
-_SM_TYPES = frozenset((MsgType.CONTROL_REQUEST, MsgType.SUBSCRIPTION_REQUEST,
-                       MsgType.QUERY_REQUEST))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .clocks import is_period_ms
 from .errors import (
@@ -36,7 +36,6 @@ from .errors import (
     FrameTooLarge,
     SchemaViolation,
     ShortFrame,
-    UnknownFunction,
 )
 
 MAGIC = b"E2"
@@ -60,17 +59,6 @@ class MsgType(enum.IntEnum):
     EDIT_CONFIG = 11
     CONFIG_ACK = 12
     ALARM_NOTIFICATION = 13
-
-
-# success response expected for each inbound request type (failures for the
-# control path and for malformed traffic travel as CONTROL_FAILURE)
-RESPONSE_FOR = {
-    MsgType.SETUP_REQUEST: MsgType.SETUP_RESPONSE,
-    MsgType.SUBSCRIPTION_REQUEST: MsgType.SUBSCRIPTION_RESPONSE,
-    MsgType.CONTROL_REQUEST: MsgType.CONTROL_ACK,
-    MsgType.QUERY_REQUEST: MsgType.QUERY_RESPONSE,
-    MsgType.EDIT_CONFIG: MsgType.CONFIG_ACK,
-}
 
 
 class _Frame(NamedTuple):
@@ -183,9 +171,7 @@ class FrameReader:
 # -- service-model payload validation -----------------------------------------
 
 FS_RAN_FUNCTION_ID = 1
-FS_SERVICE_MODEL = "fs"
-
-DEFAULT_FUNCTIONS: Mapping[int, str] = {FS_RAN_FUNCTION_ID: FS_SERVICE_MODEL}
+FS_SERVICE_MODEL = "fs"  # the one service model whose schemas this module holds
 
 SLICE_STATES = {"dedicated", "prioritized", "shared", "hybrid"}
 REPORT_SERVICES = {"slice_context", "ue_context", "context_change"}
@@ -317,24 +303,14 @@ def validate_setup_payload(payload: dict) -> dict:
 
 
 # the service-model schema of each message type whose payload carries one
-_SCHEMAS = {
+SCHEMAS = {
     MsgType.CONTROL_REQUEST: validate_control_payload,
     MsgType.SUBSCRIPTION_REQUEST: validate_subscription_payload,
     MsgType.QUERY_REQUEST: validate_query_payload,
 }
 
 
-def validate_sm_payload(
-    msg_type: int,
-    ran_function_id: int,
-    payload: dict,
-    functions: Mapping[int, str] = DEFAULT_FUNCTIONS,
-) -> dict:
+def validate_sm_payload(msg_type: int, payload: dict) -> dict:
     """Check a function-specific payload against the schema of its message
-    type (one of ``_SCHEMAS``); returns the normalized value."""
-    model = functions.get(ran_function_id)
-    if model is None:
-        raise UnknownFunction(f"ran function {ran_function_id}")
-    if model != FS_SERVICE_MODEL:
-        raise UnknownFunction(f"no service model registered for {model!r}")
-    return _SCHEMAS[msg_type](payload)
+    type (one of ``SCHEMAS``); returns the normalized value."""
+    return SCHEMAS[msg_type](payload)

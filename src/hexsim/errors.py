@@ -28,20 +28,8 @@ class DuplicateUe(SliceModelError):
     pass
 
 
-class UnknownSlice(SliceModelError):
-    cause = "unknown_id"
-
-
-class UnknownDrb(SliceModelError):
-    cause = "unknown_id"
-
-
-class UnknownUe(SliceModelError):
-    cause = "unknown_id"
-
-
 class UnknownId(SliceModelError):
-    """A snapshot or control target does not exist."""
+    """A slice, bearer or UE that a call names does not exist."""
 
     cause = "unknown_id"
 
@@ -123,10 +111,6 @@ class FrameTooLarge(CodecError):
 
 
 class BadJson(CodecError):
-    pass
-
-
-class UnknownFunction(CodecError):
     pass
 
 

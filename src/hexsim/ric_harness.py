@@ -363,7 +363,7 @@ class ScenarioRunner:
         self.registry = SliceRegistry(script.cell.total_rb)
         self.pml = Pml(clock=self.clock)
         self.fs = FsApi(self.pml, self.registry)
-        self.agent = Agent(self.registry, self.pml, self.fs, AgentConfig(), clock=self.clock)
+        self.agent = Agent(self.registry, self.pml, self.fs, AgentConfig())
         self.agent.load_configuration(FS_FUNCTION_DOC)
         self.ric = SimulatedPeer("ric-1", RIC)
         self._duplex = connect_inproc(self.agent, self.ric, "link-ric-1")
@@ -611,7 +611,7 @@ def _bench_agent(n_functions: int, cfg: BenchmarkConfig,
         ]
     }
     agent_cfg = AgentConfig(queue_depth=1) if cfg.frame_gated else AgentConfig()
-    agent = Agent(registry, pml, fs, agent_cfg, clock=clock)
+    agent = Agent(registry, pml, fs, agent_cfg)
     agent.load_configuration(doc)
     ric = SimulatedPeer("ric-bench", RIC)
     connect_inproc(agent, ric, "link-bench")

@@ -42,10 +42,7 @@ from .errors import (
     DuplicateUe,
     InvalidResourceConfig,
     OverSubscription,
-    UnknownDrb,
     UnknownId,
-    UnknownSlice,
-    UnknownUe,
 )
 
 MCS_MAX = 28
@@ -427,16 +424,13 @@ class SliceRegistry:
         for sid in slice_ids or sorted(snap.slices):
             if sid not in snap.slices:
                 raise UnknownId(f"slice {sid}")
-            watermark = snap.record_watermark[sid]
-            # tuple() copies the deque in one call, as in records_since
-            records.extend(record_to_dict(r) for r in tuple(self._records[sid])
-                           if r.seq <= watermark)
+            records.extend(record_to_dict(r) for r in self.records_since(sid))
         return {"records": records}
 
     def records_since(self, slice_id: int, since_seq: int = 0) -> list[ContextChangeRecord]:
         """All published change records for a slice with seq > since_seq, in order."""
         if slice_id not in self._records:
-            raise UnknownSlice(f"slice {slice_id}")
+            raise UnknownId(f"slice {slice_id}")
         watermark = self._published.record_watermark.get(slice_id, 0)
         # tuple() copies the deque in one call, so a writer appending on
         # another thread cannot interrupt the iteration
@@ -490,7 +484,7 @@ class SliceRegistry:
     def remove_ue(self, ue_id: int) -> None:
         ue = self._ues.get(ue_id)
         if ue is None:
-            raise UnknownUe(f"ue {ue_id}")
+            raise UnknownId(f"ue {ue_id}")
         if ue.bearers:
             raise InvalidResourceConfig(f"ue {ue_id} still has bearers")
         del self._ues[ue_id]
@@ -505,7 +499,7 @@ class SliceRegistry:
             raise InvalidResourceConfig("bearer.slice_id does not match target slice")
         ue = self._ues.get(bearer.ue_id)
         if ue is None:
-            raise UnknownUe(f"ue {bearer.ue_id}")
+            raise UnknownId(f"ue {bearer.ue_id}")
         before = tuple(ctx.bearers)
         self._bearers[bearer.drb_id] = bearer
         ctx.bearers.append(bearer.drb_id)
@@ -526,7 +520,7 @@ class SliceRegistry:
     def remove_drb(self, slice_id: int, drb_id: int, trigger: ChangeTrigger) -> SliceContext:
         ctx = self.get_slice(slice_id)
         if drb_id not in ctx.bearers:
-            raise UnknownDrb(f"drb {drb_id} not on slice {slice_id}")
+            raise UnknownId(f"drb {drb_id} not on slice {slice_id}")
         bearer = self._bearers.pop(drb_id)
         before = tuple(ctx.bearers)
         ctx.bearers.remove(drb_id)
@@ -623,7 +617,7 @@ class SliceRegistry:
     def set_bearer_priority(self, drb_id: int, bearer_priority: int, trigger: ChangeTrigger) -> Bearer:
         bearer = self._bearers.get(drb_id)
         if bearer is None:
-            raise UnknownDrb(f"drb {drb_id}")
+            raise UnknownId(f"drb {drb_id}")
         if bearer_priority < 1:
             raise InvalidResourceConfig("bearer_priority must be >= 1")
         before = bearer.bearer_priority
@@ -643,13 +637,13 @@ class SliceRegistry:
         """Live context (writer-side view); readers should use the snapshot."""
         ctx = self._slices.get(slice_id)
         if ctx is None:
-            raise UnknownSlice(f"slice {slice_id}")
+            raise UnknownId(f"slice {slice_id}")
         return ctx
 
     def get_bearer(self, drb_id: int) -> Bearer:
         bearer = self._bearers.get(drb_id)
         if bearer is None:
-            raise UnknownDrb(f"drb {drb_id}")
+            raise UnknownId(f"drb {drb_id}")
         return bearer
 
     def slice_ids(self) -> list[int]:

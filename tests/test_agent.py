@@ -37,7 +37,6 @@ from hexsim.errors import (
     MalformedConfig,
     SchemaViolation,
     ShortFrame,
-    UnknownFunction,
     UnknownId,
     ValidationFailed,
 )
@@ -86,11 +85,7 @@ FAILURE_CAUSES = {
     "SliceModelError": "error:SliceModelError",
     "UnknownApi": "error:UnknownApi",
     "UnknownChain": "error:UnknownChain",
-    "UnknownDrb": "unknown_id",
-    "UnknownFunction": "codec",
     "UnknownId": "unknown_id",
-    "UnknownSlice": "unknown_id",
-    "UnknownUe": "unknown_id",
     "ValidationFailed": "validation_failed",
 }
 
@@ -117,7 +112,7 @@ def contend(order):
     clock = VirtualClock()
     registry = SliceRegistry(106)
     pml = Pml(clock=clock)
-    agent = Agent(registry, pml, FsApi(pml, registry), clock=clock)
+    agent = Agent(registry, pml, FsApi(pml, registry))
     agent.load_configuration(DOC)
     for sid in (1, 2, 3):
         registry.create_slice(sid, SliceState.SHARED)
@@ -161,7 +156,7 @@ T = ChangeTrigger("script", "unit")
 clock = VirtualClock()
 registry = SliceRegistry(106)
 pml = Pml(clock=clock)
-agent = Agent(registry, pml, FsApi(pml, registry), clock=clock)
+agent = Agent(registry, pml, FsApi(pml, registry))
 agent.load_configuration(FS_FUNCTION_DOC)
 for sid in (1, 2, 3):
     registry.create_slice(sid, SliceState.SHARED, hu_associations={"hu-a", "hu-b", "hu-c"})
@@ -238,8 +233,7 @@ class Stack:
         self.registry = SliceRegistry(106)
         self.pml = Pml(clock=self.clock)
         self.fs = FsApi(self.pml, self.registry)
-        self.agent = Agent(self.registry, self.pml, self.fs, config or AgentConfig(),
-                           clock=self.clock)
+        self.agent = Agent(self.registry, self.pml, self.fs, config or AgentConfig())
         self.agent.load_configuration(doc or FS_FUNCTION_DOC)
         for sid in range(1, n_slices + 1):
             self.registry.create_slice(sid, SliceState.SHARED)
@@ -312,12 +306,12 @@ class TestConfiguration:
         {"functions": [dict(FS_FUNCTION_DOC["functions"][0], function_id=True)]},
         {"plugins": "fs"},
         {"functions": [dict(FS_FUNCTION_DOC["functions"][0], kind="rt")]},
+        {"functions": [dict(FS_FUNCTION_DOC["functions"][0], service_model="kpm")]},
     ])
     def test_a_bad_document_commits_nothing(self, bad):
         stack = Stack()
         stack.pml.set_lockout_window(20.0)
-        config_before = stack.agent.config._replace(lockout_window_ms=20.0)
-        stack.agent.config = config_before
+        config_before = stack.agent.config
         ran_state_before = copy.deepcopy(stack.agent.repository.ran_state)
         catalog_before = stack.agent.repository.catalog
         doc = {"plugins": ["fs"], "lockout_window_ms": 7, "queue_depth": 3,
@@ -328,6 +322,15 @@ class TestConfiguration:
         assert stack.agent.config == config_before
         assert stack.agent.repository.ran_state == ran_state_before
         assert stack.agent.repository.catalog is catalog_before
+
+    def test_an_agent_keeps_the_window_set_on_its_pml(self):
+        """The Pml owns the lockout window: building an agent leaves it as set."""
+        registry = SliceRegistry(106)
+        pml = Pml(clock=VirtualClock())
+        pml.set_lockout_window(20)
+        agent = Agent(registry, pml, FsApi(pml, registry))
+        assert pml.lockout.window_ms == 20
+        assert agent.clock is pml.clock
 
 
 class TestSetupAndLocks:
@@ -594,7 +597,7 @@ class TestDispatch:
         assert stack.agent.failures_by_cause == {"codec": 1}
 
     def test_every_codec_error_maps_to_the_codec_cause(self):
-        for exc in (BadMagic("x"), ShortFrame("x"), BadJson("x"), UnknownFunction("x")):
+        for exc in (BadMagic("x"), ShortFrame("x"), BadJson("x")):
             assert failure_cause(exc) == "codec", type(exc).__name__
         assert failure_cause(SchemaViolation("x")) == "schema_violation"
 
@@ -697,6 +700,18 @@ class TestControlPath:
     def test_not_activated_function_fails(self):
         stack = Stack()
         ric = stack.attach(activate=[])
+        corr = ric.control_slice(1, {"slice_id": 1, "shared_priority": 2})
+        stack.settle()
+        kind, payload = ric.control_results[corr]
+        assert (kind, payload["cause"]) == ("failure", "not_activated")
+
+    def test_a_function_the_catalog_drops_answers_not_activated(self):
+        """The catalog decides which functions a message may use: one a reload
+        drops is no longer served on a link that activated it."""
+        stack = Stack()
+        ric = stack.attach()
+        assert stack.agent.activation("ric-1") == {1}
+        stack.agent.load_configuration({"functions": []})
         corr = ric.control_slice(1, {"slice_id": 1, "shared_priority": 2})
         stack.settle()
         kind, payload = ric.control_results[corr]
@@ -1087,10 +1102,21 @@ class TestReportText:
         stack.registry.publish()
         corr = ric.query(1, "ue_context", ue_ids=[10, 20])
         ric.raw.clear()
+        plans = []
+        plan = stack.registry.report_plan
+        stack.registry.report_plan = lambda **kw: plans.append(kw) or plan(**kw)
         stack.settle(3)
         assert ric.sent(MsgType.INDICATION) == []
         assert ric.sent(MsgType.QUERY_RESPONSE) == []
         assert ric.responses[corr].payload == {"cause": "unknown_id", "detail": "ue 20"}
+        # the subscription's first report that names the gone UE ends it,
+        # rather than the agent retrying it every period
+        stack.settle(20)
+        assert plans == [{"ue_ids": [10, 20]}] * 2  # the query's, then the subscription's
+        assert ric.sent(MsgType.INDICATION) == []
+        assert stack.agent.failures_by_cause == {"unknown_id": 2}
+        assert not stack.agent._sub_by_reg and not stack.pml._registrations
+        assert stack.agent.repository.peer("ric-1") is not None
 
     def test_detaching_a_link_drops_its_subscriptions_plans(self):
         stack = Stack()

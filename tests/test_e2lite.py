@@ -18,7 +18,6 @@ from hexsim.errors import (
     FrameTooLarge,
     SchemaViolation,
     ShortFrame,
-    UnknownFunction,
 )
 
 
@@ -138,12 +137,6 @@ class TestFraming:
         frame = E2LiteFrame(MsgType.QUERY_RESPONSE, 1, {"a": "x" * (e2lite.MAX_FRAME - 7)})
         with pytest.raises(FrameTooLarge):
             encode(frame)
-
-    def test_every_request_type_has_one_response(self):
-        requests = {MsgType.SETUP_REQUEST, MsgType.SUBSCRIPTION_REQUEST,
-                    MsgType.CONTROL_REQUEST, MsgType.QUERY_REQUEST, MsgType.EDIT_CONFIG}
-        assert set(e2lite.RESPONSE_FOR) == requests
-        assert len(set(e2lite.RESPONSE_FOR.values())) == len(requests)
 
 
 payloads = st.recursive(
@@ -272,32 +265,28 @@ class TestServiceModelValidation:
     def test_valid_slice_config(self):
         payload = self.control("slice_config",
                                {"slice_id": 2, "state": "dedicated", "dedicated_rb": 85})
-        out = e2lite.validate_sm_payload(CONTROL, 1, payload)
+        out = e2lite.validate_sm_payload(CONTROL, payload)
         assert out["control_message"]["params"]["dedicated_rb"] == 85
 
     def test_negative_rb_rejected(self):
         payload = self.control("slice_config", {"slice_id": 2, "dedicated_rb": -1})
         with pytest.raises(SchemaViolation):
-            e2lite.validate_sm_payload(CONTROL, 1, payload)
+            e2lite.validate_sm_payload(CONTROL, payload)
 
     def test_valid_ue_config(self):
         payload = self.control("ue_config", {"drb_id": 102, "bearer_priority": 5},
                                target="ue", ids=(102,))
-        out = e2lite.validate_sm_payload(CONTROL, 1, payload)
+        out = e2lite.validate_sm_payload(CONTROL, payload)
         assert out["control_message"]["params"]["bearer_priority"] == 5
-
-    def test_unknown_function(self):
-        with pytest.raises(UnknownFunction):
-            e2lite.validate_sm_payload(CONTROL, 42, self.control("ue_config", {"drb_id": 1}))
 
     def test_unknown_routine_state_and_trigger(self):
         with pytest.raises(SchemaViolation):
-            e2lite.validate_sm_payload(CONTROL, 1, self.control("reboot", {}))
+            e2lite.validate_sm_payload(CONTROL, self.control("reboot", {}))
         with pytest.raises(SchemaViolation):
             e2lite.validate_sm_payload(
-                CONTROL, 1, self.control("slice_config", {"slice_id": 1, "state": "turbo"}))
+                CONTROL, self.control("slice_config", {"slice_id": 1, "state": "turbo"}))
         with pytest.raises(SchemaViolation):
-            e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {
+            e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, {
                 "service": "slice_context", "targets": {},
                 "trigger": {"kind": "periodic", "period_ms": 0},
             })
@@ -318,30 +307,30 @@ class TestServiceModelValidation:
                 "service": "ue_context", "targets": {"ue_ids": [1, False]}, "trigger": event}),
         }[where]
         with pytest.raises(SchemaViolation, match="integer"):
-            e2lite.validate_sm_payload(msg_type, 1, payload)
+            e2lite.validate_sm_payload(msg_type, payload)
 
     @pytest.mark.parametrize("period", [math.inf, math.nan, True, 1e303, 1e-7, "5", -1, 0])
     def test_period_ms_is_a_finite_number_of_at_least_one_nanosecond(self, period):
         with pytest.raises(SchemaViolation, match="period_ms"):
-            e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {
+            e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, {
                 "service": "slice_context", "targets": {},
                 "trigger": {"kind": "periodic", "period_ms": period},
             })
 
     def test_a_period_of_one_nanosecond_is_accepted(self):
         trigger = {"kind": "periodic", "period_ms": 1e-6}
-        out = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {
+        out = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, {
             "service": "slice_context", "targets": {}, "trigger": trigger})
         assert out["trigger"] == trigger
 
     def test_subscription_and_query_shapes(self):
-        sub = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, 1, {
+        sub = e2lite.validate_sm_payload(MsgType.SUBSCRIPTION_REQUEST, {
             "service": "ue_context",
             "targets": {"ue_ids": [1, 2]},
             "trigger": {"kind": "event", "event": "context_change"},
         })
         assert sub["trigger"]["kind"] == "event"
-        q = e2lite.validate_sm_payload(MsgType.QUERY_REQUEST, 1, {
+        q = e2lite.validate_sm_payload(MsgType.QUERY_REQUEST, {
             "service": "slice_context", "targets": {"slice_ids": [1]}})
         assert q["targets"]["slice_ids"] == [1]
 
@@ -367,6 +356,6 @@ class TestServiceModelValidation:
         ]
         for msg_type, payload in cases:
             with pytest.raises(SchemaViolation):
-                e2lite.validate_sm_payload(msg_type, 1, payload)
+                e2lite.validate_sm_payload(msg_type, payload)
         with pytest.raises(SchemaViolation):
             e2lite.validate_setup_payload(not_an_object)

@@ -14,9 +14,7 @@ from hexsim.errors import (
     InvalidResourceConfig,
     OverSubscription,
     SliceModelError,
-    UnknownDrb,
     UnknownId,
-    UnknownSlice,
 )
 from hexsim.reference import expected_after_add, expected_after_empty
 from hexsim.slice_model import (
@@ -170,9 +168,9 @@ class TestDrbTransitions:
         add_session(reg, 1, 11)
         with pytest.raises(DuplicateDrb):
             add_session(reg, 1, 11)
-        with pytest.raises(UnknownSlice):
+        with pytest.raises(UnknownId, match="slice 9"):
             add_session(reg, 9, 12)
-        with pytest.raises(UnknownDrb):
+        with pytest.raises(UnknownId, match="drb 99"):
             reg.remove_drb(1, 99, T)
 
     def test_exhaustive_transition_table(self):
